@@ -20,17 +20,8 @@ from .harness import (
     run_experiment,
 )
 from .ingest import Dataset, filter_consistent_nodes, load_dataset, load_positions, write_results
-from .metrics import (
-    MetricReport,
-    ScaleParams,
-    apply_scale,
-    error_report,
-    inverse_scale,
-    mae,
-    minmax_scale,
-    rmse,
-)
-from .sampling import SamplingMask, apply_mask, complement_indices, random_mask, write_mask_csv
+from .metrics import MetricReport, ScaleParams, error_report, inverse_scale
+from .sampling import apply_mask, random_mask
 from .solver import (
     ReconstructionResult,
     SobolevConfig,
@@ -41,7 +32,6 @@ from .solver import (
 )
 from .synthetic import synthetic_dataset
 from .temporal import (
-    TemporalDifferenceOperator,
     TimeVaryingSignal,
     smoothness,
     sobolev_norm_tv,
@@ -60,18 +50,14 @@ __all__ = [
     "MetricReport",
     "NodePositions",
     "ReconstructionResult",
-    "SamplingMask",
     "ScaleParams",
     "SensorGraph",
     "SobolevConfig",
     "SobolevOperator",
     "SpectralDecomposition",
-    "TemporalDifferenceOperator",
     "TimeVaryingSignal",
     "apply_mask",
-    "apply_scale",
     "build_knn_graph",
-    "complement_indices",
     "dense_oracle_solve",
     "error_report",
     "filter_consistent_nodes",
@@ -80,13 +66,10 @@ __all__ = [
     "knn_baseline_impute",
     "load_dataset",
     "load_positions",
-    "mae",
-    "minmax_scale",
     "objective_gradient",
     "random_mask",
     "reconstruct_sobolev",
     "reconstruct_tikhonov",
-    "rmse",
     "run_experiment",
     "smoothness",
     "sobolev_norm_tv",
@@ -97,6 +80,5 @@ __all__ = [
     "temporal_difference",
     "temporal_difference_operator",
     "write_edge_list",
-    "write_mask_csv",
     "write_results",
 ]

@@ -36,9 +36,9 @@ from .errors import (
     MalformedCsv,
     UnknownNode,
 )
-from .graph import build_knn_graph, spectral_decomposition, write_edge_list
+from .graph import _frozen, build_knn_graph, spectral_decomposition, write_edge_list
 from .harness import ExperimentConfig, fit_observed_scale, grid_search, run_experiment
-from .metrics import error_report
+from .metrics import error_report, inverse_scale
 from .sampling import random_mask
 from .solver import SobolevConfig, reconstruct_sobolev
 from .synthetic import synthetic_dataset
@@ -87,14 +87,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_flags(exp)
     exp.add_argument("--config", required=True, help="experiment config JSON")
     exp.add_argument("--out", required=True, help="output base path (.csv and .json)")
-    exp.add_argument("--threads", type=int, default=1,
-                     help="cap on concurrently executed repetitions")
 
     grid = sub.add_parser("gridsearch", help="hyperparameter grid search from a JSON config")
     _add_dataset_flags(grid)
     grid.add_argument("--config", required=True, help="grid config JSON")
     grid.add_argument("--out", required=True, help="output base path (.csv and .json)")
-    grid.add_argument("--threads", type=int, default=1)
 
     info = sub.add_parser("graph-info", help="inspect the kNN sensor graph")
     info.add_argument("--positions", required=True)
@@ -184,11 +181,8 @@ def _cmd_reconstruct(args) -> int:
 
     # Natively missing entries count as unobserved regardless of the draw,
     # but only artificially hidden entries with ground truth are scored.
-    effective = drawn.matrix * dataset.native_mask
-    eval_set = [
-        (int(i), int(t))
-        for i, t in np.argwhere((drawn.matrix == 0) & (dataset.native_mask == 1))
-    ]
+    effective = _frozen(drawn & dataset.native_mask, bool)
+    hidden = _frozen(~drawn & dataset.native_mask, bool)
     params, y_values = fit_observed_scale(dataset.signal.values, effective)
     config = SobolevConfig(
         epsilon=args.epsilon,
@@ -205,7 +199,7 @@ def _cmd_reconstruct(args) -> int:
             file=sys.stderr,
         )
         return 3
-    recon = TimeVaryingSignal(values=result.xbar.values * params.span + params.min_value)
+    recon = inverse_scale(result.xbar, params)
 
     csv_path, json_path = ingest.result_paths(args.out)
     with csv_path.open("w", newline="") as fh:
@@ -224,12 +218,12 @@ def _cmd_reconstruct(args) -> int:
         "iterations": result.iterations,
         "final_relative_residual": result.final_relative_residual,
         "objective_value": result.objective_value,
-        "n_evaluated": len(eval_set),
+        "n_evaluated": int(hidden.sum()),
         "rmse": None,
         "mae": None,
     }
-    if eval_set:
-        report = error_report(dataset.signal, recon, eval_set)
+    if hidden.any():
+        report = error_report(dataset.signal, recon, hidden)
         metrics_doc["rmse"] = report.rmse
         metrics_doc["mae"] = report.mae
     json_path.write_text(json.dumps(metrics_doc, indent=2, sort_keys=True) + "\n")
@@ -240,7 +234,7 @@ def _cmd_reconstruct(args) -> int:
 def _cmd_experiment(args) -> int:
     cfg = _experiment_config(args.config)
     dataset = _load_experiment_dataset(args)
-    results = run_experiment(dataset, cfg, threads=args.threads)
+    results = run_experiment(dataset, cfg)
     echo = asdict(cfg)
     echo["dataset"] = dataset.name
     ingest.write_results(results, args.out, config=echo)
@@ -279,7 +273,6 @@ def _cmd_gridsearch(args) -> int:
         k_graph=doc.get("k_graph", 5),
         cg_tolerance=doc.get("cg_tolerance", 1e-10),
         max_iterations=doc.get("max_iterations", 20000),
-        threads=args.threads,
     )
 
     csv_path, json_path = ingest.result_paths(args.out)

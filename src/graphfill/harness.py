@@ -11,18 +11,17 @@ standard deviation over repetitions.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import EmptyColumn, EmptyEvaluationSet, GraphfillError
-from .graph import SensorGraph, build_knn_graph
+from .graph import SensorGraph, _frozen, build_knn_graph
 from .ingest import Dataset
-from .metrics import ScaleParams, error_report
-from .sampling import SamplingMask, complement_indices, random_mask, samples_per_column
+from .metrics import ScaleParams, error_report, inverse_scale
+from .sampling import random_mask, samples_per_column
 from .solver import SobolevConfig, reconstruct_sobolev, reconstruct_tikhonov
-from .temporal import TimeVaryingSignal, mask_values
+from .temporal import TimeVaryingSignal, check_mask
 
 METHODS = ("sobolev", "tikhonov", "knn_baseline")
 
@@ -91,7 +90,7 @@ class GridSearchResult:
 
 
 def knn_baseline_impute(
-    y: TimeVaryingSignal, mask, graph: SensorGraph
+    y: TimeVaryingSignal, mask: np.ndarray, graph: SensorGraph
 ) -> TimeVaryingSignal:
     """Fill hidden entries with the weighted mean of observed graph neighbours.
 
@@ -100,9 +99,9 @@ def knn_baseline_impute(
     is observed the column mean of the observed entries stands in. Observed
     entries pass through unchanged.
     """
-    j = mask_values(mask)
-    if j.shape != y.values.shape or y.n_nodes != graph.n_nodes:
-        raise GraphfillError("signal, mask and graph dimensions must agree")
+    j = check_mask(mask, y.values.shape)
+    if y.n_nodes != graph.n_nodes:
+        raise GraphfillError("signal and graph dimensions must agree")
     col_counts = j.sum(axis=0)
     if np.any(col_counts == 0):
         t = int(np.nonzero(col_counts == 0)[0][0])
@@ -114,21 +113,22 @@ def knn_baseline_impute(
     fallback = np.broadcast_to(column_mean, y.values.shape)
     safe_weight = np.where(neighbour_weight > 0, neighbour_weight, 1.0)
     averaged = np.where(neighbour_weight > 0, neighbour_sum / safe_weight, fallback)
-    return TimeVaryingSignal(values=np.where(j == 1, y.values, averaged))
+    return TimeVaryingSignal(values=np.where(j, y.values, averaged))
 
 
-def fit_observed_scale(truth_values: np.ndarray, mask_matrix: np.ndarray):
+def fit_observed_scale(truth_values: np.ndarray, mask: np.ndarray):
     """Min-max parameters from observed entries only, plus the scaled Y.
 
     Hidden entries of truth_values are never read: the returned matrix is
     exactly zero there regardless of their content, which keeps ground truth
-    out of the reconstruction inputs.
+    out of the reconstruction inputs. metrics.inverse_scale undoes the map.
     """
-    observed = truth_values[mask_matrix == 1]
+    check_mask(mask, truth_values.shape)
+    observed = truth_values[mask]
     params = ScaleParams(min_value=float(observed.min()), max_value=float(observed.max()))
     with np.errstate(invalid="ignore"):
         scaled = (truth_values - params.min_value) / params.span
-    y_values = np.where(mask_matrix == 1, scaled, 0.0)
+    y_values = np.where(mask, scaled, 0.0)
     return params, y_values
 
 
@@ -161,19 +161,18 @@ def run_single_repetition(
     seed: int,
     method: str,
     sobolev_cfg: SobolevConfig,
-) -> tuple[float, float, SamplingMask]:
+) -> tuple[float, float, np.ndarray]:
     """One mask draw, solve and score; returns (rmse, mae, mask)."""
     n, m = truth.values.shape
     mask = random_mask(n, m, density, seed)
-    hidden = complement_indices(mask)
-    if not hidden:
+    hidden = _frozen(~mask, bool)
+    if not hidden.any():
         raise EmptyEvaluationSet(
             f"density {density} observes every entry; nothing left to evaluate"
         )
-    params, y_values = fit_observed_scale(truth.values, mask.matrix)
+    params, y_values = fit_observed_scale(truth.values, mask)
     estimate = _solve(method, TimeVaryingSignal(values=y_values), mask, graph, sobolev_cfg)
-    recon = TimeVaryingSignal(values=estimate.values * params.span + params.min_value)
-    report = error_report(truth, recon, hidden)
+    report = error_report(truth, inverse_scale(estimate, params), hidden)
     return report.rmse, report.mae, mask
 
 
@@ -211,50 +210,37 @@ def _require_full_coverage(dataset: Dataset) -> None:
         )
 
 
-def _run_cell(truth, graph, dataset_name, density, cfg: ExperimentConfig, threads: int = 1):
+def _run_cell(truth, graph, dataset_name, density, cfg: ExperimentConfig):
     n = truth.values.shape[0]
     if samples_per_column(n, density) >= n:
         raise EmptyEvaluationSet(
             f"density {density} samples all {n} nodes per snapshot; "
             "nothing is hidden, so there is nothing to evaluate"
         )
-
-    def one(rep: int):
+    per_rep, failed = [], []
+    for rep in range(cfg.repetitions):
         seed = cfg.master_seed + rep
         try:
             r, m, _ = run_single_repetition(
                 truth, graph, density, seed, cfg.method, cfg.sobolev
             )
-            return seed, (r, m), None
+            per_rep.append((seed, r, m))
         except GraphfillError as exc:
-            return seed, None, f"{type(exc).__name__}: {exc}"
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(one, range(cfg.repetitions)))
-    else:
-        outcomes = [one(rep) for rep in range(cfg.repetitions)]
-
-    # Aggregation order is the repetition order, not completion order.
-    per_rep = [(seed, rm[0], rm[1]) for seed, rm, _ in outcomes if rm is not None]
-    failed = [(seed, msg) for seed, _, msg in outcomes if msg is not None]
+            failed.append((seed, f"{type(exc).__name__}: {exc}"))
     return _aggregate(dataset_name, cfg.method, density, per_rep, failed, cfg.repetitions)
 
 
-def run_experiment(
-    dataset: Dataset, cfg: ExperimentConfig, threads: int = 1
-) -> list[ExperimentResult]:
+def run_experiment(dataset: Dataset, cfg: ExperimentConfig) -> list[ExperimentResult]:
     """Monte-Carlo cross-validation over all configured densities.
 
     Deterministic given the config: repetition r draws its mask with seed
     master_seed + r, so distinct methods or hyperparameters evaluated with
-    the same master_seed see identical masks (paired comparisons). threads
-    caps how many repetitions run concurrently; it never changes results.
+    the same master_seed see identical masks (paired comparisons).
     """
     _require_full_coverage(dataset)
     graph = build_knn_graph(dataset.positions, cfg.k_graph)
     return [
-        _run_cell(dataset.signal, graph, dataset.name, density, cfg, threads=threads)
+        _run_cell(dataset.signal, graph, dataset.name, density, cfg)
         for density in cfg.densities
     ]
 
@@ -270,7 +256,6 @@ def grid_search(
     k_graph: int = 5,
     cg_tolerance: float = 1e-10,
     max_iterations: int = 20000,
-    threads: int = 1,
 ) -> GridSearchResult:
     """Exhaustive (epsilon, beta, gamma) search at one sampling density.
 
@@ -305,7 +290,7 @@ def grid_search(
             sobolev=sobolev_cfg,
             k_graph=k_graph,
         )
-        result = _run_cell(dataset.signal, graph, dataset.name, density, cfg, threads=threads)
+        result = _run_cell(dataset.signal, graph, dataset.name, density, cfg)
         entries.append((sobolev_cfg, result))
 
     eligible = [(c, r) for c, r in entries if r.complete]

@@ -28,8 +28,8 @@ from .errors import (
     MalformedCsv,
     UnknownNode,
 )
-from .graph import NodePositions
-from .temporal import TimeVaryingSignal
+from .graph import NodePositions, _frozen
+from .temporal import TimeVaryingSignal, check_mask
 
 _POSITIONS_HEADER = ["node_id", "x", "y"]
 _READINGS_HEADER = ["node_id", "time_index", "value"]
@@ -39,8 +39,9 @@ _READINGS_HEADER = ["node_id", "time_index", "value"]
 class Dataset:
     """One sensor network: positions, readings matrix, native-missing mask.
 
-    native_mask marks entries that exist in the source data; the signal is
-    exactly zero (a placeholder, never evaluated) where native_mask is 0.
+    native_mask is a bool array marking entries that exist in the source
+    data; the signal is exactly zero (a placeholder, never evaluated) where
+    native_mask is False.
     """
 
     positions: NodePositions
@@ -50,16 +51,13 @@ class Dataset:
     time_indices: tuple[int, ...]
 
     def __post_init__(self):
-        native = np.asarray(self.native_mask).astype(np.int8)
-        if native.shape != self.signal.values.shape:
-            raise ValueError("native_mask and signal shapes differ")
+        native = _frozen(check_mask(self.native_mask, self.signal.values.shape), bool)
         if self.positions.n_nodes != self.signal.n_nodes:
             raise ValueError("positions and signal node counts differ")
         if len(self.time_indices) != self.signal.n_steps:
             raise ValueError("time_indices and signal column counts differ")
-        if np.any(self.signal.values[native == 0] != 0.0):
+        if np.any(self.signal.values[~native] != 0.0):
             raise ValueError("signal must be zero where the reading is missing")
-        native.setflags(write=False)
         object.__setattr__(self, "native_mask", native)
         object.__setattr__(self, "time_indices", tuple(int(t) for t in self.time_indices))
 
@@ -78,7 +76,7 @@ class Dataset:
 
 def _read_rows(path: Path, header: list[str]) -> list[list[str]]:
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise MalformedCsv(f"{path}: {exc}") from exc
     rows = list(csv.reader(text.splitlines()))
@@ -180,12 +178,12 @@ def load_dataset(positions_path, readings_path, name: str | None = None) -> Data
     col_of = {t: c for c, t in enumerate(time_order)}
     row_of = {old: new for new, old in enumerate(keep)}
     signal = np.zeros((len(keep), len(time_order)))
-    native = np.zeros((len(keep), len(time_order)), dtype=np.int8)
+    native = np.zeros((len(keep), len(time_order)), dtype=bool)
     for (i, t), value in triples.items():
         if i not in row_of or value is None:
             continue
         signal[row_of[i], col_of[t]] = value
-        native[row_of[i], col_of[t]] = 1
+        native[row_of[i], col_of[t]] = True
 
     kept_positions = NodePositions(
         coords=positions.coords[keep],
@@ -229,27 +227,19 @@ def filter_consistent_nodes(dataset: Dataset, min_coverage: float) -> Dataset:
     )
 
 
-def iter_readings(dataset: Dataset):
-    """Yield (node_id, time_index, value) for every native reading."""
-    for i in range(dataset.n_nodes):
-        for c in range(dataset.n_steps):
-            if dataset.native_mask[i, c]:
-                yield (
-                    dataset.positions.node_ids[i],
-                    dataset.time_indices[c],
-                    float(dataset.signal.values[i, c]),
-                )
-
-
 def _finite_or_none(value: float):
     return float(value) if value is not None and math.isfinite(value) else None
 
 
 def result_paths(path) -> tuple[Path, Path]:
-    """Resolve an output base path into its (csv, json) pair."""
+    """Resolve an output base path into its (csv, json) pair.
+
+    The parent directory is created if it does not exist yet.
+    """
     base = Path(path)
     if base.suffix in {".csv", ".json"}:
         base = base.with_suffix("")
+    base.parent.mkdir(parents=True, exist_ok=True)
     return base.with_suffix(".csv"), base.with_suffix(".json")
 
 
@@ -266,7 +256,6 @@ def write_results(results, path, config: dict | None = None) -> None:
     if not results:
         raise ValueError("results must be nonempty")
     csv_path, json_path = result_paths(path)
-    csv_path.parent.mkdir(parents=True, exist_ok=True)
 
     with csv_path.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

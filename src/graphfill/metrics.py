@@ -1,4 +1,4 @@
-"""Error metrics over recovered entries and min-max scaling."""
+"""Error metrics over hidden entries and the inverse of min-max scaling."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateRange, DimensionMismatch, EmptyEvaluationSet
-from .temporal import TimeVaryingSignal
+from .temporal import TimeVaryingSignal, check_mask
 
 
 @dataclass(frozen=True)
@@ -43,68 +43,25 @@ class MetricReport:
             raise ValueError(f"mae {self.mae} exceeds rmse {self.rmse}")
 
 
-def _deviations(
-    truth: TimeVaryingSignal,
-    recon: TimeVaryingSignal,
-    eval_set: list[tuple[int, int]],
-) -> np.ndarray:
+def error_report(
+    truth: TimeVaryingSignal, recon: TimeVaryingSignal, hidden: np.ndarray
+) -> MetricReport:
+    """RMSE and MAE of recon against truth over the True entries of hidden."""
     if truth.values.shape != recon.values.shape:
         raise DimensionMismatch(
             f"truth {truth.values.shape} vs recon {recon.values.shape}"
         )
-    if len(eval_set) == 0:
+    check_mask(hidden, truth.values.shape)
+    dev = truth.values[hidden] - recon.values[hidden]
+    if dev.size == 0:
         raise EmptyEvaluationSet("no entries to evaluate")
-    idx = np.asarray(eval_set, dtype=int)
-    n, m = truth.values.shape
-    if idx.ndim != 2 or idx.shape[1] != 2:
-        raise ValueError("eval_set must be (node, time) pairs")
-    if (idx < 0).any() or (idx[:, 0] >= n).any() or (idx[:, 1] >= m).any():
-        raise IndexError("eval_set index out of range")
-    rows, cols = idx[:, 0], idx[:, 1]
-    return truth.values[rows, cols] - recon.values[rows, cols]
-
-
-def rmse(truth, recon, eval_set) -> float:
-    """Root-mean-square deviation over the evaluation set, in truth's units."""
-    dev = _deviations(truth, recon, eval_set)
-    return float(np.sqrt(np.mean(dev**2)))
-
-
-def mae(truth, recon, eval_set) -> float:
-    """Mean absolute deviation over the evaluation set."""
-    dev = _deviations(truth, recon, eval_set)
-    return float(np.mean(np.abs(dev)))
-
-
-def error_report(truth, recon, eval_set) -> MetricReport:
-    """Both metrics over one evaluation set."""
-    dev = _deviations(truth, recon, eval_set)
     return MetricReport(
         rmse=float(np.sqrt(np.mean(dev**2))),
         mae=float(np.mean(np.abs(dev))),
-        n_evaluated=len(eval_set),
+        n_evaluated=dev.size,
     )
 
 
-def minmax_scale(x: TimeVaryingSignal) -> tuple[TimeVaryingSignal, ScaleParams]:
-    """Affinely map the whole matrix onto [0, 1].
-
-    The map is global (one min/max for the entire matrix), and the returned
-    parameters invert it exactly via inverse_scale.
-    """
-    lo = float(x.values.min())
-    hi = float(x.values.max())
-    if hi == lo:
-        raise DegenerateRange("cannot scale a constant matrix")
-    params = ScaleParams(min_value=lo, max_value=hi)
-    return apply_scale(x, params), params
-
-
-def apply_scale(x: TimeVaryingSignal, params: ScaleParams) -> TimeVaryingSignal:
-    """Apply the affine map (x - min) / (max - min)."""
-    return TimeVaryingSignal(values=(x.values - params.min_value) / params.span)
-
-
 def inverse_scale(x: TimeVaryingSignal, params: ScaleParams) -> TimeVaryingSignal:
-    """Exact affine inverse of apply_scale."""
+    """Map [0, 1]-scaled values back to data units: x * span + min."""
     return TimeVaryingSignal(values=x.values * params.span + params.min_value)

@@ -1,5 +1,6 @@
 """Random sampling masks over (node, time) entries.
 
+A mask is a read-only N x M bool array, True where an entry is observed.
 Masks follow the equal-per-snapshot protocol: every time column observes the
 same number of nodes, drawn uniformly at random. A whole mask is redrawn if
 any node ends up never observed, because the reconstruction system is
@@ -8,14 +9,10 @@ singular in that case.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
-from pathlib import Path
-
 import numpy as np
 
-from .errors import DensityTooLow, DimensionMismatch, UnsatisfiableCoverage
-from .temporal import TimeVaryingSignal, mask_values
+from .errors import DensityTooLow, UnsatisfiableCoverage
+from .temporal import TimeVaryingSignal, check_mask
 
 _MAX_REDRAWS = 1000
 
@@ -25,64 +22,17 @@ def samples_per_column(n: int, density: float) -> int:
     return int(np.floor(density * n + 0.5))
 
 
-@dataclass(frozen=True, eq=False)
-class SamplingMask:
-    """Binary N x M matrix marking observed (1) entries.
-
-    Every column carries exactly round(density * N) ones. Row coverage
-    (every node observed at least once) is guaranteed for masks produced by
-    random_mask; hand-built masks may violate it, in which case the solver
-    rejects them with SingularSystem.
-    """
-
-    matrix: np.ndarray
-    density: float
-    seed: int
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix)
-        if m.ndim != 2:
-            raise ValueError(f"mask must be 2-D, got shape {m.shape}")
-        if not np.isin(m, (0, 1)).all():
-            raise ValueError("mask entries must be 0 or 1")
-        if not 0 < self.density <= 1:
-            raise ValueError(f"density must be in (0, 1], got {self.density}")
-        expected = samples_per_column(m.shape[0], self.density)
-        col_sums = m.sum(axis=0)
-        if not (col_sums == expected).all():
-            raise ValueError(
-                f"every column must have exactly {expected} ones, "
-                f"got sums {sorted(set(int(c) for c in col_sums))}"
-            )
-        arr = m.astype(np.int8)
-        arr.setflags(write=False)
-        object.__setattr__(self, "matrix", arr)
-
-    @classmethod
-    def from_matrix(cls, matrix, seed: int = 0) -> "SamplingMask":
-        """Wrap an explicit binary matrix; columns must share one sample count."""
-        m = np.asarray(matrix)
-        counts = set(int(c) for c in m.sum(axis=0))
-        if len(counts) != 1:
-            raise ValueError(f"column sums must be constant, got {sorted(counts)}")
-        density = counts.pop() / m.shape[0]
-        return cls(matrix=m, density=density, seed=seed)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
-
-
-def random_mask(n: int, m: int, density: float, seed: int) -> SamplingMask:
-    """Draw a deterministic random mask with equal samples per snapshot.
+def random_mask(n: int, m: int, density: float, seed: int) -> np.ndarray:
+    """Draw a deterministic random N x M bool mask with equal samples per snapshot.
 
     Each column independently picks round(density * n) distinct node
-    indices. If some node row comes out all-zero the whole mask is redrawn
+    indices. If some node row comes out all-False the whole mask is redrawn
     (same generator stream), up to 1000 attempts.
 
     Raises:
         DensityTooLow: the per-column count rounds to zero.
-        UnsatisfiableCoverage: 1000 redraws never covered every row.
+        UnsatisfiableCoverage: count * m < n makes covering every row
+            impossible, or 1000 redraws never covered every row.
     """
     if n < 2 or m < 1:
         raise ValueError(f"mask needs n >= 2 and m >= 1, got ({n}, {m})")
@@ -91,39 +41,26 @@ def random_mask(n: int, m: int, density: float, seed: int) -> SamplingMask:
     count = samples_per_column(n, density)
     if count < 1:
         raise DensityTooLow(f"density {density} rounds to 0 of {n} nodes per snapshot")
+    if count * m < n:
+        raise UnsatisfiableCoverage(
+            f"{count} samples x {m} snapshots = {count * m} observations "
+            f"cannot cover {n} nodes"
+        )
 
     rng = np.random.default_rng(seed)
     for _ in range(_MAX_REDRAWS):
-        matrix = np.zeros((n, m), dtype=np.int8)
+        mask = np.zeros((n, m), dtype=bool)
         for t in range(m):
-            matrix[rng.choice(n, size=count, replace=False), t] = 1
-        if matrix.sum(axis=1).min() > 0:
-            return SamplingMask(matrix=matrix, density=density, seed=seed)
+            mask[rng.choice(n, size=count, replace=False), t] = True
+        if mask.any(axis=1).all():
+            mask.setflags(write=False)
+            return mask
     raise UnsatisfiableCoverage(
         f"{_MAX_REDRAWS} draws never observed every one of {n} nodes "
         f"({count} samples x {m} snapshots)"
     )
 
 
-def apply_mask(x: TimeVaryingSignal, mask) -> TimeVaryingSignal:
+def apply_mask(x: TimeVaryingSignal, mask: np.ndarray) -> TimeVaryingSignal:
     """Entrywise product Y = J o X: observed entries kept, the rest zeroed."""
-    j = mask_values(mask)
-    if j.shape != x.values.shape:
-        raise DimensionMismatch(f"mask {j.shape} vs signal {x.values.shape}")
-    return TimeVaryingSignal(values=x.values * j)
-
-
-def complement_indices(mask) -> list[tuple[int, int]]:
-    """All unobserved (node, time) pairs, 0-based, sorted lexicographically."""
-    j = np.asarray(getattr(mask, "matrix", mask))
-    return [(int(i), int(t)) for i, t in np.argwhere(j == 0)]
-
-
-def write_mask_csv(mask, path) -> None:
-    """Export a mask as bare 0/1 CSV, N rows by M columns, no header."""
-    j = np.asarray(getattr(mask, "matrix", mask))
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        for row in j:
-            writer.writerow([int(v) for v in row])
+    return TimeVaryingSignal(values=x.values * check_mask(mask, x.values.shape))

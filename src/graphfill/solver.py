@@ -32,10 +32,9 @@ from scipy.fft import dct, idct
 
 from .errors import DimensionMismatch, HorizonTooShort, ProblemTooLarge, SingularSystem
 from .graph import SensorGraph, SobolevOperator, sobolev_operator, spectral_decomposition
-from .sampling import SamplingMask
 from .temporal import (
     TimeVaryingSignal,
-    mask_values,
+    check_mask,
     sobolev_objective,
     temporal_difference_operator,
 )
@@ -132,7 +131,7 @@ def _make_preconditioner(graph: SensorGraph, config: SobolevConfig, j: np.ndarra
 def objective_gradient(
     xbar: TimeVaryingSignal,
     y: TimeVaryingSignal,
-    mask,
+    mask: np.ndarray,
     op: SobolevOperator,
     gamma: float,
 ) -> np.ndarray:
@@ -141,17 +140,16 @@ def objective_gradient(
     Equals J o Xbar - Y + gamma * B Xbar T; zero exactly at the minimizer.
     Assumes Y is zero off-mask.
     """
-    j = mask_values(mask)
-    if xbar.values.shape != y.values.shape or j.shape != y.values.shape:
-        raise DimensionMismatch("xbar, y and mask shapes must agree")
+    if xbar.values.shape != y.values.shape:
+        raise DimensionMismatch("xbar and y shapes must agree")
+    j = check_mask(mask, y.values.shape)
     reg = op.matrix @ _apply_second_difference(xbar.values)
     return j * xbar.values - y.values + gamma * reg
 
 
 def _check_inputs(y: TimeVaryingSignal, mask, graph: SensorGraph) -> np.ndarray:
-    j = mask_values(mask)
-    if j.shape != y.values.shape:
-        raise DimensionMismatch(f"mask {j.shape} vs signal {y.values.shape}")
+    """Validate the solve inputs; returns the mask as 0/1 float weights."""
+    j = check_mask(mask, y.values.shape).astype(float)
     if y.n_nodes != graph.n_nodes:
         raise DimensionMismatch(
             f"signal has {y.n_nodes} nodes, graph has {graph.n_nodes}"
@@ -163,7 +161,7 @@ def _check_inputs(y: TimeVaryingSignal, mask, graph: SensorGraph) -> np.ndarray:
 
 def reconstruct_sobolev(
     y: TimeVaryingSignal,
-    mask: SamplingMask,
+    mask: np.ndarray,
     graph: SensorGraph,
     config: SobolevConfig,
 ) -> ReconstructionResult:
@@ -264,7 +262,7 @@ def reconstruct_sobolev(
 
 def reconstruct_tikhonov(
     y: TimeVaryingSignal,
-    mask: SamplingMask,
+    mask: np.ndarray,
     graph: SensorGraph,
     gamma: float,
     cg_tolerance: float = 1e-10,
@@ -283,7 +281,7 @@ def reconstruct_tikhonov(
 
 def dense_oracle_solve(
     y: TimeVaryingSignal,
-    mask: SamplingMask,
+    mask: np.ndarray,
     graph: SensorGraph,
     config: SobolevConfig,
 ) -> ReconstructionResult:
@@ -304,7 +302,7 @@ def dense_oracle_solve(
         raise ProblemTooLarge(f"dense oracle limited to N*M <= {_DENSE_LIMIT}, got {n * m}")
 
     op = sobolev_operator(graph, config.epsilon, config.beta)
-    d = temporal_difference_operator(m).matrix
+    d = temporal_difference_operator(m)
     t = d @ d.T
     a = np.diag(j.flatten(order="F")) + config.gamma * np.kron(t, op.matrix)
     rhs = y.values.flatten(order="F")

@@ -57,7 +57,7 @@ def synthetic_dataset(
     return Dataset(
         positions=positions,
         signal=TimeVaryingSignal(values=values),
-        native_mask=np.ones((n_nodes, n_steps), dtype=np.int8),
+        native_mask=np.ones((n_nodes, n_steps), dtype=bool),
         name=name,
         time_indices=tuple(range(n_steps)),
     )

@@ -42,34 +42,29 @@ class TimeVaryingSignal:
         return self.values.shape[1]
 
 
-@dataclass(frozen=True, eq=False)
-class TemporalDifferenceOperator:
-    """The M x (M-1) first-difference matrix: column t is e_{t+1} - e_t."""
+def check_mask(mask, shape: tuple[int, int]) -> np.ndarray:
+    """Return mask after checking it is a boolean ndarray of the given shape.
 
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _frozen(self.matrix))
-
-    @property
-    def n_steps(self) -> int:
-        return self.matrix.shape[0]
-
-
-def mask_values(mask) -> np.ndarray:
-    """Binary mask as a float array; accepts a SamplingMask or a bare matrix."""
-    return np.asarray(getattr(mask, "matrix", mask), dtype=float)
+    Every mask in the package is an N x M bool array: True marks an observed
+    entry in a sampling mask and a scored entry in a hidden (evaluation) set.
+    """
+    if not isinstance(mask, np.ndarray) or mask.dtype != bool:
+        kind = getattr(mask, "dtype", type(mask).__name__)
+        raise TypeError(f"mask must be a boolean ndarray, got {kind}")
+    if mask.shape != shape:
+        raise DimensionMismatch(f"mask {mask.shape} vs signal {shape}")
+    return mask
 
 
-def temporal_difference_operator(m: int) -> TemporalDifferenceOperator:
-    """First-difference operator for a horizon of m snapshots."""
+def temporal_difference_operator(m: int) -> np.ndarray:
+    """The m x (m-1) first-difference matrix: column t is e_{t+1} - e_t."""
     if m < 2:
         raise HorizonTooShort(f"need at least 2 snapshots, got {m}")
     d = np.zeros((m, m - 1))
     idx = np.arange(m - 1)
     d[idx, idx] = -1.0
     d[idx + 1, idx] = 1.0
-    return TemporalDifferenceOperator(matrix=d)
+    return _frozen(d)
 
 
 def temporal_difference(x: TimeVaryingSignal) -> np.ndarray:
@@ -104,7 +99,7 @@ def sobolev_norm_tv(x: TimeVaryingSignal, op: SobolevOperator) -> float:
 def sobolev_objective(
     xbar: TimeVaryingSignal,
     y: TimeVaryingSignal,
-    mask,
+    mask: np.ndarray,
     op: SobolevOperator,
     gamma: float,
 ) -> float:
@@ -117,11 +112,9 @@ def sobolev_objective(
     """
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
-    j = mask_values(mask)
-    if xbar.values.shape != y.values.shape or j.shape != y.values.shape:
-        raise DimensionMismatch(
-            f"shapes differ: xbar {xbar.values.shape}, y {y.values.shape}, mask {j.shape}"
-        )
+    if xbar.values.shape != y.values.shape:
+        raise DimensionMismatch(f"shapes differ: xbar {xbar.values.shape}, y {y.values.shape}")
+    j = check_mask(mask, y.values.shape)
     if xbar.n_nodes != op.n_nodes:
         raise DimensionMismatch(
             f"signal has {xbar.n_nodes} nodes, operator has {op.n_nodes}"

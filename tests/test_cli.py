@@ -58,6 +58,14 @@ def test_reconstruct_happy_path(tmp_path, fixture_files, capsys):
     assert doc["iterations"] >= 1
 
 
+def test_reconstruct_creates_missing_out_directory(tmp_path, fixture_files):
+    positions, readings = fixture_files
+    out = tmp_path / "missing" / "recon"
+    assert main(reconstruct_args(positions, readings, out)) == 0
+    assert (tmp_path / "missing" / "recon.csv").exists()
+    assert (tmp_path / "missing" / "recon.json").exists()
+
+
 def test_reconstruct_missing_gamma_exits_2(tmp_path, fixture_files, capsys):
     positions, readings = fixture_files
     argv = reconstruct_args(positions, readings, tmp_path / "x")
@@ -107,10 +115,10 @@ def test_reconstruct_folds_natively_missing_entries(tmp_path, fixture_files):
     doc = json.loads((tmp_path / "sparse_out.json").read_text())
 
     # only artificially hidden cells with ground truth are scored
-    native = np.ones((8, 12), dtype=int)
-    native[0, :6] = 0  # the six removed readings all belong to node s0
+    native = np.ones((8, 12), dtype=bool)
+    native[0, :6] = False  # the six removed readings all belong to node s0
     drawn = gf.random_mask(8, 12, 0.5, seed=0)
-    expected = int(((drawn.matrix == 0) & (native == 1)).sum())
+    expected = int((~drawn & native).sum())
     assert doc["n_evaluated"] == expected < 8 * 12 // 2
     assert doc["rmse"] is not None
 
@@ -153,6 +161,14 @@ def test_experiment_byte_deterministic(tmp_path):
     assert main(["experiment", "--synthetic", "--config", str(config), "--out", str(b)]) == 0
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+def test_experiment_creates_missing_out_directory(tmp_path):
+    config = experiment_config(tmp_path, densities=[0.5], repetitions=1)
+    out = tmp_path / "missing" / "exp"
+    assert main(["experiment", "--synthetic", "--config", str(config), "--out", str(out)]) == 0
+    assert (tmp_path / "missing" / "exp.csv").exists()
+    assert (tmp_path / "missing" / "exp.json").exists()
 
 
 def test_experiment_tikhonov_rows_labelled(tmp_path):
@@ -226,6 +242,14 @@ def test_gridsearch_single_point_echoes_config(tmp_path, capsys):
     assert report["best_config"]["gamma"] == 0.3
     assert len(report["entries"]) == 1
     assert "best:" in capsys.readouterr().out
+
+
+def test_gridsearch_creates_missing_out_directory(tmp_path):
+    config = gridsearch_config(tmp_path, repetitions=1)
+    out = tmp_path / "missing" / "grid"
+    assert main(["gridsearch", "--synthetic", "--config", str(config), "--out", str(out)]) == 0
+    assert (tmp_path / "missing" / "grid.csv").exists()
+    assert (tmp_path / "missing" / "grid.json").exists()
 
 
 def test_gridsearch_eight_point_grid(tmp_path):

@@ -28,7 +28,7 @@ def quick_config(**overrides):
 def test_knn_impute_constant_neighbours():
     graph = unit_path_graph(3)
     # node 1 hidden at t=0; both neighbours observed at 5
-    mask = gf.SamplingMask.from_matrix(np.array([[1, 0], [0, 1], [1, 1]]))
+    mask = np.array([[1, 0], [0, 1], [1, 1]], dtype=bool)
     y = gf.TimeVaryingSignal(values=np.array([[5.0, 0.0], [0.0, 1.0], [5.0, 2.0]]))
     filled = gf.knn_baseline_impute(y, mask, graph)
     assert filled.values[1, 0] == pytest.approx(5.0)
@@ -39,7 +39,7 @@ def test_knn_impute_weighted_mean():
         coords=np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]), node_ids=("a", "b", "c")
     )
     graph = gf.build_knn_graph(pos, 1)  # equal weights on (a,b) and (b,c)
-    mask = gf.SamplingMask.from_matrix(np.array([[1, 0], [0, 1], [1, 1]]))
+    mask = np.array([[1, 0], [0, 1], [1, 1]], dtype=bool)
     y = gf.TimeVaryingSignal(values=np.array([[2.0, 0.0], [0.0, 1.0], [4.0, 2.0]]))
     filled = gf.knn_baseline_impute(y, mask, graph)
     assert filled.values[1, 0] == pytest.approx(3.0)
@@ -50,16 +50,14 @@ def test_knn_impute_passes_observed_through(rng):
     mask = gf.random_mask(4, 5, 0.5, seed=3)
     y = gf.apply_mask(gf.TimeVaryingSignal(values=rng.normal(size=(4, 5))), mask)
     filled = gf.knn_baseline_impute(y, mask, graph)
-    observed = mask.matrix == 1
-    assert np.array_equal(filled.values[observed], y.values[observed])
+    assert np.array_equal(filled.values[mask], y.values[mask])
 
 
 def test_knn_impute_column_mean_fallback():
     # node 0's only neighbour (node 1) is hidden at t=0: fall back to the
-    # mean of the observed entries in that column (bare matrix, since the
-    # column counts are uneven)
+    # mean of the observed entries in that column (column counts may differ)
     graph = unit_path_graph(3)
-    bare = np.array([[0, 1], [0, 1], [1, 0]])
+    bare = np.array([[0, 1], [0, 1], [1, 0]], dtype=bool)
     y = gf.TimeVaryingSignal(values=np.array([[0.0, 1.0], [0.0, 2.0], [7.0, 0.0]]))
     filled = gf.knn_baseline_impute(y, bare, graph)
     assert filled.values[0, 0] == pytest.approx(7.0)
@@ -67,7 +65,7 @@ def test_knn_impute_column_mean_fallback():
 
 def test_knn_impute_empty_column_raises():
     graph = unit_path_graph(3)
-    bare = np.array([[1, 0], [1, 0], [1, 0]])
+    bare = np.array([[1, 0], [1, 0], [1, 0]], dtype=bool)
     y = gf.TimeVaryingSignal(values=np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]))
     with pytest.raises(EmptyColumn):
         gf.knn_baseline_impute(y, bare, graph)
@@ -75,7 +73,7 @@ def test_knn_impute_empty_column_raises():
 
 def test_fit_observed_scale_ignores_hidden_entries():
     truth = np.array([[1.0, 50.0], [3.0, 2.0]])
-    mask = np.array([[1, 0], [1, 1]])
+    mask = np.array([[1, 0], [1, 1]], dtype=bool)
     params, y = fit_observed_scale(truth, mask)
     assert (params.min_value, params.max_value) == (1.0, 3.0)
     assert y[0, 1] == 0.0
@@ -85,10 +83,10 @@ def test_no_ground_truth_leakage():
     # hidden entries poisoned with NaN must not reach the solver inputs
     ds = small_dataset(seed=1, n=12, m=15)
     mask = gf.random_mask(12, 15, 0.5, seed=0)
-    poisoned = np.where(mask.matrix == 1, ds.signal.values, np.nan)
-    params, y_values = fit_observed_scale(poisoned, mask.matrix)
+    poisoned = np.where(mask, ds.signal.values, np.nan)
+    params, y_values = fit_observed_scale(poisoned, mask)
     assert np.isfinite(y_values).all()
-    clean_params, clean_y = fit_observed_scale(ds.signal.values, mask.matrix)
+    clean_params, clean_y = fit_observed_scale(ds.signal.values, mask)
     assert params == clean_params
     assert np.array_equal(y_values, clean_y)
     graph = gf.build_knn_graph(ds.positions, 3)
@@ -106,12 +104,6 @@ def test_run_experiment_deterministic():
     assert first == second
     assert all(r.complete for r in first)
     assert all(len(r.per_rep) == cfg.repetitions for r in first)
-
-
-def test_run_experiment_threaded_matches_serial():
-    ds = small_dataset()
-    cfg = quick_config(repetitions=4)
-    assert gf.run_experiment(ds, cfg) == gf.run_experiment(ds, cfg, threads=2)
 
 
 def test_run_experiment_methods_labelled():
@@ -139,7 +131,7 @@ def test_full_density_rejected():
 def test_partial_native_coverage_rejected():
     ds = small_dataset(n=10, m=10)
     native = ds.native_mask.copy()
-    native[0, 0] = 0
+    native[0, 0] = False
     values = ds.signal.values.copy()
     values[0, 0] = 0.0
     partial = gf.Dataset(
@@ -173,7 +165,7 @@ def test_single_repetition_seed_controls_mask():
     r1 = run_single_repetition(ds.signal, graph, 0.5, 3, "sobolev", cfg)
     r2 = run_single_repetition(ds.signal, graph, 0.5, 3, "sobolev", cfg)
     assert r1[0] == r2[0] and r1[1] == r2[1]
-    assert np.array_equal(r1[2].matrix, r2[2].matrix)
+    assert np.array_equal(r1[2], r2[2])
 
 
 def test_grid_search_single_point():

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 import graphfill as gf
@@ -10,7 +11,7 @@ from graphfill.errors import (
     UnknownNode,
 )
 from graphfill.harness import ExperimentResult
-from graphfill.ingest import iter_readings, result_paths
+from graphfill.ingest import result_paths
 
 
 def write(path, text):
@@ -161,9 +162,25 @@ def test_filter_drops_below_two_nodes(tmp_path, positions_csv):
 def test_round_trip_preserves_triples(tmp_path, positions_csv):
     rows = [("a", 0, "1.5"), ("a", 2, "2.5"), ("b", 0, "-3.25"), ("b", 2, "0.125"), ("c", 2, "9.0")]
     ds = gf.load_dataset(positions_csv, write(tmp_path / "r.csv", readings_text(rows)))
-    recovered = {(n, t, v) for n, t, v in iter_readings(ds)}
+    recovered = {
+        (ds.positions.node_ids[i], ds.time_indices[c], float(ds.signal.values[i, c]))
+        for i, c in zip(*np.nonzero(ds.native_mask))
+    }
     expected = {(n, t, float(v)) for n, t, v in rows}
     assert recovered == expected
+
+
+def test_utf8_bom_files_load(tmp_path):
+    # spreadsheet exports often start with a byte-order mark
+    positions = tmp_path / "p.csv"
+    positions.write_bytes("\ufeffnode_id,x,y\na,0,0\nb,1,0\n".encode("utf-8"))
+    readings = tmp_path / "r.csv"
+    readings.write_bytes(
+        ("\ufeff" + readings_text([("a", 0, "1.5"), ("b", 0, "2.5")])).encode("utf-8")
+    )
+    ds = gf.load_dataset(positions, readings)
+    assert ds.positions.node_ids == ("a", "b")
+    assert ds.signal.values[:, 0].tolist() == [1.5, 2.5]
 
 
 def _result(density=0.1, with_failure=False):
@@ -220,8 +237,9 @@ def test_write_results_json_contents(tmp_path):
 
 
 def test_result_paths_strip_suffix(tmp_path):
-    csv_path, json_path = result_paths(tmp_path / "x.csv")
+    csv_path, json_path = result_paths(tmp_path / "new" / "x.csv")
     assert csv_path.name == "x.csv" and json_path.name == "x.json"
+    assert csv_path.parent.is_dir()  # a missing parent directory is created
 
 
 def test_write_results_requires_nonempty(tmp_path):

@@ -4,56 +4,69 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphfill as gf
-from graphfill.errors import DegenerateRange, EmptyEvaluationSet
+from graphfill.errors import DegenerateRange, DimensionMismatch, EmptyEvaluationSet
+from graphfill.harness import fit_observed_scale
 
 
 def _signal(values):
     return gf.TimeVaryingSignal(values=np.asarray(values, dtype=float))
 
 
+def _hidden(shape, cells):
+    hidden = np.zeros(shape, dtype=bool)
+    for i, t in cells:
+        hidden[i, t] = True
+    return hidden
+
+
 def test_rmse_zero_when_equal(rng):
     x = _signal(rng.normal(size=(3, 4)))
-    eval_set = [(0, 0), (2, 3), (1, 1)]
-    assert gf.rmse(x, x, eval_set) == 0.0
-    assert gf.mae(x, x, eval_set) == 0.0
+    report = gf.error_report(x, x, _hidden((3, 4), [(0, 0), (2, 3), (1, 1)]))
+    assert report.rmse == 0.0
+    assert report.mae == 0.0
 
 
 def test_rmse_and_mae_by_hand():
     truth = _signal([[1.0], [3.0]])
     recon = _signal([[2.0], [5.0]])
-    eval_set = [(0, 0), (1, 0)]
-    assert gf.rmse(truth, recon, eval_set) == pytest.approx(np.sqrt(2.5))
-    assert gf.mae(truth, recon, eval_set) == pytest.approx(1.5)
+    report = gf.error_report(truth, recon, np.ones((2, 1), dtype=bool))
+    assert report.rmse == pytest.approx(np.sqrt(2.5))
+    assert report.mae == pytest.approx(1.5)
 
 
 def test_rmse_scales_homogeneously(rng):
     truth = _signal(rng.normal(size=(4, 5)))
     recon = _signal(rng.normal(size=(4, 5)))
-    eval_set = [(i, t) for i in range(4) for t in range(5)]
-    base = gf.rmse(truth, recon, eval_set)
+    hidden = np.ones((4, 5), dtype=bool)
+    base = gf.error_report(truth, recon, hidden).rmse
     for c in (3.0, -2.0):
-        scaled = gf.rmse(_signal(c * truth.values), _signal(c * recon.values), eval_set)
+        scaled = gf.error_report(
+            _signal(c * truth.values), _signal(c * recon.values), hidden
+        ).rmse
         assert scaled == pytest.approx(abs(c) * base, rel=1e-12)
 
 
 def test_rmse_invariant_under_common_shift(rng):
     truth = _signal(rng.normal(size=(3, 3)))
     recon = _signal(rng.normal(size=(3, 3)))
-    eval_set = [(0, 1), (2, 2), (1, 0)]
-    base = gf.rmse(truth, recon, eval_set)
-    shifted = gf.rmse(
-        _signal(truth.values + 7.5), _signal(recon.values + 7.5), eval_set
-    )
+    hidden = _hidden((3, 3), [(0, 1), (2, 2), (1, 0)])
+    base = gf.error_report(truth, recon, hidden).rmse
+    shifted = gf.error_report(
+        _signal(truth.values + 7.5), _signal(recon.values + 7.5), hidden
+    ).rmse
     assert shifted == pytest.approx(base, rel=1e-12)
 
 
 def test_metrics_invariant_under_eval_order(rng):
+    # a hidden mask has no order; building it from a shuffled cell list
+    # must not change either metric
     truth = _signal(rng.normal(size=(4, 4)))
     recon = _signal(rng.normal(size=(4, 4)))
-    eval_set = [(0, 0), (1, 2), (3, 3), (2, 1)]
-    shuffled = [eval_set[2], eval_set[0], eval_set[3], eval_set[1]]
-    assert gf.rmse(truth, recon, eval_set) == gf.rmse(truth, recon, shuffled)
-    assert gf.mae(truth, recon, eval_set) == gf.mae(truth, recon, shuffled)
+    cells = [(0, 0), (1, 2), (3, 3), (2, 1)]
+    shuffled = [cells[2], cells[0], cells[3], cells[1]]
+    a = gf.error_report(truth, recon, _hidden((4, 4), cells))
+    b = gf.error_report(truth, recon, _hidden((4, 4), shuffled))
+    assert (a.rmse, a.mae) == (b.rmse, b.mae)
 
 
 @settings(max_examples=100, deadline=None)
@@ -67,52 +80,58 @@ def test_rmse_dominates_mae(seed, n, m):
     truth = _signal(rng.normal(size=(n, m)))
     recon = _signal(rng.normal(size=(n, m)))
     count = int(rng.integers(1, n * m + 1))
-    cells = [(i, t) for i in range(n) for t in range(m)]
-    eval_set = [cells[i] for i in rng.choice(len(cells), size=count, replace=False)]
-    assert gf.rmse(truth, recon, eval_set) >= gf.mae(truth, recon, eval_set) - 1e-15
+    hidden = np.zeros(n * m, dtype=bool)
+    hidden[rng.choice(n * m, size=count, replace=False)] = True
+    report = gf.error_report(truth, recon, hidden.reshape(n, m))
+    assert report.rmse >= report.mae - 1e-15
 
 
 def test_empty_eval_set_rejected(rng):
     x = _signal(rng.normal(size=(2, 2)))
     with pytest.raises(EmptyEvaluationSet):
-        gf.rmse(x, x, [])
-    with pytest.raises(EmptyEvaluationSet):
-        gf.mae(x, x, [])
+        gf.error_report(x, x, np.zeros((2, 2), dtype=bool))
 
 
 def test_out_of_range_indices_rejected(rng):
+    # a hidden mask that reaches past the matrix (extra row or column) is
+    # the mask form of an out-of-range index
     x = _signal(rng.normal(size=(2, 2)))
-    with pytest.raises(IndexError):
-        gf.rmse(x, x, [(2, 0)])
-    with pytest.raises(IndexError):
-        gf.mae(x, x, [(0, -1)])
+    with pytest.raises(DimensionMismatch):
+        gf.error_report(x, x, _hidden((3, 2), [(2, 0)]))
+    with pytest.raises(DimensionMismatch):
+        gf.error_report(x, x, _hidden((2, 3), [(0, 2)]))
+    with pytest.raises(DimensionMismatch):
+        gf.error_report(x, _signal(rng.normal(size=(2, 3))), _hidden((2, 2), [(0, 0)]))
 
 
 def test_error_report_fields(rng):
     truth = _signal(rng.normal(size=(3, 3)))
     recon = _signal(rng.normal(size=(3, 3)))
-    eval_set = [(0, 0), (1, 1)]
-    report = gf.error_report(truth, recon, eval_set)
+    report = gf.error_report(truth, recon, _hidden((3, 3), [(0, 0), (1, 1)]))
     assert report.n_evaluated == 2
     assert report.rmse >= report.mae
 
 
 def test_minmax_scale_binary_values():
-    scaled, params = gf.minmax_scale(_signal([[0.0, 10.0], [10.0, 0.0]]))
-    assert set(np.unique(scaled.values)) == {0.0, 1.0}
+    params, scaled = fit_observed_scale(
+        np.array([[0.0, 10.0], [10.0, 0.0]]), np.ones((2, 2), dtype=bool)
+    )
+    assert set(np.unique(scaled)) == {0.0, 1.0}
     assert (params.min_value, params.max_value) == (0.0, 10.0)
 
 
 def test_minmax_scale_three_levels():
-    scaled, _ = gf.minmax_scale(_signal([[-5.0, 0.0], [5.0, -5.0]]))
-    assert sorted(np.unique(scaled.values)) == [0.0, 0.5, 1.0]
+    _, scaled = fit_observed_scale(
+        np.array([[-5.0, 0.0], [5.0, -5.0]]), np.ones((2, 2), dtype=bool)
+    )
+    assert sorted(np.unique(scaled)) == [0.0, 0.5, 1.0]
 
 
 def test_scale_round_trip(rng):
     x = _signal(rng.normal(size=(5, 7)) * 40.0 - 3.0)
-    scaled, params = gf.minmax_scale(x)
-    assert scaled.values.min() == 0.0 and scaled.values.max() == 1.0
-    back = gf.inverse_scale(scaled, params)
+    params, scaled = fit_observed_scale(x.values, np.ones((5, 7), dtype=bool))
+    assert scaled.min() == 0.0 and scaled.max() == 1.0
+    back = gf.inverse_scale(_signal(scaled), params)
     assert np.abs(back.values - x.values).max() <= 1e-12
 
 
@@ -128,7 +147,7 @@ def test_inverse_scale_examples():
 
 def test_degenerate_range_rejected():
     with pytest.raises(DegenerateRange):
-        gf.minmax_scale(_signal(np.full((3, 3), 2.5)))
+        fit_observed_scale(np.full((3, 3), 2.5), np.ones((3, 3), dtype=bool))
     with pytest.raises(DegenerateRange):
         gf.ScaleParams(min_value=1.0, max_value=1.0)
 

@@ -4,6 +4,7 @@ import pytest
 import graphfill as gf
 from graphfill.errors import DensityTooLow, DimensionMismatch, UnsatisfiableCoverage
 from graphfill.sampling import samples_per_column
+from graphfill.temporal import check_mask
 
 
 def test_samples_per_column_rounding():
@@ -16,25 +17,25 @@ def test_samples_per_column_rounding():
 
 def test_column_counts_exact():
     mask = gf.random_mask(4, 10, 0.5, seed=0)
-    assert np.array_equal(mask.matrix.sum(axis=0), np.full(10, 2))
+    assert np.array_equal(mask.sum(axis=0), np.full(10, 2))
 
 
 def test_ten_percent_density_single_sample_per_column():
     mask = gf.random_mask(10, 25, 0.1, seed=1)
-    assert np.array_equal(mask.matrix.sum(axis=0), np.ones(25))
+    assert np.array_equal(mask.sum(axis=0), np.ones(25))
 
 
 def test_every_row_covered():
     for seed in range(10):
         mask = gf.random_mask(8, 12, 0.25, seed=seed)
-        assert mask.matrix.sum(axis=1).min() >= 1
+        assert mask.sum(axis=1).min() >= 1
 
 
 def test_determinism_and_seed_sensitivity():
     a = gf.random_mask(20, 50, 0.3, seed=7)
     b = gf.random_mask(20, 50, 0.3, seed=7)
-    assert np.array_equal(a.matrix, b.matrix)
-    masks = [gf.random_mask(20, 50, 0.3, seed=s).matrix for s in range(20)]
+    assert np.array_equal(a, b)
+    masks = [gf.random_mask(20, 50, 0.3, seed=s) for s in range(20)]
     for i in range(20):
         for j in range(i + 1, 20):
             assert not np.array_equal(masks[i], masks[j])
@@ -46,8 +47,10 @@ def test_density_too_low():
 
 
 def test_unsatisfiable_coverage():
-    # one sample per column, two columns, five rows: coverage is impossible
-    with pytest.raises(UnsatisfiableCoverage):
+    # one sample per column, two columns, five rows: coverage is impossible,
+    # and the arithmetic says so without a single draw
+    message = r"1 samples x 2 snapshots = 2 observations cannot cover 5 nodes"
+    with pytest.raises(UnsatisfiableCoverage, match=message):
         gf.random_mask(5, 2, 0.2, seed=0)
 
 
@@ -60,13 +63,13 @@ def test_density_bounds():
 
 def test_apply_mask_full_is_identity(rng):
     x = gf.TimeVaryingSignal(values=rng.normal(size=(4, 6)))
-    full = gf.SamplingMask.from_matrix(np.ones((4, 6), dtype=int))
+    full = np.ones((4, 6), dtype=bool)
     assert np.array_equal(gf.apply_mask(x, full).values, x.values)
 
 
 def test_apply_mask_by_hand():
     x = gf.TimeVaryingSignal(values=np.array([[1.0, 2.0], [3.0, 4.0]]))
-    mask = gf.SamplingMask.from_matrix(np.array([[1, 0], [0, 1]]))
+    mask = np.array([[True, False], [False, True]])
     assert np.array_equal(gf.apply_mask(x, mask).values, np.array([[1.0, 0.0], [0.0, 4.0]]))
 
 
@@ -85,38 +88,22 @@ def test_apply_mask_dimension_mismatch(rng):
         gf.apply_mask(x, mask)
 
 
-def test_complement_indices():
-    full = gf.SamplingMask.from_matrix(np.ones((3, 3), dtype=int))
-    assert gf.complement_indices(full) == []
-    mask = gf.SamplingMask.from_matrix(np.array([[1, 0], [0, 1]]))
-    assert gf.complement_indices(mask) == [(0, 1), (1, 0)]
-
-
 def test_complement_partitions_entries():
     for seed in range(5):
         mask = gf.random_mask(7, 9, 0.4, seed=seed)
-        hidden = gf.complement_indices(mask)
-        assert len(hidden) + int(mask.matrix.sum()) == 7 * 9
-        assert hidden == sorted(hidden)
+        hidden = ~mask
+        assert int(hidden.sum()) + int(mask.sum()) == 7 * 9
+        assert not (hidden & mask).any()
 
 
 def test_mask_invariant_validation():
-    with pytest.raises(ValueError):
-        gf.SamplingMask(matrix=np.array([[1, 2], [0, 1]]), density=0.5, seed=0)
-    with pytest.raises(ValueError):
-        # column sums differ from round(density * n)
-        gf.SamplingMask(matrix=np.array([[1, 1], [1, 0]]), density=0.5, seed=0)
-    with pytest.raises(ValueError):
-        gf.SamplingMask.from_matrix(np.array([[1, 0], [1, 0]]))
-
-
-def test_from_matrix_infers_density():
-    mask = gf.SamplingMask.from_matrix(np.array([[1, 0, 1], [0, 1, 0], [1, 1, 1], [1, 1, 1]]))
-    assert mask.density == pytest.approx(0.75)
-
-
-def test_mask_export(tmp_path):
-    mask = gf.SamplingMask.from_matrix(np.array([[1, 0], [0, 1]]))
-    out = tmp_path / "mask.csv"
-    gf.write_mask_csv(mask, out)
-    assert out.read_text() == "1,0\n0,1\n"
+    mask = gf.random_mask(4, 6, 0.5, seed=0)
+    assert mask.dtype == bool and mask.shape == (4, 6)
+    assert not mask.flags.writeable
+    x = gf.TimeVaryingSignal(values=np.ones((4, 6)))
+    with pytest.raises(TypeError):
+        gf.apply_mask(x, mask.astype(int))  # 0/1 integers are not a mask
+    with pytest.raises(TypeError):
+        gf.apply_mask(x, mask.tolist())
+    with pytest.raises(DimensionMismatch):
+        check_mask(mask, (6, 4))

@@ -10,7 +10,7 @@ from conftest import random_geometric_graph, random_instance, unit_path_graph
 def test_full_mask_tiny_gamma_returns_data(rng):
     graph = random_geometric_graph(5, 2, seed=0)
     y = gf.TimeVaryingSignal(values=rng.normal(size=(5, 6)))
-    full = gf.SamplingMask.from_matrix(np.ones((5, 6), dtype=int))
+    full = np.ones((5, 6), dtype=bool)
     cfg = gf.SobolevConfig(epsilon=0.3, beta=1.5, gamma=1e-12)
     result = gf.reconstruct_sobolev(y, full, graph, cfg)
     assert result.converged
@@ -97,7 +97,7 @@ def test_tikhonov_matches_oracle_with_plain_laplacian():
 def test_tikhonov_full_mask_small_gamma(rng):
     graph = random_geometric_graph(4, 2, seed=5)
     y = gf.TimeVaryingSignal(values=rng.normal(size=(4, 5)))
-    full = gf.SamplingMask.from_matrix(np.ones((4, 5), dtype=int))
+    full = np.ones((4, 5), dtype=bool)
     result = gf.reconstruct_tikhonov(y, full, graph, gamma=1e-12)
     assert np.abs(result.xbar.values - y.values).max() <= 1e-6
 
@@ -124,7 +124,7 @@ def test_operator_symmetry_and_positivity(rng):
 def test_monotone_data_fit_in_gamma(rng):
     graph = random_geometric_graph(6, 2, seed=6)
     y = gf.TimeVaryingSignal(values=rng.normal(size=(6, 8)))
-    full = gf.SamplingMask.from_matrix(np.ones((6, 8), dtype=int))
+    full = np.ones((6, 8), dtype=bool)
     fits = []
     for gamma in (1.0, 1e-2, 1e-4):
         result = gf.reconstruct_sobolev(
@@ -150,15 +150,14 @@ def test_solver_permutation_equivariance(rng):
     pos_perm = gf.NodePositions(coords=pos_coords[perm], node_ids=tuple(ids[i] for i in perm))
     graph_perm = gf.build_knn_graph(pos_perm, 2)
     y_perm = gf.TimeVaryingSignal(values=p @ y.values)
-    mask_perm = gf.SamplingMask.from_matrix(p.astype(int) @ mask.matrix)
+    mask_perm = mask[perm]
     permuted = gf.reconstruct_sobolev(y_perm, mask_perm, graph_perm, cfg)
     assert np.abs(permuted.xbar.values - p @ base.xbar.values).max() <= 1e-8
 
 
 def test_uncovered_node_raises_singular():
     graph = unit_path_graph(3)
-    matrix = np.array([[1, 1], [1, 1], [0, 0]])
-    mask = gf.SamplingMask.from_matrix(matrix)
+    mask = np.array([[1, 1], [1, 1], [0, 0]], dtype=bool)
     y = gf.TimeVaryingSignal(values=np.array([[1.0, 2.0], [0.5, 0.3], [0.0, 0.0]]))
     cfg = gf.SobolevConfig(epsilon=0.5, beta=1.0, gamma=1.0)
     with pytest.raises(SingularSystem):
@@ -168,7 +167,7 @@ def test_uncovered_node_raises_singular():
 def test_gamma_zero_full_mask_identity(rng):
     graph = unit_path_graph(3)
     y = gf.TimeVaryingSignal(values=rng.normal(size=(3, 3)))
-    full = gf.SamplingMask.from_matrix(np.ones((3, 3), dtype=int))
+    full = np.ones((3, 3), dtype=bool)
     cfg = gf.SobolevConfig(epsilon=0.5, beta=1.0, gamma=0.0)
     for solve in (gf.reconstruct_sobolev, gf.dense_oracle_solve):
         result = solve(y, full, graph, cfg)
@@ -211,7 +210,7 @@ def test_oracle_solution_beats_trivial_candidates():
 def test_oracle_size_guard():
     graph = random_geometric_graph(50, 3, seed=9)
     y = gf.TimeVaryingSignal(values=np.zeros((50, 50)))
-    full = gf.SamplingMask.from_matrix(np.ones((50, 50), dtype=int))
+    full = np.ones((50, 50), dtype=bool)
     with pytest.raises(ProblemTooLarge):
         gf.dense_oracle_solve(y, full, graph, gf.SobolevConfig())
 
@@ -237,7 +236,7 @@ def test_zero_rhs_short_circuits():
 def test_single_snapshot_rejected():
     graph = unit_path_graph(3)
     y = gf.TimeVaryingSignal(values=np.ones((3, 1)))
-    mask = np.ones((3, 1), dtype=int)
+    mask = np.ones((3, 1), dtype=bool)
     with pytest.raises(HorizonTooShort):
         gf.reconstruct_sobolev(y, mask, graph, gf.SobolevConfig())
 
