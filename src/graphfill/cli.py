@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from dataclasses import asdict
@@ -202,12 +203,7 @@ def _cmd_reconstruct(args) -> int:
     recon = inverse_scale(result.xbar, params)
 
     csv_path, json_path = ingest.result_paths(args.out)
-    with csv_path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["node_id", "time_index", "value"])
-        for i, node_id in enumerate(dataset.positions.node_ids):
-            for c, time_index in enumerate(dataset.time_indices):
-                writer.writerow([node_id, time_index, format(recon.values[i, c], ".12g")])
+    _write_reconstruction(csv_path, dataset.positions.node_ids, dataset.time_indices, recon.values)
 
     metrics_doc = {
         "dataset": dataset.name,
@@ -229,6 +225,23 @@ def _cmd_reconstruct(args) -> int:
     json_path.write_text(json.dumps(metrics_doc, indent=2, sort_keys=True) + "\n")
     print(f"wrote {csv_path} and {json_path}")
     return 0
+
+
+def _write_reconstruction(path: Path, node_ids, time_indices, values: np.ndarray) -> None:
+    """Write ``node_id,time_index,value`` rows, one block per node.
+
+    The bytes are those of csv.writer with values formatted ``.12g``: each
+    node id is quoted once by csv.writer itself.
+    """
+    cells = [f",{t}," for t in time_indices]
+    with path.open("w", newline="") as fh:
+        fh.write("node_id,time_index,value\n")
+        for node_id, row in zip(node_ids, values):
+            line = io.StringIO()
+            csv.writer(line, lineterminator="\n").writerow([node_id, ""])
+            # the empty second field stops an empty id being written as '""'
+            prefix = line.getvalue()[:-2]
+            fh.write("".join(f"{prefix}{cell}{v:.12g}\n" for cell, v in zip(cells, row.tolist())))
 
 
 def _cmd_experiment(args) -> int:

@@ -284,11 +284,12 @@ def write_edge_list(graph: SensorGraph, node_ids: tuple[str, ...], path) -> None
     """Export the undirected edge list as `src_id,dst_id,weight` CSV.
 
     Debug format: one row per undirected edge in (i, j) index order, weights
-    with 12 significant digits.
+    with 12 significant digits. A missing parent directory is created.
     """
     if len(node_ids) != graph.n_nodes:
         raise ValueError("node_ids length does not match the graph")
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["src_id", "dst_id", "weight"])

@@ -9,11 +9,18 @@ lab style sensor networks:
 
 Time is an integer index; only its ordering matters. Nodes keep the
 positions-file order, time columns are sorted ascending by index.
+
+Both files are UTF-8, with or without a byte-order mark, and use csv
+(RFC-4180) quoting. Fields are stripped of surrounding whitespace, blank
+lines are skipped, and a row with the wrong field count is reported as
+``file:line``. Readings are parsed column by column; of several faults, the
+first in file order is raised.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import warnings
@@ -74,44 +81,73 @@ class Dataset:
         return bool(self.native_mask.all())
 
 
-def _read_rows(path: Path, header: list[str]) -> list[list[str]]:
+def _read_columns(path: Path, header: list[str]) -> list[list[str]]:
+    """Read a CSV file into one list of stripped fields per header column.
+
+    Fields follow csv.reader's rules. Text without a quote character is split
+    on commas directly, which gives the same fields without building one list
+    per row. Blank and whitespace-only lines are skipped; a row with the wrong
+    number of fields raises MalformedCsv naming ``file:line``.
+    """
     try:
         text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise MalformedCsv(f"{path}: {exc}") from exc
-    rows = list(csv.reader(text.splitlines()))
-    if not rows:
+    lines = text.splitlines()
+    if '"' in text:
+        records = list(csv.reader(lines))
+        widths = [len(record) for record in records]
+        fields = list(itertools.chain.from_iterable(records))
+    else:
+        widths = [line.count(",") + 1 for line in lines]
+        fields = ",".join(lines).split(",")
+    if not widths:
         raise MalformedCsv(f"{path}: empty file")
-    got = [c.strip() for c in rows[0]]
+    got = [field.strip() for field in fields[: widths[0]]]
     if got != header:
         raise MalformedCsv(f"{path}: expected header {','.join(header)}, got {','.join(got)}")
-    body = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != len(header):
-            raise MalformedCsv(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-        body.append([c.strip() for c in row])
-    return body
+    n = len(header)
+    fields, widths = fields[widths[0] :], widths[1:]
+    if widths.count(n) != len(widths):
+        starts = list(itertools.accumulate(widths, initial=0))
+        body, done = [], 0
+        for k, width in enumerate(widths):
+            if width == n:
+                continue
+            if width > 1 or (width == 1 and fields[starts[k]].strip()):
+                raise MalformedCsv(f"{path}:{k + 2}: expected {n} fields, got {width}")
+            body += fields[done : starts[k]]
+            done = starts[k + 1]
+        fields = body + fields[done:]
+    return [[field.strip() for field in fields[j::n]] for j in range(n)]
+
+
+def _parse_prefix(parse, tokens: list[str]) -> tuple[list, int | None]:
+    """Apply parse to tokens up to the first ValueError: (values, its index or None)."""
+    values: list = []
+    try:
+        values.extend(map(parse, tokens))  # keeps what was parsed before a failure
+    except ValueError:
+        return values, len(values)
+    return values, None
 
 
 def load_positions(path) -> NodePositions:
     """Read a ``node_id,x,y`` CSV into NodePositions."""
     path = Path(path)
-    rows = _read_rows(path, _POSITIONS_HEADER)
-    ids: list[str] = []
+    ids, xs, ys = _read_columns(path, _POSITIONS_HEADER)
+    seen: set[str] = set()
     coords: list[tuple[float, float]] = []
-    for row in rows:
-        node_id, xs, ys = row
-        if node_id in ids:
+    for node_id, x, y in zip(ids, xs, ys):
+        if node_id in seen:
             raise MalformedCsv(f"{path}: duplicate node_id {node_id!r}")
         try:
-            xy = (float(xs), float(ys))
+            xy = (float(x), float(y))
         except ValueError as exc:
             raise MalformedCsv(f"{path}: bad coordinate for {node_id!r}: {exc}") from exc
         if not all(math.isfinite(v) for v in xy):
             raise MalformedCsv(f"{path}: non-finite coordinate for {node_id!r}")
-        ids.append(node_id)
+        seen.add(node_id)
         coords.append(xy)
     if len(ids) < 2:
         raise EmptyDataset(f"{path}: need at least 2 nodes, got {len(ids)}")
@@ -132,58 +168,61 @@ def load_dataset(positions_path, readings_path, name: str | None = None) -> Data
     positions_path = Path(positions_path)
     readings_path = Path(readings_path)
     positions = load_positions(positions_path)
-    rows = _read_rows(readings_path, _READINGS_HEADER)
-    if not rows:
+    ids, time_tokens, value_tokens = _read_columns(readings_path, _READINGS_HEADER)
+    if not ids:
         raise EmptyDataset(f"{readings_path}: no readings")
 
+    # The checks run column by column in the order they apply to one row, and
+    # each scans only the rows before the earliest fault found so far, so the
+    # fault raised is the first one in file order.
     node_index = {nid: i for i, nid in enumerate(positions.node_ids)}
-    triples: dict[tuple[int, int], float | None] = {}
-    times: set[int] = set()
-    for row in rows:
-        node_id, time_str, value_str = row
-        if node_id not in node_index:
-            raise UnknownNode(f"{readings_path}: node {node_id!r} not in positions file")
-        try:
-            time_index = int(time_str)
-        except ValueError as exc:
-            raise MalformedCsv(f"{readings_path}: bad time_index {time_str!r}") from exc
-        if time_index < 0:
-            raise MalformedCsv(f"{readings_path}: negative time_index {time_index}")
-        key = (node_index[node_id], time_index)
-        if key in triples:
-            raise DuplicateReading(
-                f"{readings_path}: duplicate reading for ({node_id!r}, {time_index})"
-            )
-        if value_str == "":
-            value = None
-        else:
-            try:
-                value = float(value_str)
-            except ValueError as exc:
-                raise MalformedCsv(f"{readings_path}: bad value {value_str!r}") from exc
-            if not math.isfinite(value):
-                value = None
-        triples[key] = value
-        times.add(time_index)
+    rows = [node_index.get(nid, -1) for nid in ids]
+    end, fault = len(rows), None
+    if -1 in rows:
+        end = rows.index(-1)
+        fault = UnknownNode(f"{readings_path}: node {ids[end]!r} not in positions file")
+    times, bad = _parse_prefix(int, time_tokens[:end])
+    if bad is not None:
+        end, fault = bad, MalformedCsv(f"{readings_path}: bad time_index {time_tokens[bad]!r}")
+    try:
+        times = np.array(times, dtype=np.int64)
+    except OverflowError:  # keep huge indices exact
+        times = np.array(times, dtype=object)
+    negative = np.flatnonzero(times < 0)
+    if negative.size:
+        end = int(negative[0])
+        fault = MalformedCsv(f"{readings_path}: negative time_index {times[end]}")
+    time_order, cols = np.unique(times[:end], return_inverse=True)
+    rows = np.array(rows[:end], dtype=np.int64)
+    keys = rows * len(time_order) + cols
+    order = np.argsort(keys, kind="stable")
+    repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
+    if repeats.size:
+        end = int(repeats.min())
+        fault = DuplicateReading(
+            f"{readings_path}: duplicate reading for ({ids[end]!r}, {times[end]})"
+        )
+    values, bad = _parse_prefix(float, [token or "nan" for token in value_tokens[:end]])
+    if bad is not None:
+        fault = MalformedCsv(f"{readings_path}: bad value {value_tokens[bad]!r}")
+    if fault is not None:
+        raise fault
 
-    observed_nodes = {i for i, _ in triples}
-    keep = [i for i in range(positions.n_nodes) if i in observed_nodes]
-    dropped = [positions.node_ids[i] for i in range(positions.n_nodes) if i not in observed_nodes]
+    present = np.bincount(rows, minlength=positions.n_nodes) > 0
+    dropped = [positions.node_ids[i] for i in np.flatnonzero(~present)]
     if dropped:
         warnings.warn(f"dropping nodes with no readings: {', '.join(dropped)}", stacklevel=2)
+    keep = np.flatnonzero(present)
     if len(keep) < 2:
         raise EmptyDataset(f"{readings_path}: fewer than 2 nodes have readings")
 
-    time_order = sorted(times)
-    col_of = {t: c for c, t in enumerate(time_order)}
-    row_of = {old: new for new, old in enumerate(keep)}
+    values = np.array(values)
+    finite = np.isfinite(values)
+    cells = ((np.cumsum(present) - 1)[rows[finite]], cols[finite])
     signal = np.zeros((len(keep), len(time_order)))
-    native = np.zeros((len(keep), len(time_order)), dtype=bool)
-    for (i, t), value in triples.items():
-        if i not in row_of or value is None:
-            continue
-        signal[row_of[i], col_of[t]] = value
-        native[row_of[i], col_of[t]] = True
+    signal[cells] = values[finite]
+    native = np.zeros(signal.shape, dtype=bool)
+    native[cells] = True
 
     kept_positions = NodePositions(
         coords=positions.coords[keep],
@@ -194,7 +233,7 @@ def load_dataset(positions_path, readings_path, name: str | None = None) -> Data
         signal=TimeVaryingSignal(values=signal),
         native_mask=native,
         name=name if name is not None else readings_path.stem,
-        time_indices=tuple(time_order),
+        time_indices=tuple(time_order.tolist()),
     )
 
 

@@ -1,10 +1,17 @@
+import csv
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import graphfill as gf
 from graphfill.cli import main
+from graphfill.harness import fit_observed_scale
 
 
 @pytest.fixture
@@ -64,6 +71,45 @@ def test_reconstruct_creates_missing_out_directory(tmp_path, fixture_files):
     assert main(reconstruct_args(positions, readings, out)) == 0
     assert (tmp_path / "missing" / "recon.csv").exists()
     assert (tmp_path / "missing" / "recon.json").exists()
+
+
+def test_reconstruct_csv_bytes_match_csv_writer(tmp_path):
+    # node ids that need quoting, an empty id, and a natively missing reading
+    ids = ["a,1", 'say "hi"', "", "d"]
+    coords = [(0.0, 0.0), (1.0, 0.2), (0.3, 1.1), (1.4, 1.3)]
+    rng = np.random.default_rng(3)
+    positions = tmp_path / "p.csv"
+    readings = tmp_path / "r.csv"
+    with positions.open("w", newline="") as fh:
+        csv.writer(fh).writerows([("node_id", "x", "y")] + [(n, *xy) for n, xy in zip(ids, coords)])
+    with readings.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("node_id", "time_index", "value"))
+        for n in ids:
+            for t in range(0, 30, 3):
+                if (n, t) != ("", 6):
+                    writer.writerow((n, t, rng.normal(20.0, 3.0)))
+    out = tmp_path / "recon"
+    assert main(reconstruct_args(positions, readings, out)) == 0
+
+    # the same reconstruction through the library, rendered by csv.writer
+    ds = gf.load_dataset(positions, readings)
+    graph = gf.build_knn_graph(ds.positions, 2)
+    effective = gf.random_mask(ds.n_nodes, ds.n_steps, 0.5, seed=0) & ds.native_mask
+    params, y = fit_observed_scale(ds.signal.values, effective)
+    result = gf.reconstruct_sobolev(
+        gf.TimeVaryingSignal(values=y), effective, graph,
+        gf.SobolevConfig(epsilon=0.5, beta=1.0, gamma=0.5),
+    )
+    recon = gf.inverse_scale(result.xbar, params).values
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(["node_id", "time_index", "value"])
+    for i, n in enumerate(ds.positions.node_ids):
+        for c, t in enumerate(ds.time_indices):
+            writer.writerow([n, t, format(recon[i, c], ".12g")])
+    assert (tmp_path / "recon.csv").read_bytes() == expected.getvalue().encode()
+    assert b'"a,1",0,' in (tmp_path / "recon.csv").read_bytes()
 
 
 def test_reconstruct_missing_gamma_exits_2(tmp_path, fixture_files, capsys):
@@ -278,6 +324,24 @@ def test_graph_info(tmp_path, fixture_files, capsys):
     out = capsys.readouterr().out
     assert "nodes:" in out and "sigma:" in out and "lambda_2:" in out
     assert edge_out.read_text().splitlines()[0] == "src_id,dst_id,weight"
+
+
+def test_graph_info_creates_missing_out_directory(tmp_path, fixture_files, capsys):
+    positions, _ = fixture_files
+    edge_out = tmp_path / "missing" / "edges.csv"
+    assert main(["graph-info", "--positions", str(positions), "--k", "2", "--out", str(edge_out)]) == 0
+    assert edge_out.read_text().splitlines()[0] == "src_id,dst_id,weight"
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(gf.__file__).resolve().parent.parent
+    path = [str(src), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run(
+        [sys.executable, "-m", "graphfill", "--help"], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == 0, done.stderr
+    assert "reconstruct" in done.stdout and "graph-info" in done.stdout
 
 
 def test_graph_info_k_too_large_exits_2(tmp_path, fixture_files, capsys):

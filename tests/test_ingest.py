@@ -1,7 +1,15 @@
+import csv
+import io
 import json
+import math
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphfill as gf
 from graphfill.errors import (
@@ -78,12 +86,24 @@ def test_duplicate_reading_rejected(tmp_path, positions_csv):
     rows = [("a", 0, "1.0"), ("a", 0, "2.0"), ("b", 0, "1.0"), ("c", 0, "1.0")]
     with pytest.raises(DuplicateReading):
         gf.load_dataset(positions_csv, write(tmp_path / "r.csv", readings_text(rows)))
+    # the first repeat in file order is reported, not the smallest key
+    rows = [("a", 0, "1.0"), ("c", 5, "1.0"), ("c", 5, "2.0"), ("a", 0, "3.0")]
+    readings = write(tmp_path / "r2.csv", readings_text(rows))
+    with pytest.raises(DuplicateReading) as info:
+        gf.load_dataset(positions_csv, readings)
+    assert str(info.value) == f"{readings}: duplicate reading for ('c', 5)"
 
 
 def test_unknown_node_rejected(tmp_path, positions_csv):
     rows = [("a", 0, "1.0"), ("z", 0, "1.0")]
     with pytest.raises(UnknownNode):
         gf.load_dataset(positions_csv, write(tmp_path / "r.csv", readings_text(rows)))
+    # the first unknown id in file order is reported
+    rows = [("a", 0, "1.0"), ("z", 0, "1.0"), ("y", 0, "1.0")]
+    readings = write(tmp_path / "r2.csv", readings_text(rows))
+    with pytest.raises(UnknownNode) as info:
+        gf.load_dataset(positions_csv, readings)
+    assert str(info.value) == f"{readings}: node 'z' not in positions file"
 
 
 def test_malformed_headers_rejected(tmp_path, positions_csv):
@@ -96,15 +116,47 @@ def test_malformed_headers_rejected(tmp_path, positions_csv):
 
 
 def test_malformed_values_rejected(tmp_path, positions_csv):
-    with pytest.raises(MalformedCsv):
-        gf.load_dataset(
-            positions_csv, write(tmp_path / "r.csv", readings_text([("a", 0, "abc")]))
-        )
-    with pytest.raises(MalformedCsv):
-        gf.load_dataset(
-            positions_csv,
-            write(tmp_path / "r2.csv", "node_id,time_index,value\na,1.5,2.0\n"),
-        )
+    header = "node_id,time_index,value\n"
+    cases = [
+        ("a,0,abc\n", "{}: bad value 'abc'"),
+        ("a,1.5,2.0\n", "{}: bad time_index '1.5'"),
+        ("a,0,1.0\nb,-3,2.0\n", "{}: negative time_index -3"),
+        ("a,0,1.0\n\nb,1\n", "{}:4: expected 3 fields, got 2"),
+        ("a,0,1.0\n  \nb\n", "{}:4: expected 3 fields, got 1"),
+        # faults are reported in file order, whatever check finds them
+        ("a,0,1.0\nb,0,x\nz,0,1.0\nb,q,1.0\n", "{}: bad value 'x'"),
+        ("a,0,1.0\nb,-1,1.0\na,0,x\n", "{}: negative time_index -1"),
+        ("a,0,1.0\nz,x,1.0\nb,1,1.0\n", "{}: node 'z' not in positions file"),
+    ]
+    for k, (body, message) in enumerate(cases):
+        readings = write(tmp_path / f"r{k}.csv", header + body)
+        with pytest.raises((MalformedCsv, UnknownNode)) as info:
+            gf.load_dataset(positions_csv, readings)
+        assert str(info.value) == message.format(readings)
+
+
+def test_quoting_padding_and_blank_lines(tmp_path):
+    positions = write(
+        tmp_path / "p.csv", 'node_id , x , y\n"a,1",0,0\n  b  , 1.0 ,\t0\n"say ""hi""",0,1\n'
+    )
+    readings = write(
+        tmp_path / "r.csv",
+        "node_id,time_index,value\n"
+        '"a,1",0,1.5\n'
+        "\n"
+        "   \n"
+        " b ,\t0 , 2.5 \n"
+        "\t\n"
+        '"say ""hi""", 1 ,\n'
+        '"a,1",1,  -0.25\n'
+        "\n",
+    )
+    ds = gf.load_dataset(positions, readings)
+    assert ds.positions.node_ids == ("a,1", "b", 'say "hi"')
+    assert ds.positions.coords.tolist() == [[0, 0], [1, 0], [0, 1]]
+    assert ds.time_indices == (0, 1)
+    assert ds.signal.values.tolist() == [[1.5, -0.25], [2.5, 0.0], [0.0, 0.0]]
+    assert ds.native_mask.tolist() == [[True, True], [True, False], [False, False]]
 
 
 def test_node_without_readings_dropped_with_warning(tmp_path, positions_csv):
@@ -181,6 +233,67 @@ def test_utf8_bom_files_load(tmp_path):
     ds = gf.load_dataset(positions, readings)
     assert ds.positions.node_ids == ("a", "b")
     assert ds.signal.values[:, 0].tolist() == [1.5, 2.5]
+
+
+def csv_text(rows):
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
+node_ids = st.lists(
+    st.text(alphabet='ab ,"', min_size=1, max_size=4).filter(lambda s: s.strip()),
+    min_size=2,
+    max_size=4,
+    unique_by=str.strip,
+)
+value_tokens = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["", "nan", "inf", "-inf", " 1.5 "]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), ids=node_ids)
+def test_load_matches_dict_pivot(data, ids):
+    # Round trip: a long table written by csv.writer, in any row order and
+    # with any rows absent, loads as the plain dict pivot of that table.
+    cells = data.draw(
+        st.lists(
+            st.tuples(st.sampled_from(ids), st.integers(0, 20)), unique=True, max_size=30
+        )
+    )
+    rows = [(n, t, data.draw(value_tokens)) for n, t in data.draw(st.permutations(cells))]
+    with tempfile.TemporaryDirectory() as tmp:
+        positions = Path(tmp) / "p.csv"
+        readings = Path(tmp) / "r.csv"
+        positions.write_text(
+            csv_text([("node_id", "x", "y")] + [(n, k, 0) for k, n in enumerate(ids)])
+        )
+        readings.write_text(csv_text([("node_id", "time_index", "value")] + rows))
+
+        pivot = {}
+        for n, t, v in rows:
+            value = float(v) if v.strip() else math.nan
+            pivot[n.strip(), t] = value if math.isfinite(value) else None
+        kept = [n.strip() for n in ids if any(key[0] == n.strip() for key in pivot)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if len(kept) < 2:
+                with pytest.raises(EmptyDataset):
+                    gf.load_dataset(positions, readings)
+                return
+            ds = gf.load_dataset(positions, readings)
+
+    times = sorted({t for _, t in pivot})
+    assert ds.positions.node_ids == tuple(kept)
+    assert ds.time_indices == tuple(times)
+    assert bool(caught) == (len(kept) < len(ids))
+    for i, n in enumerate(kept):
+        for c, t in enumerate(times):
+            value = pivot.get((n, t))
+            assert ds.native_mask[i, c] == (value is not None)
+            assert ds.signal.values[i, c] == (0.0 if value is None else value)
 
 
 def _result(density=0.1, with_failure=False):
