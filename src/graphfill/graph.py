@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import (
     ConvergenceFailure,
@@ -181,7 +180,8 @@ def build_knn_graph(positions: NodePositions, k: int) -> SensorGraph:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
 
-    dist = cdist(positions.coords, positions.coords)
+    delta = positions.coords[:, None, :] - positions.coords[None, :, :]
+    dist = np.sqrt((delta * delta).sum(axis=-1))
     rows, cols = np.triu_indices(n, 1)
     duplicates = np.nonzero(dist[rows, cols] == 0.0)[0]
     if duplicates.size:

@@ -12,9 +12,10 @@ positions-file order, time columns are sorted ascending by index.
 
 Both files are UTF-8, with or without a byte-order mark, and use csv
 (RFC-4180) quoting. Fields are stripped of surrounding whitespace, blank
-lines are skipped, and a row with the wrong field count is reported as
-``file:line``. Readings are parsed column by column; of several faults, the
-first in file order is raised.
+lines are skipped, and a row with the wrong field count or a quoted field
+over csv's field size limit is reported as ``file:line``. Readings are
+parsed column by column; of several faults, the first in file order is
+raised.
 """
 
 from __future__ import annotations
@@ -87,7 +88,8 @@ def _read_columns(path: Path, header: list[str]) -> list[list[str]]:
     Fields follow csv.reader's rules. Text without a quote character is split
     on commas directly, which gives the same fields without building one list
     per row. Blank and whitespace-only lines are skipped; a row with the wrong
-    number of fields raises MalformedCsv naming ``file:line``.
+    number of fields, or one csv.reader rejects (a quoted field longer than
+    csv.field_size_limit()), raises MalformedCsv naming ``file:line``.
     """
     try:
         text = path.read_text(encoding="utf-8-sig")
@@ -95,7 +97,11 @@ def _read_columns(path: Path, header: list[str]) -> list[list[str]]:
         raise MalformedCsv(f"{path}: {exc}") from exc
     lines = text.splitlines()
     if '"' in text:
-        records = list(csv.reader(lines))
+        reader = csv.reader(lines)
+        try:
+            records = list(reader)
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+            raise MalformedCsv(f"{path}:{reader.line_num}: {exc}") from exc
         widths = [len(record) for record in records]
         fields = list(itertools.chain.from_iterable(records))
     else:

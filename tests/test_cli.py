@@ -333,15 +333,41 @@ def test_graph_info_creates_missing_out_directory(tmp_path, fixture_files, capsy
     assert edge_out.read_text().splitlines()[0] == "src_id,dst_id,weight"
 
 
-def test_python_dash_m_runs_the_cli():
+def run_python(*args):
+    """Run a fresh interpreter that imports graphfill from this checkout."""
     src = Path(gf.__file__).resolve().parent.parent
     path = [str(src), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    done = subprocess.run(
-        [sys.executable, "-m", "graphfill", "--help"], capture_output=True, text=True, env=env
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def test_python_dash_m_runs_the_cli():
+    done = run_python("-m", "graphfill", "--help")
     assert done.returncode == 0, done.stderr
     assert "reconstruct" in done.stdout and "graph-info" in done.stdout
+
+
+def test_import_leaves_out_scipy_spatial_and_fft():
+    # Both cost a large share of every CLI start-up and neither is needed.
+    done = run_python(
+        "-c",
+        "import sys, graphfill; "
+        "print(sorted(m for m in ('scipy.spatial', 'scipy.fft') if m in sys.modules))",
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+def test_reconstruct_oversized_quoted_field_exits_2(tmp_path, fixture_files, capsys):
+    positions, readings = fixture_files
+    huge = "n" * 200_000
+    with readings.open("a") as fh:
+        fh.write(f'"{huge}",0,1.0\n')
+    lines = len(readings.read_text().splitlines())
+    assert main(reconstruct_args(positions, readings, tmp_path / "x")) == 2
+    err = capsys.readouterr().err
+    assert f"{readings}:{lines}: field larger than field limit" in err
+    assert huge not in err
 
 
 def test_graph_info_k_too_large_exits_2(tmp_path, fixture_files, capsys):

@@ -1,10 +1,121 @@
+import itertools
+
 import numpy as np
 import pytest
 
 import graphfill as gf
+from graphfill import solver
 from graphfill.errors import HorizonTooShort, ProblemTooLarge, SingularSystem
+from graphfill.harness import fit_observed_scale
 
 from conftest import random_geometric_graph, random_instance, unit_path_graph
+
+GAMMA_GRID = (1e-3, 1e-2, 1e-1, 1.0)
+CRITERION_4_CELLS = (
+    *itertools.product((0.1, 0.5, 1.0, 2.0), (1.0, 1.5, 2.0), GAMMA_GRID),
+    *((0.0, 1.0, gamma) for gamma in GAMMA_GRID),
+)
+# The (epsilon, beta, gamma) cells of the criterion-4 grid that run
+# preconditioned at density 0.1; the other 29 run plain CG.
+PRECONDITIONED_CELLS = {
+    *((eps, beta, 1.0) for eps in (0.1, 0.5, 1.0, 2.0) for beta in (1.0, 1.5, 2.0)),
+    (0.0, 1.0, 1.0),
+    *((eps, beta, 0.1) for eps in (0.1, 0.5, 1.0, 2.0) for beta in (1.5, 2.0)),
+    (1.0, 1.0, 0.1),
+    (2.0, 1.0, 0.1),
+}
+
+
+@pytest.fixture(scope="module")
+def sparse_synthetic():
+    """Graph, mask and scaled Y of the criterion-4 grid at density 0.1, seed 0."""
+    dataset = gf.synthetic_dataset(seed=0)
+    graph = gf.build_knn_graph(dataset.positions, 5)
+    mask = gf.random_mask(*dataset.signal.values.shape, 0.1, 0)
+    _, y_values = fit_observed_scale(dataset.signal.values, mask)
+    return graph, mask, gf.TimeVaryingSignal(values=y_values)
+
+
+def _reference_cg(y, mask, graph, config):
+    """Unpreconditioned CG as written before its work arrays were reused.
+
+    Every product allocates a fresh array. reconstruct_sobolev must match it
+    bit for bit, iteration count included, wherever its preconditioner is off.
+    """
+    j = mask.astype(float)
+    b_matrix = gf.sobolev_operator(graph, config.epsilon, config.beta).matrix
+
+    def apply_a(x):
+        z = np.diff(x, axis=1)
+        xt = np.zeros_like(x)
+        xt[:, :-1] -= z
+        xt[:, 1:] += z
+        return j * x + config.gamma * (b_matrix @ xt)
+
+    rhs = y.values
+    threshold = config.cg_tolerance * float(np.linalg.norm(rhs))
+    x = rhs.copy()
+    r = rhs - apply_a(x)
+    p = r.copy()
+    rz = float(np.vdot(r, r))
+    iterations = 0
+    while iterations < config.max_iterations:
+        if np.linalg.norm(r) <= threshold:
+            r = rhs - apply_a(x)
+            if np.linalg.norm(r) <= threshold:
+                break
+            p = r.copy()
+            rz = float(np.vdot(r, r))
+        ap = apply_a(p)
+        alpha = rz / float(np.vdot(p, ap))
+        x = x + alpha * p
+        r = r - alpha * ap
+        rz_next = float(np.vdot(r, r))
+        p = r + (rz_next / rz) * p
+        rz = rz_next
+        iterations += 1
+    return x, iterations
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.1])
+@pytest.mark.parametrize("gamma", [1e-3, 1e-2])
+def test_plain_cg_matches_reference_loop_bit_for_bit(sparse_synthetic, epsilon, gamma):
+    graph, mask, y = sparse_synthetic
+    cfg = gf.SobolevConfig(epsilon=epsilon, beta=1.0, gamma=gamma)
+    assert solver._make_preconditioner(graph, cfg, mask.astype(float)) is None
+    result = gf.reconstruct_sobolev(y, mask, graph, cfg)
+    x, iterations = _reference_cg(y, mask, graph, cfg)
+    assert result.converged
+    assert result.iterations == iterations
+    assert result.xbar.values.tobytes() == x.tobytes()
+
+
+def test_preconditioner_decision_on_criterion_4_grid(sparse_synthetic):
+    graph, mask, _ = sparse_synthetic
+    j = mask.astype(float)
+    on = {
+        cell for cell in CRITERION_4_CELLS
+        if solver._make_preconditioner(graph, gf.SobolevConfig(*cell), j) is not None
+    }
+    assert len(CRITERION_4_CELLS) == 52
+    assert on == PRECONDITIONED_CELLS
+
+
+@pytest.mark.parametrize(
+    "m, epsilon, beta", [(6, 0.3, 1.0), (7, 0.3, 1.5), (2, 0.3, 1.0), (7, 0.0, 1.0)]
+)
+def test_preconditioner_inverts_mean_mask_operator(m, epsilon, beta):
+    graph, _, mask, _ = random_instance(seed=70 + m, n=6, m=m, density=0.5)
+    cfg = gf.SobolevConfig(epsilon=epsilon, beta=beta, gamma=5.0)
+    j = mask.astype(float)
+    precondition = solver._make_preconditioner(graph, cfg, j)
+    assert precondition is not None
+    b_matrix = gf.sobolev_operator(graph, epsilon, beta).matrix
+    d = gf.temporal_difference_operator(m)
+    r = np.random.default_rng(m).normal(size=(6, m))
+    z = precondition(r)
+    back = j.mean() * z + cfg.gamma * (b_matrix @ z @ (d @ d.T))
+    assert np.linalg.norm(back - r) <= 1e-12 * np.linalg.norm(r)
 
 
 def test_full_mask_tiny_gamma_returns_data(rng):
