@@ -231,17 +231,18 @@ def _write_reconstruction(path: Path, node_ids, time_indices, values: np.ndarray
     """Write ``node_id,time_index,value`` rows, one block per node.
 
     The bytes are those of csv.writer with values formatted ``.12g``: each
-    node id is quoted once by csv.writer itself.
+    node id is quoted once by csv.writer itself, and each node's block is
+    formatted by one ``%`` operation.
     """
-    cells = [f",{t}," for t in time_indices]
+    cells = [f",{t},%.12g\n" for t in time_indices]
     with path.open("w", newline="") as fh:
         fh.write("node_id,time_index,value\n")
         for node_id, row in zip(node_ids, values):
             line = io.StringIO()
             csv.writer(line, lineterminator="\n").writerow([node_id, ""])
             # the empty second field stops an empty id being written as '""'
-            prefix = line.getvalue()[:-2]
-            fh.write("".join(f"{prefix}{cell}{v:.12g}\n" for cell, v in zip(cells, row.tolist())))
+            prefix = line.getvalue()[:-2].replace("%", "%%")
+            fh.write("".join(prefix + cell for cell in cells) % tuple(row.tolist()))
 
 
 def _cmd_experiment(args) -> int:

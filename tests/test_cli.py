@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import graphfill as gf
+from graphfill import solver
 from graphfill.cli import main
 from graphfill.harness import fit_observed_scale
 
@@ -74,9 +75,10 @@ def test_reconstruct_creates_missing_out_directory(tmp_path, fixture_files):
 
 
 def test_reconstruct_csv_bytes_match_csv_writer(tmp_path):
-    # node ids that need quoting, an empty id, and a natively missing reading
-    ids = ["a,1", 'say "hi"', "", "d"]
-    coords = [(0.0, 0.0), (1.0, 0.2), (0.3, 1.1), (1.4, 1.3)]
+    # node ids that need quoting, an empty id, an id with the writer's format
+    # character %, and a natively missing reading
+    ids = ["a,1", 'say "hi"', "", "d", "50%"]
+    coords = [(0.0, 0.0), (1.0, 0.2), (0.3, 1.1), (1.4, 1.3), (2.0, 0.4)]
     rng = np.random.default_rng(3)
     positions = tmp_path / "p.csv"
     readings = tmp_path / "r.csv"
@@ -244,11 +246,17 @@ def test_experiment_bad_config_exits_2(tmp_path, capsys):
 
 
 def test_experiment_failed_reps_exit_3_with_partial_results(tmp_path, capsys):
+    # gamma = 1e-2 keeps both repetitions on CG, where max_iterations applies
+    graph = gf.build_knn_graph(gf.synthetic_dataset(seed=0).positions, 3)
+    cg_cell = gf.SobolevConfig(epsilon=0.5, beta=1.0, gamma=1e-2)
+    for seed in range(2):
+        mask = gf.random_mask(50, 100, 0.3, seed)
+        assert not solver._takes_direct_path(graph, cg_cell, mask.astype(float))
     config = experiment_config(
         tmp_path,
         densities=[0.3],
         repetitions=2,
-        sobolev={"epsilon": 0.5, "beta": 1.0, "gamma": 0.5, "max_iterations": 1},
+        sobolev={"epsilon": 0.5, "beta": 1.0, "gamma": 1e-2, "max_iterations": 1},
     )
     out = tmp_path / "failing"
     code = main(["experiment", "--synthetic", "--config", str(config), "--out", str(out)])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import graphfill as gf
+from graphfill import solver
 from graphfill.errors import EmptyColumn, EmptyEvaluationSet, GraphfillError
 from graphfill.harness import fit_observed_scale, run_single_repetition
 
@@ -147,10 +148,13 @@ def test_partial_native_coverage_rejected():
 
 def test_failed_repetitions_recorded_not_averaged():
     ds = small_dataset()
-    cfg = quick_config(
-        densities=(0.3,),
-        sobolev=gf.SobolevConfig(epsilon=0.5, beta=1.0, gamma=0.5, max_iterations=1),
-    )
+    sobolev = gf.SobolevConfig(epsilon=0.5, beta=1.0, gamma=1e-2, max_iterations=1)
+    # every repetition runs CG, where max_iterations applies
+    graph = gf.build_knn_graph(ds.positions, 3)
+    for seed in range(3):
+        mask = gf.random_mask(20, 40, 0.3, seed)
+        assert not solver._takes_direct_path(graph, sobolev, mask.astype(float))
+    cfg = quick_config(densities=(0.3,), sobolev=sobolev)
     (result,) = gf.run_experiment(ds, cfg)
     assert len(result.failed) == cfg.repetitions
     assert result.per_rep == ()

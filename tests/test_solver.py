@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphfill as gf
 from graphfill import solver
@@ -15,9 +17,9 @@ CRITERION_4_CELLS = (
     *itertools.product((0.1, 0.5, 1.0, 2.0), (1.0, 1.5, 2.0), GAMMA_GRID),
     *((0.0, 1.0, gamma) for gamma in GAMMA_GRID),
 )
-# The (epsilon, beta, gamma) cells of the criterion-4 grid that run
-# preconditioned at density 0.1; the other 29 run plain CG.
-PRECONDITIONED_CELLS = {
+# The (epsilon, beta, gamma) cells of the criterion-4 grid that take the
+# direct block solve at density 0.1; the other 29 run CG.
+DIRECT_CELLS = {
     *((eps, beta, 1.0) for eps in (0.1, 0.5, 1.0, 2.0) for beta in (1.0, 1.5, 2.0)),
     (0.0, 1.0, 1.0),
     *((eps, beta, 0.1) for eps in (0.1, 0.5, 1.0, 2.0) for beta in (1.5, 2.0)),
@@ -82,7 +84,7 @@ def _reference_cg(y, mask, graph, config):
 def test_plain_cg_matches_reference_loop_bit_for_bit(sparse_synthetic, epsilon, gamma):
     graph, mask, y = sparse_synthetic
     cfg = gf.SobolevConfig(epsilon=epsilon, beta=1.0, gamma=gamma)
-    assert solver._make_preconditioner(graph, cfg, mask.astype(float)) is None
+    assert not solver._takes_direct_path(graph, cfg, mask.astype(float))
     result = gf.reconstruct_sobolev(y, mask, graph, cfg)
     x, iterations = _reference_cg(y, mask, graph, cfg)
     assert result.converged
@@ -91,31 +93,115 @@ def test_plain_cg_matches_reference_loop_bit_for_bit(sparse_synthetic, epsilon, 
 
 
 def test_preconditioner_decision_on_criterion_4_grid(sparse_synthetic):
+    # The rule that switched CG's preconditioner on now picks the direct path.
     graph, mask, _ = sparse_synthetic
     j = mask.astype(float)
     on = {
         cell for cell in CRITERION_4_CELLS
-        if solver._make_preconditioner(graph, gf.SobolevConfig(*cell), j) is not None
+        if solver._takes_direct_path(graph, gf.SobolevConfig(*cell), j)
     }
     assert len(CRITERION_4_CELLS) == 52
-    assert on == PRECONDITIONED_CELLS
+    assert on == DIRECT_CELLS
 
 
-@pytest.mark.parametrize(
-    "m, epsilon, beta", [(6, 0.3, 1.0), (7, 0.3, 1.5), (2, 0.3, 1.0), (7, 0.0, 1.0)]
+@pytest.mark.parametrize("m", [2, 3, 7])
+@pytest.mark.parametrize("beta", [1.0, 1.5])
+@pytest.mark.parametrize("epsilon", [0.0, 0.3])
+def test_direct_path_matches_dense_oracle(m, beta, epsilon):
+    # density 0.6 makes every pair of snapshots share an observed node, so
+    # the system stays nonsingular at epsilon = 0
+    graph, _, mask, y = random_instance(seed=80 + m, n=6, m=m, density=0.6)
+    cfg = gf.SobolevConfig(epsilon=epsilon, beta=beta, gamma=50.0)
+    assert solver._takes_direct_path(graph, cfg, mask.astype(float))
+    direct = gf.reconstruct_sobolev(y, mask, graph, cfg)
+    oracle = gf.dense_oracle_solve(y, mask, graph, cfg)
+    assert direct.iterations == 0 and direct.converged
+    rel = np.linalg.norm(direct.xbar.values - oracle.xbar.values) / np.linalg.norm(
+        oracle.xbar.values
+    )
+    assert rel <= 1e-12
+
+
+def test_direct_path_gradient_vanishes(sparse_synthetic):
+    graph, mask, y = sparse_synthetic
+    cfg = gf.SobolevConfig(epsilon=0.5, beta=1.0, gamma=1.0)
+    assert solver._takes_direct_path(graph, cfg, mask.astype(float))
+    result = gf.reconstruct_sobolev(y, mask, graph, cfg)
+    op = gf.sobolev_operator(graph, cfg.epsilon, cfg.beta)
+    grad = gf.objective_gradient(result.xbar, y, mask, op, cfg.gamma)
+    assert result.iterations == 0 and result.converged
+    assert np.linalg.norm(grad) <= 1e-12 * np.linalg.norm(y.values)
+    assert result.final_relative_residual == pytest.approx(
+        np.linalg.norm(grad) / np.linalg.norm(y.values), rel=1e-6
+    )
+
+
+def _direct_instance(seed, n, m, epsilon, beta):
+    """A random instance with gamma large enough for the direct path."""
+    graph, _, mask, y = random_instance(seed=seed, n=n, m=m, density=0.5)
+    cfg = gf.SobolevConfig(epsilon=epsilon, beta=beta, gamma=50.0)
+    assert solver._takes_direct_path(graph, cfg, mask.astype(float))
+    return graph, mask, y, cfg
+
+
+direct_instances = dict(
+    seed=st.integers(min_value=0, max_value=10_000),
+    n=st.integers(min_value=4, max_value=8),
+    m=st.integers(min_value=2, max_value=8),
+    epsilon=st.sampled_from([0.1, 0.5, 1.0]),
+    beta=st.sampled_from([1.0, 1.5, 2.0]),
 )
-def test_preconditioner_inverts_mean_mask_operator(m, epsilon, beta):
-    graph, _, mask, _ = random_instance(seed=70 + m, n=6, m=m, density=0.5)
-    cfg = gf.SobolevConfig(epsilon=epsilon, beta=beta, gamma=5.0)
-    j = mask.astype(float)
-    precondition = solver._make_preconditioner(graph, cfg, j)
-    assert precondition is not None
-    b_matrix = gf.sobolev_operator(graph, epsilon, beta).matrix
-    d = gf.temporal_difference_operator(m)
-    r = np.random.default_rng(m).normal(size=(6, m))
-    z = precondition(r)
-    back = j.mean() * z + cfg.gamma * (b_matrix @ z @ (d @ d.T))
-    assert np.linalg.norm(back - r) <= 1e-12 * np.linalg.norm(r)
+
+
+@settings(max_examples=50, deadline=None)
+@given(**direct_instances)
+def test_direct_path_time_reversal(seed, n, m, epsilon, beta):
+    graph, mask, y, cfg = _direct_instance(seed, n, m, epsilon, beta)
+    x = gf.reconstruct_sobolev(y, mask, graph, cfg).xbar.values
+    reversed_y = gf.TimeVaryingSignal(values=y.values[:, ::-1])
+    x_reversed = gf.reconstruct_sobolev(reversed_y, mask[:, ::-1], graph, cfg).xbar.values
+    assert np.linalg.norm(x_reversed[:, ::-1] - x) <= 1e-12 * np.linalg.norm(x)
+
+
+@settings(max_examples=50, deadline=None)
+@given(**direct_instances, shift=st.floats(min_value=-10.0, max_value=10.0))
+def test_direct_path_observed_shift(seed, n, m, epsilon, beta, shift):
+    # B X T is unchanged by a constant, since T annihilates constants
+    graph, mask, y, cfg = _direct_instance(seed, n, m, epsilon, beta)
+    x = gf.reconstruct_sobolev(y, mask, graph, cfg).xbar.values
+    shifted_y = gf.TimeVaryingSignal(values=y.values + shift * mask)
+    x_shifted = gf.reconstruct_sobolev(shifted_y, mask, graph, cfg).xbar.values
+    assert np.linalg.norm(x_shifted - (x + shift)) <= 1e-12 * np.linalg.norm(x + shift)
+
+
+@pytest.mark.parametrize("graph_kind", ["path", "knn"])
+@pytest.mark.parametrize("gamma", [10.0, 100.0])
+def test_direct_path_singular_system_raises_deterministically(graph_kind, gamma):
+    # Observations in two disconnected node x time blocks: with epsilon = 0,
+    # X = 1 at nodes 0-1 and times 2-3, -1 at nodes 2-3 and times 0-1 and 0
+    # elsewhere is in the null space. On each graph one gamma ends in a
+    # failed Cholesky pivot and the other in a tiny positive one, which
+    # only the relative pivot test catches.
+    graph = unit_path_graph(4) if graph_kind == "path" else random_geometric_graph(4, 2, seed=3)
+    mask = np.zeros((4, 4), dtype=bool)
+    mask[:2, :2] = mask[2:, 2:] = True
+    y = gf.TimeVaryingSignal(values=np.where(mask, np.arange(16.0).reshape(4, 4), 0.0))
+    cfg = gf.SobolevConfig(epsilon=0.0, beta=1.0, gamma=gamma)
+    assert solver._takes_direct_path(graph, cfg, mask.astype(float))
+    messages = []
+    for _ in range(2):
+        with pytest.raises(SingularSystem) as caught:
+            gf.reconstruct_sobolev(y, mask, graph, cfg)
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]
+    assert "time block" in messages[0]
+
+
+def test_block_solve_raises_where_cholesky_stops():
+    # An indefinite first block: dpotrf stops at a pivot of -0.5, far from
+    # negligible once squared, and that alone must raise.
+    with pytest.raises(SingularSystem, match="time block 0 has .* pivot at node 0"):
+        solver._block_solve(-np.eye(3), 1.0, np.full((3, 4), 0.5), np.ones((3, 4)))
 
 
 def test_full_mask_tiny_gamma_returns_data(rng):
