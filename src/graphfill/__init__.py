@@ -4,7 +4,6 @@ reconstruction with a Sobolev smoothness penalty."""
 from .graph import (
     NodePositions,
     SensorGraph,
-    SobolevOperator,
     SpectralDecomposition,
     build_knn_graph,
     sobolev_operator,
@@ -28,17 +27,9 @@ from .solver import (
     dense_oracle_solve,
     objective_gradient,
     reconstruct_sobolev,
-    reconstruct_tikhonov,
 )
 from .synthetic import synthetic_dataset
-from .temporal import (
-    TimeVaryingSignal,
-    smoothness,
-    sobolev_norm_tv,
-    sobolev_objective,
-    temporal_difference,
-    temporal_difference_operator,
-)
+from .temporal import TimeVaryingSignal, sobolev_objective, temporal_difference_operator
 
 __version__ = "0.1.0"
 
@@ -53,7 +44,6 @@ __all__ = [
     "ScaleParams",
     "SensorGraph",
     "SobolevConfig",
-    "SobolevOperator",
     "SpectralDecomposition",
     "TimeVaryingSignal",
     "apply_mask",
@@ -69,15 +59,11 @@ __all__ = [
     "objective_gradient",
     "random_mask",
     "reconstruct_sobolev",
-    "reconstruct_tikhonov",
     "run_experiment",
-    "smoothness",
-    "sobolev_norm_tv",
     "sobolev_objective",
     "sobolev_operator",
     "spectral_decomposition",
     "synthetic_dataset",
-    "temporal_difference",
     "temporal_difference_operator",
     "write_edge_list",
     "write_results",

@@ -81,8 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--out", required=True, help="output base path (.csv and .json)")
     rec.add_argument("--min-coverage", type=float, default=0.0,
                      help="drop nodes below this native coverage first")
-    rec.add_argument("--cg-tolerance", type=float, default=1e-10)
-    rec.add_argument("--max-iterations", type=int, default=20000)
 
     exp = sub.add_parser("experiment", help="Monte-Carlo experiment from a JSON config")
     _add_dataset_flags(exp)
@@ -128,7 +126,7 @@ def _strict_keys(doc: dict, allowed: set[str], where: str) -> None:
 
 
 def _sobolev_from_json(doc: dict) -> SobolevConfig:
-    _strict_keys(doc, {"epsilon", "beta", "gamma", "cg_tolerance", "max_iterations"}, "sobolev")
+    _strict_keys(doc, {"epsilon", "beta", "gamma"}, "sobolev")
     return SobolevConfig(**doc)
 
 
@@ -185,13 +183,7 @@ def _cmd_reconstruct(args) -> int:
     effective = _frozen(drawn & dataset.native_mask, bool)
     hidden = _frozen(~drawn & dataset.native_mask, bool)
     params, y_values = fit_observed_scale(dataset.signal.values, effective)
-    config = SobolevConfig(
-        epsilon=args.epsilon,
-        beta=args.beta,
-        gamma=args.gamma,
-        cg_tolerance=args.cg_tolerance,
-        max_iterations=args.max_iterations,
-    )
+    config = SobolevConfig(epsilon=args.epsilon, beta=args.beta, gamma=args.gamma)
     result = reconstruct_sobolev(TimeVaryingSignal(values=y_values), effective, graph, config)
     if not result.converged:
         print(
@@ -266,7 +258,7 @@ def _cmd_gridsearch(args) -> int:
     _strict_keys(
         doc,
         {"density", "eps_grid", "beta_grid", "gamma_grid", "repetitions",
-         "master_seed", "k_graph", "cg_tolerance", "max_iterations"},
+         "master_seed", "k_graph"},
         "config",
     )
     for key in ("density", "eps_grid", "beta_grid", "gamma_grid"):
@@ -285,8 +277,6 @@ def _cmd_gridsearch(args) -> int:
         repetitions=doc.get("repetitions", 20),
         master_seed=doc.get("master_seed", 0),
         k_graph=doc.get("k_graph", 5),
-        cg_tolerance=doc.get("cg_tolerance", 1e-10),
-        max_iterations=doc.get("max_iterations", 20000),
     )
 
     csv_path, json_path = ingest.result_paths(args.out)

@@ -133,27 +133,6 @@ class SpectralDecomposition:
         object.__setattr__(self, "eigenvectors", _frozen(vecs))
 
 
-@dataclass(frozen=True, eq=False)
-class SobolevOperator:
-    """The matrix (L + epsilon*I)**beta acting as a smoothness penalty."""
-
-    matrix: np.ndarray
-    epsilon: float
-    beta: float
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("operator matrix must be square")
-        if np.abs(m - m.T).max() > 1e-10:
-            raise ValueError("operator matrix is not symmetric")
-        object.__setattr__(self, "matrix", _frozen(m))
-
-    @property
-    def n_nodes(self) -> int:
-        return self.matrix.shape[0]
-
-
 def build_knn_graph(positions: NodePositions, k: int) -> SensorGraph:
     """Build the symmetrized k-nearest-neighbour graph over sensor positions.
 
@@ -239,13 +218,14 @@ def spectral_decomposition(graph: SensorGraph) -> SpectralDecomposition:
     return decomp
 
 
-def sobolev_operator(graph: SensorGraph, epsilon: float, beta: float) -> SobolevOperator:
-    """Compute (L + epsilon*I)**beta.
+def sobolev_operator(graph: SensorGraph, epsilon: float, beta: float) -> np.ndarray:
+    """Compute B = (L + epsilon*I)**beta as a read-only symmetric matrix.
 
     Integer beta is evaluated by repeated symmetric multiplication; any other
     beta goes through the eigendecomposition, raising the shifted eigenvalues
-    to the given power. Results are cached per (epsilon, beta) on the graph
-    so repeated solves share the operator.
+    to the given power. The product is symmetrized as (B + B^T) / 2. Results
+    are cached per (epsilon, beta) on the graph so repeated solves share the
+    matrix.
 
     Raises:
         NegativeBase: a shifted eigenvalue is below -1e-8 and beta is
@@ -274,10 +254,9 @@ def sobolev_operator(graph: SensorGraph, epsilon: float, beta: float) -> Sobolev
         lam = np.clip(lam, 0.0, None) ** beta
         u = decomp.eigenvectors
         matrix = (u * lam) @ u.T
-    matrix = (matrix + matrix.T) / 2.0
-    op = SobolevOperator(matrix=matrix, epsilon=float(epsilon), beta=float(beta))
-    graph._cache[key] = op
-    return op
+    matrix = _frozen((matrix + matrix.T) / 2.0)
+    graph._cache[key] = matrix
+    return matrix
 
 
 def write_edge_list(graph: SensorGraph, node_ids: tuple[str, ...], path) -> None:

@@ -20,7 +20,7 @@ from .graph import SensorGraph, _frozen, build_knn_graph
 from .ingest import Dataset
 from .metrics import ScaleParams, error_report, inverse_scale
 from .sampling import random_mask, samples_per_column
-from .solver import SobolevConfig, reconstruct_sobolev, reconstruct_tikhonov
+from .solver import SobolevConfig, reconstruct_sobolev
 from .temporal import TimeVaryingSignal, check_mask
 
 METHODS = ("sobolev", "tikhonov", "knn_baseline")
@@ -133,19 +133,12 @@ def fit_observed_scale(truth_values: np.ndarray, mask: np.ndarray):
 
 
 def _solve(method, y, mask, graph, sobolev_cfg):
-    if method == "sobolev":
-        result = reconstruct_sobolev(y, mask, graph, sobolev_cfg)
-    elif method == "tikhonov":
-        result = reconstruct_tikhonov(
-            y,
-            mask,
-            graph,
-            sobolev_cfg.gamma,
-            cg_tolerance=sobolev_cfg.cg_tolerance,
-            max_iterations=sobolev_cfg.max_iterations,
-        )
-    else:
+    if method == "knn_baseline":
         return knn_baseline_impute(y, mask, graph)
+    if method == "tikhonov":
+        # plain-Laplacian regularization: the Sobolev problem at eps = 0, beta = 1
+        sobolev_cfg = SobolevConfig(0.0, 1.0, sobolev_cfg.gamma)
+    result = reconstruct_sobolev(y, mask, graph, sobolev_cfg)
     if not result.converged:
         raise GraphfillError(
             f"solver did not converge within {result.iterations} iterations "
@@ -254,8 +247,6 @@ def grid_search(
     repetitions: int = 20,
     master_seed: int = 0,
     k_graph: int = 5,
-    cg_tolerance: float = 1e-10,
-    max_iterations: int = 20000,
 ) -> GridSearchResult:
     """Exhaustive (epsilon, beta, gamma) search at one sampling density.
 
@@ -265,23 +256,18 @@ def grid_search(
     configuration with any failed repetition stays in the report but is
     excluded from the argmin.
     """
-    eps_grid = list(eps_grid)
-    beta_grid = list(beta_grid)
-    gamma_grid = list(gamma_grid)
-    if not (eps_grid and beta_grid and gamma_grid):
+    # every configuration is validated before the first cell runs
+    configs = [
+        SobolevConfig(epsilon=eps, beta=beta, gamma=gamma)
+        for eps, beta, gamma in itertools.product(eps_grid, beta_grid, gamma_grid)
+    ]
+    if not configs:
         raise ValueError("all three grids must be nonempty")
     _require_full_coverage(dataset)
     graph = build_knn_graph(dataset.positions, k_graph)
 
     entries = []
-    for eps, beta, gamma in itertools.product(eps_grid, beta_grid, gamma_grid):
-        sobolev_cfg = SobolevConfig(
-            epsilon=eps,
-            beta=beta,
-            gamma=gamma,
-            cg_tolerance=cg_tolerance,
-            max_iterations=max_iterations,
-        )
+    for sobolev_cfg in configs:
         cfg = ExperimentConfig(
             densities=(density,),
             repetitions=repetitions,

@@ -1,4 +1,4 @@
-"""Temporal differences and smoothness functionals for time-varying signals.
+"""Time-varying signals, masks, the temporal difference and the objective.
 
 A time-varying graph signal is an N x M matrix: row i is node i's time
 series, column t is the graph signal at snapshot t. The first-difference
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, HorizonTooShort
-from .graph import SensorGraph, SobolevOperator, _frozen
+from .graph import _frozen
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,47 +67,19 @@ def temporal_difference_operator(m: int) -> np.ndarray:
     return _frozen(d)
 
 
-def temporal_difference(x: TimeVaryingSignal) -> np.ndarray:
-    """Consecutive column differences [x_2 - x_1, ..., x_M - x_{M-1}]."""
-    if x.n_steps < 2:
-        raise HorizonTooShort(f"need at least 2 snapshots, got {x.n_steps}")
-    return np.diff(x.values, axis=1)
-
-
-def smoothness(x: TimeVaryingSignal, graph: SensorGraph) -> float:
-    """Laplacian quadratic form tr(X^T L X), summed over snapshots.
-
-    Zero exactly when every snapshot is constant across nodes (per graph
-    component); small values mean neighbouring nodes hold similar readings.
-    """
-    if x.n_nodes != graph.n_nodes:
-        raise DimensionMismatch(
-            f"signal has {x.n_nodes} nodes, graph has {graph.n_nodes}"
-        )
-    return float(np.sum(x.values * (graph.laplacian @ x.values)))
-
-
-def sobolev_norm_tv(x: TimeVaryingSignal, op: SobolevOperator) -> float:
-    """Quadratic form tr(X^T (L + eps*I)**beta X) of a time-varying signal."""
-    if x.n_nodes != op.n_nodes:
-        raise DimensionMismatch(
-            f"signal has {x.n_nodes} nodes, operator has {op.n_nodes}"
-        )
-    return float(np.sum(x.values * (op.matrix @ x.values)))
-
-
 def sobolev_objective(
     xbar: TimeVaryingSignal,
     y: TimeVaryingSignal,
     mask: np.ndarray,
-    op: SobolevOperator,
+    b: np.ndarray,
     gamma: float,
 ) -> float:
     """Reconstruction objective: data misfit plus temporal Sobolev penalty.
 
     Evaluates 0.5 * ||J o Xbar - Y||_F^2
-            + (gamma / 2) * tr((Xbar D)^T (L + eps*I)**beta (Xbar D)).
+            + (gamma / 2) * tr((Xbar D)^T B (Xbar D)),
 
+    with B = (L + eps*I)**beta as returned by graph.sobolev_operator.
     Y must be zero wherever J is zero (as produced by apply_mask).
     """
     if gamma < 0:
@@ -115,11 +87,11 @@ def sobolev_objective(
     if xbar.values.shape != y.values.shape:
         raise DimensionMismatch(f"shapes differ: xbar {xbar.values.shape}, y {y.values.shape}")
     j = check_mask(mask, y.values.shape)
-    if xbar.n_nodes != op.n_nodes:
+    if xbar.n_nodes != b.shape[0]:
         raise DimensionMismatch(
-            f"signal has {xbar.n_nodes} nodes, operator has {op.n_nodes}"
+            f"signal has {xbar.n_nodes} nodes, operator has {b.shape[0]}"
         )
     data = 0.5 * float(np.sum((j * xbar.values - y.values) ** 2))
     z = np.diff(xbar.values, axis=1)
-    reg = 0.5 * gamma * float(np.sum(z * (op.matrix @ z)))
+    reg = 0.5 * gamma * float(np.sum(z * (b @ z)))
     return data + reg

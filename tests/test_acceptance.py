@@ -36,10 +36,10 @@ def _report(criterion: str, ok: bool, detail: str) -> None:
 def _well_posed(graph, mask, config) -> bool:
     """Unique minimizer check: with eps = 0 certain observation patterns make
     the normal equations singular, and 'match the oracle' is undefined."""
-    op = gf.sobolev_operator(graph, config.epsilon, config.beta)
+    b = gf.sobolev_operator(graph, config.epsilon, config.beta)
     d = gf.temporal_difference_operator(mask.shape[1])
     system = np.diag(mask.flatten(order="F").astype(float))
-    system = system + config.gamma * np.kron(d @ d.T, op.matrix)
+    system = system + config.gamma * np.kron(d @ d.T, b)
     return np.linalg.eigvalsh(system).min() > 1e-8
 
 
@@ -105,8 +105,8 @@ def test_criterion_1_oracle_equivalence():
 def test_criterion_2_gradient_optimality():
     worst_ratio = 0.0
     for _, cg, y, mask, graph, config in _run_oracle_suite():
-        op = gf.sobolev_operator(graph, config.epsilon, config.beta)
-        grad = gf.objective_gradient(cg.xbar, y, mask, op, config.gamma)
+        b = gf.sobolev_operator(graph, config.epsilon, config.beta)
+        grad = gf.objective_gradient(cg.xbar, y, mask, b, config.gamma)
         bound = 1e-8 * (1.0 + np.linalg.norm(y.values))
         worst_ratio = max(worst_ratio, np.linalg.norm(grad) / bound)
     _report(
@@ -267,13 +267,13 @@ def test_criterion_7_reduction_identity():
         n = int(rng.integers(3, 7))
         m = int(rng.integers(3, 7))
         graph = gf.build_knn_graph(random_positions(n, seed=200 + trial), min(2, n - 1))
-        op = gf.sobolev_operator(graph, 0.0, 1.0)
+        b = gf.sobolev_operator(graph, 0.0, 1.0)
         mask = gf.random_mask(n, m, 0.6, seed=trial)
         truth = gf.TimeVaryingSignal(values=rng.normal(size=(n, m)))
         y = gf.apply_mask(truth, mask)
         xbar = gf.TimeVaryingSignal(values=rng.normal(size=(n, m)))
         gamma = float(rng.uniform(0.1, 2.0))
-        value = gf.sobolev_objective(xbar, y, mask, op, gamma)
+        value = gf.sobolev_objective(xbar, y, mask, b, gamma)
 
         # plain-Laplacian objective evaluated independently
         j = mask.astype(float)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import graphfill as gf
-from graphfill import solver
+from graphfill import harness, solver
 from graphfill.cli import main
 from graphfill.harness import fit_observed_scale
 
@@ -143,13 +143,35 @@ def test_unknown_flag_rejected(tmp_path, fixture_files, capsys):
     assert main(argv) == 2
 
 
-def test_reconstruct_non_convergence_exits_3(tmp_path, fixture_files, capsys):
+def test_reconstruct_non_convergence_exits_3(tmp_path, fixture_files, capsys, monkeypatch):
     positions, readings = fixture_files
-    argv = reconstruct_args(
-        positions, readings, tmp_path / "x", **{"--max-iterations": "1"}
-    )
-    assert main(argv) == 3
+    # the fixture's cell runs CG, whose iteration budget is cut to one
+    ds = gf.load_dataset(positions, readings)
+    graph = gf.build_knn_graph(ds.positions, 2)
+    mask = gf.random_mask(ds.n_nodes, ds.n_steps, 0.5, seed=0) & ds.native_mask
+    cfg = gf.SobolevConfig(epsilon=0.5, beta=1.0, gamma=0.5)
+    assert not solver._takes_direct_path(graph, cfg, mask.astype(float))
+    monkeypatch.setattr(solver, "_CG_MAX_ITERATIONS", 1)
+    assert main(reconstruct_args(positions, readings, tmp_path / "x")) == 3
     assert "converge" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--cg-tolerance", "--max-iterations"])
+def test_reconstruct_removed_solver_flags_exit_2(tmp_path, fixture_files, capsys, flag):
+    positions, readings = fixture_files
+    argv = reconstruct_args(positions, readings, tmp_path / "x") + [flag, "1"]
+    assert main(argv) == 2
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--epsilon", "--beta", "--gamma"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_reconstruct_non_finite_hyperparameter_exits_2(tmp_path, fixture_files, capsys,
+                                                        flag, value):
+    positions, readings = fixture_files
+    argv = reconstruct_args(positions, readings, tmp_path / "x", **{flag: value})
+    assert main(argv) == 2
+    assert f"{flag[2:]} must be finite" in capsys.readouterr().err
 
 
 def test_reconstruct_folds_natively_missing_entries(tmp_path, fixture_files):
@@ -246,29 +268,32 @@ def test_experiment_bad_config_exits_2(tmp_path, capsys):
 
 
 def test_experiment_failed_reps_exit_3_with_partial_results(tmp_path, capsys):
-    # gamma = 1e-2 keeps both repetitions on CG, where max_iterations applies
-    graph = gf.build_knn_graph(gf.synthetic_dataset(seed=0).positions, 3)
-    cg_cell = gf.SobolevConfig(epsilon=0.5, beta=1.0, gamma=1e-2)
-    for seed in range(2):
-        mask = gf.random_mask(50, 100, 0.3, seed)
-        assert not solver._takes_direct_path(graph, cg_cell, mask.astype(float))
+    # gamma = 0 with an incomplete mask is singular in both repetitions
     config = experiment_config(
         tmp_path,
         densities=[0.3],
         repetitions=2,
-        sobolev={"epsilon": 0.5, "beta": 1.0, "gamma": 1e-2, "max_iterations": 1},
+        sobolev={"epsilon": 0.5, "beta": 1.0, "gamma": 0.0},
     )
     out = tmp_path / "failing"
     code = main(["experiment", "--synthetic", "--config", str(config), "--out", str(out)])
     assert code == 3
     doc = json.loads((tmp_path / "failing.json").read_text())
     assert len(doc["results"][0]["failed_reps"]) == 2
+    assert "gamma = 0" in doc["results"][0]["failed_reps"][0]["error"]
     assert "failed" in capsys.readouterr().err
 
 
 def test_experiment_requires_dataset_flags(tmp_path, capsys):
     config = experiment_config(tmp_path)
     assert main(["experiment", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
+
+
+@pytest.mark.parametrize("gamma", [float("nan"), float("inf")])
+def test_experiment_non_finite_gamma_exits_2(tmp_path, capsys, gamma):
+    config = experiment_config(tmp_path, sobolev={"epsilon": 0.5, "beta": 1.0, "gamma": gamma})
+    assert main(["experiment", "--synthetic", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
+    assert "gamma must be finite" in capsys.readouterr().err
 
 
 def gridsearch_config(tmp_path, **overrides):
@@ -323,6 +348,27 @@ def test_gridsearch_eight_point_grid(tmp_path):
 def test_gridsearch_empty_grid_exits_2(tmp_path, capsys):
     config = gridsearch_config(tmp_path, eps_grid=[])
     assert main(["gridsearch", "--synthetic", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
+
+
+def test_gridsearch_non_finite_gamma_exits_2_before_solving(tmp_path, capsys, monkeypatch):
+    def no_cell(*args):
+        raise AssertionError("a grid cell ran")
+
+    monkeypatch.setattr(harness, "_run_cell", no_cell)
+    config = gridsearch_config(tmp_path, gamma_grid=[0.3, float("nan")])
+    assert main(["gridsearch", "--synthetic", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
+    assert "gamma must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["cg_tolerance", "max_iterations"])
+def test_removed_solver_keys_exit_2(tmp_path, capsys, key):
+    sobolev = {"epsilon": 0.5, "beta": 1.0, "gamma": 0.5, key: 1}
+    config = experiment_config(tmp_path, sobolev=sobolev)
+    assert main(["experiment", "--synthetic", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
+    assert f"unknown sobolev fields: {key}" in capsys.readouterr().err
+    config = gridsearch_config(tmp_path, **{key: 1})
+    assert main(["gridsearch", "--synthetic", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
+    assert f"unknown config fields: {key}" in capsys.readouterr().err
 
 
 def test_graph_info(tmp_path, fixture_files, capsys):

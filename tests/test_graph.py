@@ -140,27 +140,27 @@ def test_spectral_decomposition_is_cached_and_deterministic():
 
 def test_sobolev_beta_one_is_shifted_laplacian():
     g = random_geometric_graph(5, 2, seed=2)
-    op = gf.sobolev_operator(g, 0.7, 1.0)
-    assert np.abs(op.matrix - (g.laplacian + 0.7 * np.eye(5))).max() <= 1e-12
+    b = gf.sobolev_operator(g, 0.7, 1.0)
+    assert np.abs(b - (g.laplacian + 0.7 * np.eye(5))).max() <= 1e-12
 
 
 def test_sobolev_p2_squared():
     g = unit_path_graph(2)
-    op = gf.sobolev_operator(g, 1.0, 2.0)
-    assert np.abs(op.matrix - np.array([[5.0, -4.0], [-4.0, 5.0]])).max() <= 1e-12
+    b = gf.sobolev_operator(g, 1.0, 2.0)
+    assert np.abs(b - np.array([[5.0, -4.0], [-4.0, 5.0]])).max() <= 1e-12
 
 
 @pytest.mark.parametrize("beta", [1.0, 1.5, 2.0])
 def test_sobolev_smallest_eigenvalue_bound(beta):
     g = random_geometric_graph(8, 2, seed=6)
-    op = gf.sobolev_operator(g, 0.5, beta)
-    assert np.linalg.eigvalsh(op.matrix).min() >= 0.5**beta - 1e-8
+    b = gf.sobolev_operator(g, 0.5, beta)
+    assert np.linalg.eigvalsh(b).min() >= 0.5**beta - 1e-8
 
 
 @pytest.mark.parametrize("beta", [1, 2, 3])
 def test_integer_and_spectral_paths_agree(beta):
     g = random_geometric_graph(7, 3, seed=10)
-    integer_path = gf.sobolev_operator(g, 0.3, float(beta)).matrix
+    integer_path = gf.sobolev_operator(g, 0.3, float(beta))
     decomp = gf.spectral_decomposition(g)
     lam = np.clip(decomp.eigenvalues + 0.3, 0.0, None) ** beta
     spectral_path = (decomp.eigenvectors * lam) @ decomp.eigenvectors.T
@@ -170,14 +170,16 @@ def test_integer_and_spectral_paths_agree(beta):
 def test_sobolev_fractional_beta_with_zero_epsilon():
     # lambda_1 is a tiny signed zero; the fractional power must clamp it
     g = random_geometric_graph(6, 2, seed=7)
-    op = gf.sobolev_operator(g, 0.0, 1.5)
-    assert np.isfinite(op.matrix).all()
-    assert np.linalg.eigvalsh(op.matrix).min() >= -1e-8
+    b = gf.sobolev_operator(g, 0.0, 1.5)
+    assert np.isfinite(b).all()
+    assert np.linalg.eigvalsh(b).min() >= -1e-8
 
 
 def test_sobolev_operator_is_cached():
     g = random_geometric_graph(5, 2, seed=1)
-    assert gf.sobolev_operator(g, 0.5, 2.0) is gf.sobolev_operator(g, 0.5, 2.0)
+    b = gf.sobolev_operator(g, 0.5, 2.0)
+    assert b is gf.sobolev_operator(g, 0.5, 2.0)
+    assert np.array_equal(b, b.T) and not b.flags.writeable
 
 
 def test_sobolev_parameter_validation():

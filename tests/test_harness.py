@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import graphfill as gf
-from graphfill import solver
 from graphfill.errors import EmptyColumn, EmptyEvaluationSet, GraphfillError
 from graphfill.harness import fit_observed_scale, run_single_repetition
 
@@ -148,15 +147,12 @@ def test_partial_native_coverage_rejected():
 
 def test_failed_repetitions_recorded_not_averaged():
     ds = small_dataset()
-    sobolev = gf.SobolevConfig(epsilon=0.5, beta=1.0, gamma=1e-2, max_iterations=1)
-    # every repetition runs CG, where max_iterations applies
-    graph = gf.build_knn_graph(ds.positions, 3)
-    for seed in range(3):
-        mask = gf.random_mask(20, 40, 0.3, seed)
-        assert not solver._takes_direct_path(graph, sobolev, mask.astype(float))
+    # gamma = 0 with an incomplete mask is singular in every repetition
+    sobolev = gf.SobolevConfig(epsilon=0.5, beta=1.0, gamma=0.0)
     cfg = quick_config(densities=(0.3,), sobolev=sobolev)
     (result,) = gf.run_experiment(ds, cfg)
     assert len(result.failed) == cfg.repetitions
+    assert all("gamma = 0 with an incomplete mask" in message for _, message in result.failed)
     assert result.per_rep == ()
     assert not result.complete
     assert np.isnan(result.rmse_mean)

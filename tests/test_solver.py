@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphfill as gf
-from graphfill import solver
+from graphfill import harness, solver
 from graphfill.errors import HorizonTooShort, ProblemTooLarge, SingularSystem
 from graphfill.harness import fit_observed_scale
 
@@ -45,7 +46,7 @@ def _reference_cg(y, mask, graph, config):
     bit for bit, iteration count included, wherever its preconditioner is off.
     """
     j = mask.astype(float)
-    b_matrix = gf.sobolev_operator(graph, config.epsilon, config.beta).matrix
+    b_matrix = gf.sobolev_operator(graph, config.epsilon, config.beta)
 
     def apply_a(x):
         z = np.diff(x, axis=1)
@@ -55,13 +56,13 @@ def _reference_cg(y, mask, graph, config):
         return j * x + config.gamma * (b_matrix @ xt)
 
     rhs = y.values
-    threshold = config.cg_tolerance * float(np.linalg.norm(rhs))
+    threshold = solver._CG_TOLERANCE * float(np.linalg.norm(rhs))
     x = rhs.copy()
     r = rhs - apply_a(x)
     p = r.copy()
     rz = float(np.vdot(r, r))
     iterations = 0
-    while iterations < config.max_iterations:
+    while iterations < solver._CG_MAX_ITERATIONS:
         if np.linalg.norm(r) <= threshold:
             r = rhs - apply_a(x)
             if np.linalg.norm(r) <= threshold:
@@ -127,8 +128,8 @@ def test_direct_path_gradient_vanishes(sparse_synthetic):
     cfg = gf.SobolevConfig(epsilon=0.5, beta=1.0, gamma=1.0)
     assert solver._takes_direct_path(graph, cfg, mask.astype(float))
     result = gf.reconstruct_sobolev(y, mask, graph, cfg)
-    op = gf.sobolev_operator(graph, cfg.epsilon, cfg.beta)
-    grad = gf.objective_gradient(result.xbar, y, mask, op, cfg.gamma)
+    b = gf.sobolev_operator(graph, cfg.epsilon, cfg.beta)
+    grad = gf.objective_gradient(result.xbar, y, mask, b, cfg.gamma)
     assert result.iterations == 0 and result.converged
     assert np.linalg.norm(grad) <= 1e-12 * np.linalg.norm(y.values)
     assert result.final_relative_residual == pytest.approx(
@@ -174,6 +175,34 @@ def test_direct_path_observed_shift(seed, n, m, epsilon, beta, shift):
     assert np.linalg.norm(x_shifted - (x + shift)) <= 1e-12 * np.linalg.norm(x + shift)
 
 
+@settings(max_examples=50, deadline=None)
+@given(**direct_instances, scale=st.floats(min_value=1e-3, max_value=1e3))
+def test_direct_path_scaling_of_y(seed, n, m, epsilon, beta, scale):
+    # the minimizer is linear in Y
+    graph, mask, y, cfg = _direct_instance(seed, n, m, epsilon, beta)
+    x = gf.reconstruct_sobolev(y, mask, graph, cfg).xbar.values
+    scaled_y = gf.TimeVaryingSignal(values=scale * y.values)
+    x_scaled = gf.reconstruct_sobolev(scaled_y, mask, graph, cfg).xbar.values
+    assert np.linalg.norm(x_scaled - scale * x) <= 1e-12 * np.linalg.norm(scale * x)
+
+
+@settings(max_examples=50, deadline=None)
+@given(**direct_instances, s=st.floats(min_value=0.1, max_value=10.0))
+def test_direct_path_depends_on_gamma_times_b(seed, n, m, epsilon, beta, s):
+    # scaling W and eps by s scales B = (L + eps*I)**beta by s**beta, so
+    # gamma / s**beta leaves gamma * B, and with it X, unchanged
+    graph, mask, y, cfg = _direct_instance(seed, n, m, epsilon, beta)
+    scaled_graph = gf.SensorGraph(
+        n_nodes=graph.n_nodes, edges=graph.edges, weights=s * graph.weights,
+        laplacian=s * graph.laplacian, sigma=graph.sigma,
+    )
+    scaled_cfg = gf.SobolevConfig(s * epsilon, beta, cfg.gamma / s**beta)
+    assert solver._takes_direct_path(scaled_graph, scaled_cfg, mask.astype(float))
+    x = gf.reconstruct_sobolev(y, mask, graph, cfg).xbar.values
+    x_scaled = gf.reconstruct_sobolev(y, mask, scaled_graph, scaled_cfg).xbar.values
+    assert np.linalg.norm(x_scaled - x) <= 1e-12 * np.linalg.norm(x)
+
+
 @pytest.mark.parametrize("graph_kind", ["path", "knn"])
 @pytest.mark.parametrize("gamma", [10.0, 100.0])
 def test_direct_path_singular_system_raises_deterministically(graph_kind, gamma):
@@ -202,6 +231,19 @@ def test_block_solve_raises_where_cholesky_stops():
     # negligible once squared, and that alone must raise.
     with pytest.raises(SingularSystem, match="time block 0 has .* pivot at node 0"):
         solver._block_solve(-np.eye(3), 1.0, np.full((3, 4), 0.5), np.ones((3, 4)))
+
+
+def test_dense_oracle_rejects_exactly_singular_system():
+    # the two snapshots observe disjoint node sets, so with epsilon = 0 the
+    # Kronecker matrix has a null space; its smallest eigenvalue rounds to
+    # about -7e-15, and Cholesky alone lets it through
+    graph, _, mask, y = random_instance(seed=1, n=6, m=2, density=0.5)
+    assert not (mask[:, 0] & mask[:, 1]).any()
+    cfg = gf.SobolevConfig(epsilon=0.0, beta=1.0, gamma=50.0)
+    with pytest.raises(SingularSystem, match="dense system is singular"):
+        gf.dense_oracle_solve(y, mask, graph, cfg)
+    with pytest.raises(SingularSystem):
+        gf.reconstruct_sobolev(y, mask, graph, cfg)
 
 
 def test_full_mask_tiny_gamma_returns_data(rng):
@@ -234,7 +276,7 @@ def test_matches_dense_oracle_single_instance():
         oracle.xbar.values
     )
     assert rel <= 1e-6
-    assert cg.converged and cg.final_relative_residual <= cfg.cg_tolerance
+    assert cg.converged and cg.final_relative_residual <= solver._CG_TOLERANCE
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -263,28 +305,28 @@ def test_gradient_optimality(rng):
         graph, _, mask, y = random_instance(seed=seed, n=6, m=5, density=0.5)
         cfg = gf.SobolevConfig(epsilon=0.2, beta=1.0, gamma=0.7)
         result = gf.reconstruct_sobolev(y, mask, graph, cfg)
-        op = gf.sobolev_operator(graph, cfg.epsilon, cfg.beta)
-        grad = gf.objective_gradient(result.xbar, y, mask, op, cfg.gamma)
-        bound = 10 * cfg.cg_tolerance * np.linalg.norm(y.values)
+        b = gf.sobolev_operator(graph, cfg.epsilon, cfg.beta)
+        grad = gf.objective_gradient(result.xbar, y, mask, b, cfg.gamma)
+        bound = 10 * solver._CG_TOLERANCE * np.linalg.norm(y.values)
         assert np.linalg.norm(grad) <= bound
 
 
 def test_tikhonov_is_sobolev_special_case():
+    # the harness's tikhonov method solves at eps = 0, beta = 1 whatever the
+    # eps and beta it is given
     graph, _, mask, y = random_instance(seed=30, n=5, m=4, density=0.5)
-    tik = gf.reconstruct_tikhonov(y, mask, graph, gamma=0.6)
+    tik = harness._solve("tikhonov", y, mask, graph, gf.SobolevConfig(0.7, 2.0, 0.6))
     sob = gf.reconstruct_sobolev(
         y, mask, graph, gf.SobolevConfig(epsilon=0.0, beta=1.0, gamma=0.6)
     )
-    assert np.array_equal(tik.xbar.values, sob.xbar.values)
-    assert tik.iterations == sob.iterations
+    assert np.array_equal(tik.values, sob.xbar.values)
 
 
 def test_tikhonov_matches_oracle_with_plain_laplacian():
     graph, _, mask, y = random_instance(seed=31, n=5, m=4, density=0.6)
-    tik = gf.reconstruct_tikhonov(y, mask, graph, gamma=0.4)
-    oracle = gf.dense_oracle_solve(
-        y, mask, graph, gf.SobolevConfig(epsilon=0.0, beta=1.0, gamma=0.4)
-    )
+    tikhonov = gf.SobolevConfig(epsilon=0.0, beta=1.0, gamma=0.4)
+    tik = gf.reconstruct_sobolev(y, mask, graph, tikhonov)
+    oracle = gf.dense_oracle_solve(y, mask, graph, tikhonov)
     rel = np.linalg.norm(tik.xbar.values - oracle.xbar.values) / np.linalg.norm(
         oracle.xbar.values
     )
@@ -295,18 +337,18 @@ def test_tikhonov_full_mask_small_gamma(rng):
     graph = random_geometric_graph(4, 2, seed=5)
     y = gf.TimeVaryingSignal(values=rng.normal(size=(4, 5)))
     full = np.ones((4, 5), dtype=bool)
-    result = gf.reconstruct_tikhonov(y, full, graph, gamma=1e-12)
+    result = gf.reconstruct_sobolev(y, full, graph, gf.SobolevConfig(0.0, 1.0, 1e-12))
     assert np.abs(result.xbar.values - y.values).max() <= 1e-6
 
 
 def test_operator_symmetry_and_positivity(rng):
     graph, _, mask, _ = random_instance(seed=40, n=5, m=4, density=0.6)
-    op = gf.sobolev_operator(graph, 0.4, 1.5)
+    b = gf.sobolev_operator(graph, 0.4, 1.5)
     zero = gf.TimeVaryingSignal(values=np.zeros((5, 4)))
 
     def apply_a(values):
         return gf.objective_gradient(
-            gf.TimeVaryingSignal(values=values), zero, mask, op, 0.9
+            gf.TimeVaryingSignal(values=values), zero, mask, b, 0.9
         )
 
     for _ in range(10):
@@ -393,11 +435,11 @@ def test_oracle_solution_beats_trivial_candidates():
     y = gf.apply_mask(truth, mask)
     cfg = gf.SobolevConfig(epsilon=0.2, beta=2.0, gamma=0.5)
     oracle = gf.dense_oracle_solve(y, mask, graph, cfg)
-    op = gf.sobolev_operator(graph, cfg.epsilon, cfg.beta)
-    at_solution = gf.sobolev_objective(oracle.xbar, y, mask, op, cfg.gamma)
-    at_y = gf.sobolev_objective(y, y, mask, op, cfg.gamma)
+    b = gf.sobolev_operator(graph, cfg.epsilon, cfg.beta)
+    at_solution = gf.sobolev_objective(oracle.xbar, y, mask, b, cfg.gamma)
+    at_y = gf.sobolev_objective(y, y, mask, b, cfg.gamma)
     at_zero = gf.sobolev_objective(
-        gf.TimeVaryingSignal(values=np.zeros((3, 3))), y, mask, op, cfg.gamma
+        gf.TimeVaryingSignal(values=np.zeros((3, 3))), y, mask, b, cfg.gamma
     )
     assert at_solution <= at_y
     assert at_solution <= at_zero
@@ -412,12 +454,14 @@ def test_oracle_size_guard():
         gf.dense_oracle_solve(y, full, graph, gf.SobolevConfig())
 
 
-def test_max_iterations_flagged_not_raised():
+def test_max_iterations_flagged_not_raised(monkeypatch):
     graph, _, mask, y = random_instance(seed=50, n=6, m=5, density=0.5)
-    cfg = gf.SobolevConfig(epsilon=0.5, beta=1.0, gamma=1.0, max_iterations=2)
+    cfg = gf.SobolevConfig(epsilon=0.5, beta=1.0, gamma=1.0)
+    assert not solver._takes_direct_path(graph, cfg, mask.astype(float))
+    monkeypatch.setattr(solver, "_CG_MAX_ITERATIONS", 2)
     result = gf.reconstruct_sobolev(y, mask, graph, cfg)
-    assert not result.converged
-    assert result.final_relative_residual > cfg.cg_tolerance
+    assert not result.converged and result.iterations == 2
+    assert result.final_relative_residual > solver._CG_TOLERANCE
     assert np.isfinite(result.xbar.values).all()
 
 
@@ -440,22 +484,26 @@ def test_single_snapshot_rejected():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        gf.SobolevConfig(cg_tolerance=0.5)
-    with pytest.raises(ValueError):
         gf.SobolevConfig(beta=0.0)
     with pytest.raises(ValueError):
         gf.SobolevConfig(epsilon=-1.0)
     with pytest.raises(ValueError):
         gf.SobolevConfig(gamma=-0.5)
-    with pytest.raises(ValueError):
-        gf.SobolevConfig(max_iterations=0)
+    assert [f.name for f in dataclasses.fields(gf.SobolevConfig)] == ["epsilon", "beta", "gamma"]
+
+
+@pytest.mark.parametrize("field", ["epsilon", "beta", "gamma"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_config_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        gf.SobolevConfig(**{field: value})
 
 
 def test_objective_value_reported(rng):
     graph, _, mask, y = random_instance(seed=60, n=5, m=4, density=0.5)
     cfg = gf.SobolevConfig(epsilon=0.4, beta=1.0, gamma=0.3)
     result = gf.reconstruct_sobolev(y, mask, graph, cfg)
-    op = gf.sobolev_operator(graph, cfg.epsilon, cfg.beta)
+    b = gf.sobolev_operator(graph, cfg.epsilon, cfg.beta)
     assert result.objective_value == pytest.approx(
-        gf.sobolev_objective(result.xbar, y, mask, op, cfg.gamma)
+        gf.sobolev_objective(result.xbar, y, mask, b, cfg.gamma)
     )
