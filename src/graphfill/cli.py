@@ -125,6 +125,11 @@ def _strict_keys(doc: dict, allowed: set[str], where: str) -> None:
         raise ValueError(f"unknown {where} fields: {', '.join(sorted(unknown))}")
 
 
+def _require_type(doc: dict, key: str, kind: type) -> None:
+    if key in doc and not isinstance(doc[key], kind):
+        raise ValueError(f"{key} must be a JSON {'list' if kind is list else 'object'}")
+
+
 def _sobolev_from_json(doc: dict) -> SobolevConfig:
     _strict_keys(doc, {"epsilon", "beta", "gamma"}, "sobolev")
     return SobolevConfig(**doc)
@@ -137,6 +142,8 @@ def _experiment_config(path) -> ExperimentConfig:
         {"densities", "repetitions", "master_seed", "method", "sobolev", "k_graph"},
         "config",
     )
+    _require_type(doc, "densities", list)
+    _require_type(doc, "sobolev", dict)
     kwargs = dict(doc)
     if "densities" in kwargs:
         kwargs["densities"] = tuple(kwargs["densities"])
@@ -264,6 +271,8 @@ def _cmd_gridsearch(args) -> int:
     for key in ("density", "eps_grid", "beta_grid", "gamma_grid"):
         if key not in doc:
             raise ValueError(f"config is missing required field {key!r}")
+    for key in ("eps_grid", "beta_grid", "gamma_grid"):
+        _require_type(doc, key, list)
     if not (doc["eps_grid"] and doc["beta_grid"] and doc["gamma_grid"]):
         raise ValueError("grids must be nonempty")
 

@@ -11,7 +11,8 @@ standard deviation over repetitions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from .graph import SensorGraph, _frozen, build_knn_graph
 from .ingest import Dataset
 from .metrics import ScaleParams, error_report, inverse_scale
 from .sampling import random_mask, samples_per_column
-from .solver import SobolevConfig, reconstruct_sobolev
+from .solver import SobolevConfig, _check_number, reconstruct_sobolev
 from .temporal import TimeVaryingSignal, check_mask
 
 METHODS = ("sobolev", "tikhonov", "knn_baseline")
@@ -38,13 +39,15 @@ class ExperimentConfig:
     k_graph: int = 5
 
     def __post_init__(self):
-        dens = tuple(float(d) for d in self.densities)
+        dens = tuple(float(_check_number("density", d)) for d in self.densities)
         if not dens:
             raise ValueError("densities must be nonempty")
         if any(not 0 < d <= 1 for d in dens):
             raise ValueError(f"densities must lie in (0, 1], got {dens}")
         if any(b <= a for a, b in zip(dens, dens[1:])):
             raise ValueError(f"densities must be strictly increasing, got {dens}")
+        for name in ("repetitions", "master_seed", "k_graph"):
+            _check_number(name, getattr(self, name), numbers.Integral)
         if self.repetitions < 1:
             raise ValueError("repetitions must be positive")
         if self.method not in METHODS:
@@ -257,6 +260,13 @@ def grid_search(
     excluded from the argmin.
     """
     # every configuration is validated before the first cell runs
+    base = ExperimentConfig(
+        densities=(density,),
+        repetitions=repetitions,
+        master_seed=master_seed,
+        method="sobolev",
+        k_graph=k_graph,
+    )
     configs = [
         SobolevConfig(epsilon=eps, beta=beta, gamma=gamma)
         for eps, beta, gamma in itertools.product(eps_grid, beta_grid, gamma_grid)
@@ -268,14 +278,7 @@ def grid_search(
 
     entries = []
     for sobolev_cfg in configs:
-        cfg = ExperimentConfig(
-            densities=(density,),
-            repetitions=repetitions,
-            master_seed=master_seed,
-            method="sobolev",
-            sobolev=sobolev_cfg,
-            k_graph=k_graph,
-        )
+        cfg = replace(base, sobolev=sobolev_cfg)
         result = _run_cell(dataset.signal, graph, dataset.name, density, cfg)
         entries.append((sobolev_cfg, result))
 

@@ -12,10 +12,13 @@ positions-file order, time columns are sorted ascending by index.
 
 Both files are UTF-8, with or without a byte-order mark, and use csv
 (RFC-4180) quoting. Fields are stripped of surrounding whitespace, blank
-lines are skipped, and a row with the wrong field count or a quoted field
-over csv's field size limit is reported as ``file:line``. Readings are
-parsed column by column; of several faults, the first in file order is
-raised.
+lines are skipped, and every fault is reported as ``file:line``, the line on
+which the row starts; of several faults, the first in file order is raised.
+
+A readings file without a quote character is parsed by numpy's C parser in
+one np.loadtxt call. Anything it refuses or finds wrong sends the file to the
+exact column checker, which parses column by column and raises the first
+fault, so both paths load the same Dataset and raise the same errors.
 """
 
 from __future__ import annotations
@@ -41,6 +44,11 @@ from .temporal import TimeVaryingSignal, check_mask
 
 _POSITIONS_HEADER = ["node_id", "x", "y"]
 _READINGS_HEADER = ["node_id", "time_index", "value"]
+
+# numpy stores every id of a readings row in 4 bytes per character of the
+# longest node id. Past this length that outweighs the column checker's
+# Python strings, so such files take the checker.
+_FAST_ID_CHARS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,38 +90,47 @@ class Dataset:
         return bool(self.native_mask.all())
 
 
-def _read_columns(path: Path, header: list[str]) -> list[list[str]]:
-    """Read a CSV file into one list of stripped fields per header column.
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8-sig")
+    except OSError as exc:
+        raise MalformedCsv(f"{path}: {exc}") from exc
 
+
+def _read_columns(path: Path, text: str, header: list[str]) -> tuple[list[list[str]], np.ndarray]:
+    """Split CSV text into one list of stripped fields per header column.
+
+    Also returns the physical line number, from 1, on which each row starts.
     Fields follow csv.reader's rules. Text without a quote character is split
     on commas directly, which gives the same fields without building one list
     per row. Blank and whitespace-only lines are skipped; a row with the wrong
     number of fields, or one csv.reader rejects (a quoted field longer than
     csv.field_size_limit()), raises MalformedCsv naming ``file:line``.
     """
-    try:
-        text = path.read_text(encoding="utf-8-sig")
-    except OSError as exc:
-        raise MalformedCsv(f"{path}: {exc}") from exc
     lines = text.splitlines()
     if '"' in text:
         reader = csv.reader(lines)
+        records, starts = [], [1]
         try:
-            records = list(reader)
+            for record in reader:
+                records.append(record)
+                starts.append(reader.line_num + 1)  # a quoted field may span lines
         except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
             raise MalformedCsv(f"{path}:{reader.line_num}: {exc}") from exc
         widths = [len(record) for record in records]
         fields = list(itertools.chain.from_iterable(records))
+        line_nos = np.array(starts[:-1])
     else:
         widths = [line.count(",") + 1 for line in lines]
         fields = ",".join(lines).split(",")
+        line_nos = np.arange(1, len(lines) + 1)
     if not widths:
         raise MalformedCsv(f"{path}: empty file")
     got = [field.strip() for field in fields[: widths[0]]]
     if got != header:
         raise MalformedCsv(f"{path}: expected header {','.join(header)}, got {','.join(got)}")
     n = len(header)
-    fields, widths = fields[widths[0] :], widths[1:]
+    fields, widths, line_nos = fields[widths[0] :], widths[1:], line_nos[1:]
     if widths.count(n) != len(widths):
         starts = list(itertools.accumulate(widths, initial=0))
         body, done = [], 0
@@ -121,11 +138,12 @@ def _read_columns(path: Path, header: list[str]) -> list[list[str]]:
             if width == n:
                 continue
             if width > 1 or (width == 1 and fields[starts[k]].strip()):
-                raise MalformedCsv(f"{path}:{k + 2}: expected {n} fields, got {width}")
+                raise MalformedCsv(f"{path}:{line_nos[k]}: expected {n} fields, got {width}")
             body += fields[done : starts[k]]
             done = starts[k + 1]
         fields = body + fields[done:]
-    return [[field.strip() for field in fields[j::n]] for j in range(n)]
+        line_nos = line_nos[np.array(widths) == n]
+    return [[field.strip() for field in fields[j::n]] for j in range(n)], line_nos
 
 
 def _parse_prefix(parse, tokens: list[str]) -> tuple[list, int | None]:
@@ -138,26 +156,118 @@ def _parse_prefix(parse, tokens: list[str]) -> tuple[list, int | None]:
     return values, None
 
 
+def _first_repeat(rows: np.ndarray, cols: np.ndarray, n_steps: int) -> int | None:
+    """Index of the first row, in file order, whose (row, col) cell an earlier row holds."""
+    keys = rows * n_steps + cols
+    order = np.argsort(keys, kind="stable")
+    repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
+    return int(repeats.min()) if repeats.size else None
+
+
 def load_positions(path) -> NodePositions:
     """Read a ``node_id,x,y`` CSV into NodePositions."""
     path = Path(path)
-    ids, xs, ys = _read_columns(path, _POSITIONS_HEADER)
+    (ids, xs, ys), line_nos = _read_columns(path, _read_text(path), _POSITIONS_HEADER)
     seen: set[str] = set()
     coords: list[tuple[float, float]] = []
-    for node_id, x, y in zip(ids, xs, ys):
+    for line, node_id, x, y in zip(line_nos, ids, xs, ys):
         if node_id in seen:
-            raise MalformedCsv(f"{path}: duplicate node_id {node_id!r}")
+            raise MalformedCsv(f"{path}:{line}: duplicate node_id {node_id!r}")
         try:
             xy = (float(x), float(y))
         except ValueError as exc:
-            raise MalformedCsv(f"{path}: bad coordinate for {node_id!r}: {exc}") from exc
+            raise MalformedCsv(f"{path}:{line}: bad coordinate for {node_id!r}: {exc}") from exc
         if not all(math.isfinite(v) for v in xy):
-            raise MalformedCsv(f"{path}: non-finite coordinate for {node_id!r}")
+            raise MalformedCsv(f"{path}:{line}: non-finite coordinate for {node_id!r}")
         seen.add(node_id)
         coords.append(xy)
     if len(ids) < 2:
         raise EmptyDataset(f"{path}: need at least 2 nodes, got {len(ids)}")
     return NodePositions(coords=np.array(coords), node_ids=tuple(ids))
+
+
+def _parse_readings_fast(text: str, node_index: dict[str, int]):
+    """Parse quote-free readings with numpy's C parser, or return None.
+
+    Returns (rows, time_order, cols, values) only when the text has no fault
+    of any kind; anything else, from a quote character to a duplicate reading,
+    returns None and leaves the file to _parse_readings_checked. Where loadtxt
+    accepts a token it agrees with Python's int() and float(); the tokens it
+    refuses (padded ids, empty values, ``1_0``, ``5.0`` as a time, int64
+    overflow, whitespace-only lines) fall back, as do node ids of
+    _FAST_ID_CHARS characters or more.
+    """
+    if '"' in text or "\x00" in text:  # numpy strings drop trailing NULs
+        return None
+    lines = text.splitlines()  # the lines the checker sees, \x85 and \u2028 included
+    if not lines or [field.strip() for field in lines[0].split(",")] != _READINGS_HEADER:
+        return None
+    width = max(map(len, node_index)) + 1  # a longer id loads truncated, so unknown
+    if width > _FAST_ID_CHARS:
+        return None
+    dtype = np.dtype([("id", f"U{width}"), ("time", np.int64), ("value", np.float64)])
+    try:
+        with warnings.catch_warnings():
+            # numpy 1.2x only warns when it reads "5.0" as an int; no rows warns too
+            warnings.simplefilter("error")
+            table = np.loadtxt(
+                lines, dtype=dtype, delimiter=",", comments=None, skiprows=1, ndmin=1
+            )
+    except (ValueError, Warning):  # a token or row loadtxt refuses, or no rows
+        return None
+    rows = np.array([node_index.get(nid, -1) for nid in table["id"].tolist()], dtype=np.int64)
+    if rows.min() < 0 or table["time"].min() < 0:
+        return None
+    time_order, cols = np.unique(table["time"], return_inverse=True)
+    if _first_repeat(rows, cols, len(time_order)) is not None:
+        return None
+    return rows, time_order, cols, table["value"]
+
+
+def _parse_readings_checked(path: Path, text: str, node_index: dict[str, int]):
+    """Parse readings column by column: (rows, time_order, cols, values).
+
+    Raises the first fault in file order, naming ``file:line``. The checks run
+    column by column in the order they apply to one row, and each scans only
+    the rows before the earliest fault found so far.
+    """
+    (ids, time_tokens, value_tokens), line_nos = _read_columns(path, text, _READINGS_HEADER)
+    if not ids:
+        raise EmptyDataset(f"{path}: no readings")
+
+    def where(k: int) -> str:
+        return f"{path}:{line_nos[k]}"
+
+    rows = [node_index.get(nid, -1) for nid in ids]
+    end, fault = len(rows), None
+    if -1 in rows:
+        end = rows.index(-1)
+        fault = UnknownNode(f"{where(end)}: node {ids[end]!r} not in positions file")
+    times, bad = _parse_prefix(int, time_tokens[:end])
+    if bad is not None:
+        end, fault = bad, MalformedCsv(f"{where(bad)}: bad time_index {time_tokens[bad]!r}")
+    try:
+        times = np.array(times, dtype=np.int64)
+    except OverflowError:  # keep huge indices exact
+        times = np.array(times, dtype=object)
+    negative = np.flatnonzero(times < 0)
+    if negative.size:
+        end = int(negative[0])
+        fault = MalformedCsv(f"{where(end)}: negative time_index {times[end]}")
+    time_order, cols = np.unique(times[:end], return_inverse=True)
+    rows = np.array(rows[:end], dtype=np.int64)
+    repeat = _first_repeat(rows, cols, len(time_order))
+    if repeat is not None:
+        end = repeat
+        fault = DuplicateReading(
+            f"{where(end)}: duplicate reading for ({ids[end]!r}, {times[end]})"
+        )
+    values, bad = _parse_prefix(float, [token or "nan" for token in value_tokens[:end]])
+    if bad is not None:
+        fault = MalformedCsv(f"{where(bad)}: bad value {value_tokens[bad]!r}")
+    if fault is not None:
+        raise fault
+    return rows, time_order, cols, np.array(values)
 
 
 def load_dataset(positions_path, readings_path, name: str | None = None) -> Dataset:
@@ -174,45 +284,12 @@ def load_dataset(positions_path, readings_path, name: str | None = None) -> Data
     positions_path = Path(positions_path)
     readings_path = Path(readings_path)
     positions = load_positions(positions_path)
-    ids, time_tokens, value_tokens = _read_columns(readings_path, _READINGS_HEADER)
-    if not ids:
-        raise EmptyDataset(f"{readings_path}: no readings")
-
-    # The checks run column by column in the order they apply to one row, and
-    # each scans only the rows before the earliest fault found so far, so the
-    # fault raised is the first one in file order.
     node_index = {nid: i for i, nid in enumerate(positions.node_ids)}
-    rows = [node_index.get(nid, -1) for nid in ids]
-    end, fault = len(rows), None
-    if -1 in rows:
-        end = rows.index(-1)
-        fault = UnknownNode(f"{readings_path}: node {ids[end]!r} not in positions file")
-    times, bad = _parse_prefix(int, time_tokens[:end])
-    if bad is not None:
-        end, fault = bad, MalformedCsv(f"{readings_path}: bad time_index {time_tokens[bad]!r}")
-    try:
-        times = np.array(times, dtype=np.int64)
-    except OverflowError:  # keep huge indices exact
-        times = np.array(times, dtype=object)
-    negative = np.flatnonzero(times < 0)
-    if negative.size:
-        end = int(negative[0])
-        fault = MalformedCsv(f"{readings_path}: negative time_index {times[end]}")
-    time_order, cols = np.unique(times[:end], return_inverse=True)
-    rows = np.array(rows[:end], dtype=np.int64)
-    keys = rows * len(time_order) + cols
-    order = np.argsort(keys, kind="stable")
-    repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
-    if repeats.size:
-        end = int(repeats.min())
-        fault = DuplicateReading(
-            f"{readings_path}: duplicate reading for ({ids[end]!r}, {times[end]})"
-        )
-    values, bad = _parse_prefix(float, [token or "nan" for token in value_tokens[:end]])
-    if bad is not None:
-        fault = MalformedCsv(f"{readings_path}: bad value {value_tokens[bad]!r}")
-    if fault is not None:
-        raise fault
+    text = _read_text(readings_path)
+    parsed = _parse_readings_fast(text, node_index)
+    if parsed is None:
+        parsed = _parse_readings_checked(readings_path, text, node_index)
+    rows, time_order, cols, values = parsed
 
     present = np.bincount(rows, minlength=positions.n_nodes) > 0
     dropped = [positions.node_ids[i] for i in np.flatnonzero(~present)]
@@ -222,7 +299,6 @@ def load_dataset(positions_path, readings_path, name: str | None = None) -> Data
     if len(keep) < 2:
         raise EmptyDataset(f"{readings_path}: fewer than 2 nodes have readings")
 
-    values = np.array(values)
     finite = np.isfinite(values)
     cells = ((np.cumsum(present) - 1)[rows[finite]], cols[finite])
     signal = np.zeros((len(keep), len(time_order)))

@@ -39,6 +39,7 @@ they surface as a non-converged result.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +71,19 @@ _CG_TOLERANCE = 1e-10
 _CG_MAX_ITERATIONS = 20000
 
 
+def _check_number(name: str, value, kind=numbers.Real):
+    """Return value if it is an instance of kind and not a bool.
+
+    kind is numbers.Real or numbers.Integral. JSON configs can carry strings
+    and booleans where a number belongs; they raise a ValueError that names
+    the field.
+    """
+    if isinstance(value, bool) or not isinstance(value, kind):
+        noun = "an integer" if kind is numbers.Integral else "a real number"
+        raise ValueError(f"{name} must be {noun}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class SobolevConfig:
     """The regularization triple (epsilon, beta, gamma) of B = (L + eps*I)**beta.
@@ -84,7 +98,7 @@ class SobolevConfig:
 
     def __post_init__(self):
         for name in ("epsilon", "beta", "gamma"):
-            if not math.isfinite(getattr(self, name)):
+            if not math.isfinite(_check_number(name, getattr(self, name))):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.epsilon < 0:
             raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")

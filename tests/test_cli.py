@@ -296,6 +296,27 @@ def test_experiment_non_finite_gamma_exits_2(tmp_path, capsys, gamma):
     assert "gamma must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ({"sobolev": {"epsilon": 0.5, "beta": 1.0, "gamma": "0.5"}},
+         "gamma must be a real number, got '0.5'"),
+        ({"sobolev": {"epsilon": True, "beta": 1.0, "gamma": 0.5}},
+         "epsilon must be a real number, got True"),
+        ({"densities": ["0.5"]}, "density must be a real number, got '0.5'"),
+        ({"densities": 0.5}, "densities must be a JSON list"),
+        ({"sobolev": 0.5}, "sobolev must be a JSON object"),
+        ({"repetitions": "3"}, "repetitions must be an integer, got '3'"),
+        ({"master_seed": False}, "master_seed must be an integer, got False"),
+        ({"k_graph": 3.0}, "k_graph must be an integer, got 3.0"),
+    ],
+)
+def test_experiment_non_numeric_config_exits_2(tmp_path, capsys, override, message):
+    config = experiment_config(tmp_path, **override)
+    assert main(["experiment", "--synthetic", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
+    assert message in capsys.readouterr().err
+
+
 def gridsearch_config(tmp_path, **overrides):
     doc = {
         "density": 0.5,
@@ -358,6 +379,29 @@ def test_gridsearch_non_finite_gamma_exits_2_before_solving(tmp_path, capsys, mo
     config = gridsearch_config(tmp_path, gamma_grid=[0.3, float("nan")])
     assert main(["gridsearch", "--synthetic", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
     assert "gamma must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ({"eps_grid": ["0.5"]}, "epsilon must be a real number, got '0.5'"),
+        ({"gamma_grid": [0.3, True]}, "gamma must be a real number, got True"),
+        ({"beta_grid": 1.0}, "beta_grid must be a JSON list"),
+        ({"density": "0.5"}, "density must be a real number, got '0.5'"),
+        ({"repetitions": 2.5}, "repetitions must be an integer, got 2.5"),
+        ({"k_graph": "3"}, "k_graph must be an integer, got '3'"),
+    ],
+)
+def test_gridsearch_non_numeric_config_exits_2_before_solving(
+    tmp_path, capsys, monkeypatch, override, message
+):
+    def no_cell(*args):
+        raise AssertionError("a grid cell ran")
+
+    monkeypatch.setattr(harness, "_run_cell", no_cell)
+    config = gridsearch_config(tmp_path, **override)
+    assert main(["gridsearch", "--synthetic", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key", ["cg_tolerance", "max_iterations"])

@@ -217,3 +217,23 @@ def test_experiment_config_validation():
         gf.ExperimentConfig(method="magic")
     with pytest.raises(ValueError):
         gf.ExperimentConfig(repetitions=0)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"densities": ("0.5",)}, "density must be a real number"),
+        ({"densities": (True,)}, "density must be a real number"),
+        ({"repetitions": 2.0}, "repetitions must be an integer"),
+        ({"master_seed": "0"}, "master_seed must be an integer"),
+        ({"k_graph": True}, "k_graph must be an integer"),
+    ],
+)
+def test_experiment_config_rejects_non_numbers(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        gf.ExperimentConfig(**kwargs)
+
+
+def test_experiment_config_accepts_numpy_numbers():
+    cfg = gf.ExperimentConfig(densities=(np.float64(0.5),), repetitions=np.int64(2))
+    assert cfg.densities == (0.5,) and cfg.repetitions == 2

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -5,6 +6,7 @@ import math
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,9 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphfill as gf
+from graphfill import ingest
 from graphfill.errors import (
     DuplicateReading,
     EmptyDataset,
+    GraphfillError,
     MalformedCsv,
     UnknownNode,
 )
@@ -91,7 +95,7 @@ def test_duplicate_reading_rejected(tmp_path, positions_csv):
     readings = write(tmp_path / "r2.csv", readings_text(rows))
     with pytest.raises(DuplicateReading) as info:
         gf.load_dataset(positions_csv, readings)
-    assert str(info.value) == f"{readings}: duplicate reading for ('c', 5)"
+    assert str(info.value) == f"{readings}:4: duplicate reading for ('c', 5)"
 
 
 def test_unknown_node_rejected(tmp_path, positions_csv):
@@ -103,7 +107,7 @@ def test_unknown_node_rejected(tmp_path, positions_csv):
     readings = write(tmp_path / "r2.csv", readings_text(rows))
     with pytest.raises(UnknownNode) as info:
         gf.load_dataset(positions_csv, readings)
-    assert str(info.value) == f"{readings}: node 'z' not in positions file"
+    assert str(info.value) == f"{readings}:3: node 'z' not in positions file"
 
 
 def test_malformed_headers_rejected(tmp_path, positions_csv):
@@ -118,15 +122,15 @@ def test_malformed_headers_rejected(tmp_path, positions_csv):
 def test_malformed_values_rejected(tmp_path, positions_csv):
     header = "node_id,time_index,value\n"
     cases = [
-        ("a,0,abc\n", "{}: bad value 'abc'"),
-        ("a,1.5,2.0\n", "{}: bad time_index '1.5'"),
-        ("a,0,1.0\nb,-3,2.0\n", "{}: negative time_index -3"),
+        ("a,0,abc\n", "{}:2: bad value 'abc'"),
+        ("a,1.5,2.0\n", "{}:2: bad time_index '1.5'"),
+        ("a,0,1.0\nb,-3,2.0\n", "{}:3: negative time_index -3"),
         ("a,0,1.0\n\nb,1\n", "{}:4: expected 3 fields, got 2"),
         ("a,0,1.0\n  \nb\n", "{}:4: expected 3 fields, got 1"),
         # faults are reported in file order, whatever check finds them
-        ("a,0,1.0\nb,0,x\nz,0,1.0\nb,q,1.0\n", "{}: bad value 'x'"),
-        ("a,0,1.0\nb,-1,1.0\na,0,x\n", "{}: negative time_index -1"),
-        ("a,0,1.0\nz,x,1.0\nb,1,1.0\n", "{}: node 'z' not in positions file"),
+        ("a,0,1.0\nb,0,x\nz,0,1.0\nb,q,1.0\n", "{}:3: bad value 'x'"),
+        ("a,0,1.0\nb,-1,1.0\na,0,x\n", "{}:3: negative time_index -1"),
+        ("a,0,1.0\nz,x,1.0\nb,1,1.0\n", "{}:3: node 'z' not in positions file"),
     ]
     for k, (body, message) in enumerate(cases):
         readings = write(tmp_path / f"r{k}.csv", header + body)
@@ -294,6 +298,165 @@ def test_load_matches_dict_pivot(data, ids):
             value = pivot.get((n, t))
             assert ds.native_mask[i, c] == (value is not None)
             assert ds.signal.values[i, c] == (0.0 if value is None else value)
+
+
+def load_outcome(positions, readings, checker_only=False):
+    """What load_dataset gives: the Dataset's bytes and its warnings, or its error.
+
+    checker_only turns numpy's parser off, so every file goes through the
+    column checker.
+    """
+    no_fast_path = mock.patch.object(ingest, "_parse_readings_fast", lambda text, index: None)
+    with warnings.catch_warnings(record=True) as caught, (
+        no_fast_path if checker_only else contextlib.nullcontext()
+    ):
+        warnings.simplefilter("always")
+        try:
+            ds = gf.load_dataset(positions, readings)
+        except GraphfillError as exc:
+            return type(exc), str(exc)
+    return (
+        ds.signal.values.shape,
+        ds.signal.values.tobytes(),
+        ds.native_mask.tobytes(),
+        ds.positions.node_ids,
+        ds.positions.coords.tobytes(),
+        ds.time_indices,
+        [str(w.message) for w in caught],
+    )
+
+
+def fast_parse(readings, node_ids):
+    text = Path(readings).read_text(encoding="utf-8-sig")
+    return ingest._parse_readings_fast(text, {nid: i for i, nid in enumerate(node_ids)})
+
+
+quote_free_ids = st.lists(
+    st.text(alphabet="ab", min_size=1, max_size=3), min_size=2, max_size=4, unique=True
+)
+time_formats = st.sampled_from(["{}", " {} ", "+{}", "0{}", "\t{}"])
+accepted_values = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(
+        ["nan", "NaN", "inf", "-inf", "Infinity", " 1.5 ", "-0.0", "1e-300", "5e-324", "1e400",
+         ".5", "1.", "+2"]
+    ),
+)
+refused_values = st.sampled_from(["", "1_0", " "])
+faulty_rows = st.sampled_from(
+    ["z,0,1.0", "{id},-1,1.0", "{id},x,1.0", "{id},5.0,1.0", "{id},0,x", "{id},0", "{id}\x00,0,1.0",
+     "{id}{id},0,1.0", " {id} ,0,1.0", "{id},99999999999999999999,1.0", " "]
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), ids=quote_free_ids, refused=st.booleans())
+def test_fast_path_matches_checker(data, ids, refused):
+    # Quote-free files in any row order, with padding, blank lines and every
+    # value token class load the same through the public entry as through the
+    # column checker alone, down to the bytes, the drop warning and the error
+    # message. Files with refused tokens, faulty rows or a repeated cell fall
+    # back; the others must take numpy's parser.
+    cells = data.draw(
+        st.lists(st.tuples(st.sampled_from(ids), st.integers(0, 20)), unique=True, max_size=30)
+    )
+    values = st.one_of(accepted_values, refused_values) if refused else accepted_values
+    lines = [
+        f"{n},{data.draw(time_formats).format(t)},{data.draw(values)}"
+        for n, t in data.draw(st.permutations(cells))
+    ]
+    if refused:
+        for _ in range(data.draw(st.integers(0, 2))):
+            fault = data.draw(faulty_rows).format(id=data.draw(st.sampled_from(ids)))
+            lines.insert(data.draw(st.integers(0, len(lines))), fault)
+        if cells and data.draw(st.booleans()):  # a repeat of an earlier cell
+            lines.append(f"{cells[0][0]},{cells[0][1]},0.5")
+    for _ in range(data.draw(st.integers(0, 2))):
+        lines.insert(data.draw(st.integers(0, len(lines))), "")
+    with tempfile.TemporaryDirectory() as tmp:
+        rows = "".join(f"{n},{k},0\n" for k, n in enumerate(ids))
+        positions = write(Path(tmp) / "p.csv", "node_id,x,y\n" + rows)
+        readings = write(Path(tmp) / "r.csv", "\n".join(["node_id,time_index,value"] + lines))
+        if cells and not refused:
+            assert fast_parse(readings, ids) is not None
+        assert load_outcome(positions, readings) == load_outcome(positions, readings, True)
+
+
+def test_fast_path_taken_on_clean_files(tmp_path, positions_csv):
+    # every token class numpy's parser agrees on, plus blank lines
+    rows = [
+        "a, 0 , 1.5 ", "b,+0,-0.0", "c,00,1e-300", "", "a,\t1,5e-324", "b,1,nan",
+        "c,1,-Infinity", "a,2,1e400", "b,2,.5", "c,2,1.",
+    ]
+    readings = write(tmp_path / "r.csv", "node_id,time_index,value\n" + "\n".join(rows))
+    assert fast_parse(readings, ("a", "b", "c")) is not None
+    assert load_outcome(positions_csv, readings) == load_outcome(positions_csv, readings, True)
+
+
+FAULTS = {
+    "unknown node": ("a,0,1\nz,0,1\n", UnknownNode, "{}:3: node 'z' not in positions file"),
+    "bad time_index": ("a,0,1\n\nb,1e3,1\n", MalformedCsv, "{}:4: bad time_index '1e3'"),
+    "negative time_index": ("a,0,1\nb,-2,1\n", MalformedCsv, "{}:3: negative time_index -2"),
+    "duplicate reading": ("a,0,1\nb,0,1\n \na,0,2\n", DuplicateReading,
+                          "{}:5: duplicate reading for ('a', 0)"),
+    "bad value": ("a,0,1\nb,0,1\nc,0,1.2.3\n", MalformedCsv, "{}:4: bad value '1.2.3'"),
+    "field count": ("a,0,1\nb,0\n", MalformedCsv, "{}:3: expected 3 fields, got 2"),
+    "fault after a quoted field over two lines": ('a,0,"1\n"\nb,0,x\n', MalformedCsv,
+                                                  "{}:4: bad value 'x'"),
+    "header": ("", MalformedCsv, "{}: expected header node_id,time_index,value, got node_id,t,v"),
+    "no readings": ("\n\n", EmptyDataset, "{}: no readings"),
+    "one node with readings": ("a,0,1\na,1,2\n", EmptyDataset,
+                               "{}: fewer than 2 nodes have readings"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_fault_same_through_both_paths(tmp_path, positions_csv, fault):
+    body, kind, message = FAULTS[fault]
+    header = "node_id,t,v\n" if fault == "header" else "node_id,time_index,value\n"
+    readings = write(tmp_path / "r.csv", header + body)
+    outcome = load_outcome(positions_csv, readings)
+    assert outcome == (kind, message.format(readings))
+    assert outcome == load_outcome(positions_csv, readings, checker_only=True)
+
+
+FALLBACKS = {
+    # case: (readings body, whether numpy's parser refuses the file)
+    "trailing NUL id": ("a\x00,0,1\nb,0,1\n", True),
+    "id longer than every node id": ("a,0,1\nbbbb,0,1\n", True),
+    "id with a node id as prefix": ("a,0,1\nab,0,1\n", True),
+    "padded id": (" a ,0,1\nb,0,1\n", True),
+    "NEL inside a line": ("a,0,1\x85b,0,2\nc,0,3\n", False),
+    "LINE SEPARATOR inside a line": ("a,0,1\u2028b,0,2\nc,0,3\n", False),
+    "whitespace-only line": ("a,0,1\n \t \nb,0,2\n", True),
+    "empty value": ("a,0,\nb,0,2\n", True),
+    "underscore in time": ("a,1_0,1\nb,0,2\n", True),
+    "underscore in value": ("a,0,1_0\nb,0,2\n", True),
+    "5.0 as a time": ("a,5.0,1\nb,0,2\n", True),
+    "time over int64": ("a,99999999999999999999,1\nb,0,2\n", True),
+    "quoted field": ('"a",0,1\nb,0,2\n', True),
+    "header only": ("", True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FALLBACKS))
+def test_fallback_loads_as_checker(tmp_path, positions_csv, case):
+    body, refused = FALLBACKS[case]
+    readings = write(tmp_path / "r.csv", "node_id,time_index,value\n" + body)
+    assert (fast_parse(readings, ("a", "b", "c")) is None) == refused
+    assert load_outcome(positions_csv, readings) == load_outcome(positions_csv, readings, True)
+
+
+@pytest.mark.parametrize("length", [ingest._FAST_ID_CHARS - 1, ingest._FAST_ID_CHARS])
+def test_long_node_ids_take_the_checker(tmp_path, length):
+    # numpy would store every row's id at the longest node id's width
+    long_id = "s" * length
+    positions = write(tmp_path / "p.csv", f"node_id,x,y\n{long_id},0,0\nb,1,0\n")
+    readings = write(tmp_path / "r.csv", readings_text([(long_id, 0, "1.5"), ("b", 0, "2.5")]))
+    assert (fast_parse(readings, (long_id, "b")) is None) == (length == ingest._FAST_ID_CHARS)
+    ds = gf.load_dataset(positions, readings)
+    assert ds.positions.node_ids == (long_id, "b")
+    assert ds.signal.values[:, 0].tolist() == [1.5, 2.5]
 
 
 def _result(density=0.1, with_failure=False):

@@ -499,6 +499,13 @@ def test_config_rejects_non_finite(field, value):
         gf.SobolevConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field", ["epsilon", "beta", "gamma"])
+@pytest.mark.parametrize("value", ["0.5", None, True, 1 + 0j])
+def test_config_rejects_non_real(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be a real number"):
+        gf.SobolevConfig(**{field: value})
+
+
 def test_objective_value_reported(rng):
     graph, _, mask, y = random_instance(seed=60, n=5, m=4, density=0.5)
     cfg = gf.SobolevConfig(epsilon=0.4, beta=1.0, gamma=0.3)
