@@ -179,8 +179,7 @@ def _cmd_reconstruct(args) -> int:
     if not 0 < args.density <= 1:
         raise ValueError(f"--density must be in (0, 1], got {args.density}")
     dataset = ingest.load_dataset(args.positions, args.readings)
-    if args.min_coverage > 0:
-        dataset = ingest.filter_consistent_nodes(dataset, args.min_coverage)
+    dataset = ingest.filter_consistent_nodes(dataset, args.min_coverage)
     graph = build_knn_graph(dataset.positions, args.k)
     n, m = dataset.signal.values.shape
     drawn = random_mask(n, m, args.density, args.seed)

@@ -10,21 +10,22 @@ lab style sensor networks:
 Time is an integer index; only its ordering matters. Nodes keep the
 positions-file order, time columns are sorted ascending by index.
 
-Both files are UTF-8, with or without a byte-order mark, and use csv
-(RFC-4180) quoting. Fields are stripped of surrounding whitespace, blank
-lines are skipped, and every fault is reported as ``file:line``, the line on
-which the row starts; of several faults, the first in file order is raised.
+Both files are UTF-8, with or without a byte-order mark, and are read by one
+csv.reader: RFC-4180 quoting, and quoted fields keep their line breaks.
+Fields are stripped of surrounding whitespace, blank lines are skipped, and
+every fault is reported as ``file:line``, the line on which the row starts;
+of several faults, field counts included, the first in file order is raised.
 
 A readings file without a quote character is parsed by numpy's C parser in
 one np.loadtxt call. Anything it refuses or finds wrong sends the file to the
-exact column checker, which parses column by column and raises the first
-fault, so both paths load the same Dataset and raise the same errors.
+row checker, which raises the first fault, so both paths load the same
+Dataset and raise the same errors. Only the checker applies
+csv.field_size_limit().
 """
 
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import math
 import warnings
@@ -46,7 +47,7 @@ _POSITIONS_HEADER = ["node_id", "x", "y"]
 _READINGS_HEADER = ["node_id", "time_index", "value"]
 
 # numpy stores every id of a readings row in 4 bytes per character of the
-# longest node id. Past this length that outweighs the column checker's
+# longest node id. Past this length that outweighs the row checker's
 # Python strings, so such files take the checker.
 _FAST_ID_CHARS = 64
 
@@ -97,81 +98,43 @@ def _read_text(path: Path) -> str:
         raise MalformedCsv(f"{path}: {exc}") from exc
 
 
-def _read_columns(path: Path, text: str, header: list[str]) -> tuple[list[list[str]], np.ndarray]:
-    """Split CSV text into one list of stripped fields per header column.
+def _records(path: Path, text: str, header: list[str]):
+    """Yield (line, stripped fields) for each data row of CSV text.
 
-    Also returns the physical line number, from 1, on which each row starts.
-    Fields follow csv.reader's rules. Text without a quote character is split
-    on commas directly, which gives the same fields without building one list
-    per row. Blank and whitespace-only lines are skipped; a row with the wrong
-    number of fields, or one csv.reader rejects (a quoted field longer than
-    csv.field_size_limit()), raises MalformedCsv naming ``file:line``.
+    Fields follow csv.reader's rules, and a quoted field keeps its line
+    breaks. line is the physical line, from 1, on which the row starts. The
+    first row must match header. Blank and whitespace-only lines are skipped;
+    an empty file, a row with the wrong number of fields, or one csv.reader
+    rejects (a field longer than csv.field_size_limit()) raises MalformedCsv.
     """
-    lines = text.splitlines()
-    if '"' in text:
-        reader = csv.reader(lines)
-        records, starts = [], [1]
-        try:
-            for record in reader:
-                records.append(record)
-                starts.append(reader.line_num + 1)  # a quoted field may span lines
-        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-            raise MalformedCsv(f"{path}:{reader.line_num}: {exc}") from exc
-        widths = [len(record) for record in records]
-        fields = list(itertools.chain.from_iterable(records))
-        line_nos = np.array(starts[:-1])
-    else:
-        widths = [line.count(",") + 1 for line in lines]
-        fields = ",".join(lines).split(",")
-        line_nos = np.arange(1, len(lines) + 1)
-    if not widths:
-        raise MalformedCsv(f"{path}: empty file")
-    got = [field.strip() for field in fields[: widths[0]]]
-    if got != header:
-        raise MalformedCsv(f"{path}: expected header {','.join(header)}, got {','.join(got)}")
-    n = len(header)
-    fields, widths, line_nos = fields[widths[0] :], widths[1:], line_nos[1:]
-    if widths.count(n) != len(widths):
-        starts = list(itertools.accumulate(widths, initial=0))
-        body, done = [], 0
-        for k, width in enumerate(widths):
-            if width == n:
-                continue
-            if width > 1 or (width == 1 and fields[starts[k]].strip()):
-                raise MalformedCsv(f"{path}:{line_nos[k]}: expected {n} fields, got {width}")
-            body += fields[done : starts[k]]
-            done = starts[k + 1]
-        fields = body + fields[done:]
-        line_nos = line_nos[np.array(widths) == n]
-    return [[field.strip() for field in fields[j::n]] for j in range(n)], line_nos
-
-
-def _parse_prefix(parse, tokens: list[str]) -> tuple[list, int | None]:
-    """Apply parse to tokens up to the first ValueError: (values, its index or None)."""
-    values: list = []
+    reader = csv.reader(text.splitlines(keepends=True))
+    start = 1
     try:
-        values.extend(map(parse, tokens))  # keeps what was parsed before a failure
-    except ValueError:
-        return values, len(values)
-    return values, None
-
-
-def _first_repeat(rows: np.ndarray, cols: np.ndarray, n_steps: int) -> int | None:
-    """Index of the first row, in file order, whose (row, col) cell an earlier row holds."""
-    keys = rows * n_steps + cols
-    order = np.argsort(keys, kind="stable")
-    repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
-    return int(repeats.min()) if repeats.size else None
+        for record in reader:
+            fields = [field.strip() for field in record]
+            if start == 1:
+                if fields != header:
+                    got = ",".join(fields)
+                    raise MalformedCsv(f"{path}: expected header {','.join(header)}, got {got}")
+            elif len(fields) == len(header):
+                yield start, fields
+            elif len(fields) > 1 or any(fields):  # one blank field is a blank line
+                raise MalformedCsv(
+                    f"{path}:{start}: expected {len(header)} fields, got {len(fields)}"
+                )
+            start = reader.line_num + 1
+    except csv.Error as exc:
+        raise MalformedCsv(f"{path}:{reader.line_num}: {exc}") from exc
+    if start == 1:
+        raise MalformedCsv(f"{path}: empty file")
 
 
 def load_positions(path) -> NodePositions:
     """Read a ``node_id,x,y`` CSV into NodePositions."""
     path = Path(path)
-    (ids, xs, ys), line_nos = _read_columns(path, _read_text(path), _POSITIONS_HEADER)
-    seen: set[str] = set()
-    coords: list[tuple[float, float]] = []
-    for line, node_id, x, y in zip(line_nos, ids, xs, ys):
-        if node_id in seen:
+    coords: dict[str, tuple[float, float]] = {}
+    for line, (node_id, x, y) in _records(path, _read_text(path), _POSITIONS_HEADER):
+        if node_id in coords:
             raise MalformedCsv(f"{path}:{line}: duplicate node_id {node_id!r}")
         try:
             xy = (float(x), float(y))
@@ -179,11 +142,10 @@ def load_positions(path) -> NodePositions:
             raise MalformedCsv(f"{path}:{line}: bad coordinate for {node_id!r}: {exc}") from exc
         if not all(math.isfinite(v) for v in xy):
             raise MalformedCsv(f"{path}:{line}: non-finite coordinate for {node_id!r}")
-        seen.add(node_id)
-        coords.append(xy)
-    if len(ids) < 2:
-        raise EmptyDataset(f"{path}: need at least 2 nodes, got {len(ids)}")
-    return NodePositions(coords=np.array(coords), node_ids=tuple(ids))
+        coords[node_id] = xy
+    if len(coords) < 2:
+        raise EmptyDataset(f"{path}: need at least 2 nodes, got {len(coords)}")
+    return NodePositions(coords=np.array(list(coords.values())), node_ids=tuple(coords))
 
 
 def _parse_readings_fast(text: str, node_index: dict[str, int]):
@@ -219,55 +181,47 @@ def _parse_readings_fast(text: str, node_index: dict[str, int]):
     if rows.min() < 0 or table["time"].min() < 0:
         return None
     time_order, cols = np.unique(table["time"], return_inverse=True)
-    if _first_repeat(rows, cols, len(time_order)) is not None:
+    keys = np.sort(rows * len(time_order) + cols)
+    if (keys[1:] == keys[:-1]).any():  # a repeated (node, time) cell
         return None
     return rows, time_order, cols, table["value"]
 
 
 def _parse_readings_checked(path: Path, text: str, node_index: dict[str, int]):
-    """Parse readings column by column: (rows, time_order, cols, values).
+    """Parse readings row by row: (rows, time_order, cols, values).
 
-    Raises the first fault in file order, naming ``file:line``. The checks run
-    column by column in the order they apply to one row, and each scans only
-    the rows before the earliest fault found so far.
+    Raises the first fault in file order, naming ``file:line``. Each row is
+    checked for its node, its time_index, a repeated (node, time) cell and
+    its value, in that order.
     """
-    (ids, time_tokens, value_tokens), line_nos = _read_columns(path, text, _READINGS_HEADER)
-    if not ids:
+    rows, times, values, seen = [], [], [], set()
+    for line, (node_id, time_token, value_token) in _records(path, text, _READINGS_HEADER):
+        row = node_index.get(node_id)
+        if row is None:
+            raise UnknownNode(f"{path}:{line}: node {node_id!r} not in positions file")
+        try:
+            time = int(time_token)
+        except ValueError as exc:
+            raise MalformedCsv(f"{path}:{line}: bad time_index {time_token!r}") from exc
+        if time < 0:
+            raise MalformedCsv(f"{path}:{line}: negative time_index {time}")
+        if (row, time) in seen:
+            raise DuplicateReading(f"{path}:{line}: duplicate reading for ({node_id!r}, {time})")
+        seen.add((row, time))
+        try:
+            values.append(float(value_token or "nan"))
+        except ValueError as exc:
+            raise MalformedCsv(f"{path}:{line}: bad value {value_token!r}") from exc
+        rows.append(row)
+        times.append(time)
+    if not rows:
         raise EmptyDataset(f"{path}: no readings")
-
-    def where(k: int) -> str:
-        return f"{path}:{line_nos[k]}"
-
-    rows = [node_index.get(nid, -1) for nid in ids]
-    end, fault = len(rows), None
-    if -1 in rows:
-        end = rows.index(-1)
-        fault = UnknownNode(f"{where(end)}: node {ids[end]!r} not in positions file")
-    times, bad = _parse_prefix(int, time_tokens[:end])
-    if bad is not None:
-        end, fault = bad, MalformedCsv(f"{where(bad)}: bad time_index {time_tokens[bad]!r}")
     try:
         times = np.array(times, dtype=np.int64)
     except OverflowError:  # keep huge indices exact
         times = np.array(times, dtype=object)
-    negative = np.flatnonzero(times < 0)
-    if negative.size:
-        end = int(negative[0])
-        fault = MalformedCsv(f"{where(end)}: negative time_index {times[end]}")
-    time_order, cols = np.unique(times[:end], return_inverse=True)
-    rows = np.array(rows[:end], dtype=np.int64)
-    repeat = _first_repeat(rows, cols, len(time_order))
-    if repeat is not None:
-        end = repeat
-        fault = DuplicateReading(
-            f"{where(end)}: duplicate reading for ({ids[end]!r}, {times[end]})"
-        )
-    values, bad = _parse_prefix(float, [token or "nan" for token in value_tokens[:end]])
-    if bad is not None:
-        fault = MalformedCsv(f"{where(bad)}: bad value {value_tokens[bad]!r}")
-    if fault is not None:
-        raise fault
-    return rows, time_order, cols, np.array(values)
+    time_order, cols = np.unique(times, return_inverse=True)
+    return np.array(rows, dtype=np.int64), time_order, cols, np.array(values)
 
 
 def load_dataset(positions_path, readings_path, name: str | None = None) -> Dataset:
@@ -275,10 +229,10 @@ def load_dataset(positions_path, readings_path, name: str | None = None) -> Data
 
     Node order follows the positions file; time columns are the distinct
     time_index values sorted ascending. Nodes with no readings at all are
-    dropped with a warning. A missing (node, time) row, or a value token
-    that does not parse to a finite real, marks that entry natively missing.
+    dropped with a warning. A missing (node, time) row, or an empty or
+    non-finite value, marks that entry natively missing.
 
-    Raises:
+    Raises the first fault in file order, naming ``file:line``:
         MalformedCsv, DuplicateReading, UnknownNode, EmptyDataset.
     """
     positions_path = Path(positions_path)

@@ -114,6 +114,21 @@ def test_reconstruct_csv_bytes_match_csv_writer(tmp_path):
     assert b'"a,1",0,' in (tmp_path / "recon.csv").read_bytes()
 
 
+def test_reconstruct_writes_quoted_line_break_back(tmp_path):
+    positions = tmp_path / "p.csv"
+    readings = tmp_path / "r.csv"
+    positions.write_text('node_id,x,y\n"a\nb",0,0\nc,1,0\nd,0,1\n')
+    readings.write_text(
+        "node_id,time_index,value\n"
+        + "".join(f'"a\nb",{t},{t}.5\nc,{t},2\nd,{t},{t}\n' for t in range(4))
+    )
+    out = tmp_path / "recon"
+    assert main(reconstruct_args(positions, readings, out)) == 0
+    written = tmp_path / "recon.csv"
+    assert written.read_bytes().startswith(b'node_id,time_index,value\n"a\nb",0,')
+    assert gf.load_dataset(positions, written).positions.node_ids == ("a\nb", "c", "d")
+
+
 def test_reconstruct_missing_gamma_exits_2(tmp_path, fixture_files, capsys):
     positions, readings = fixture_files
     argv = reconstruct_args(positions, readings, tmp_path / "x")
@@ -128,6 +143,15 @@ def test_reconstruct_bad_density_exits_2(tmp_path, fixture_files, capsys):
     argv = reconstruct_args(positions, readings, tmp_path / "x", **{"--density": "1.1"})
     assert main(argv) == 2
     assert "density" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "1.5"])
+def test_reconstruct_min_coverage_out_of_range_exits_2(tmp_path, fixture_files, capsys, value):
+    positions, readings = fixture_files
+    argv = reconstruct_args(positions, readings, tmp_path / "x", **{"--min-coverage": value})
+    assert main(argv) == 2
+    assert f"min_coverage must be in [0, 1], got {float(value)}" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_reconstruct_malformed_csv_exits_2(tmp_path, capsys):

@@ -127,16 +127,24 @@ def test_malformed_values_rejected(tmp_path, positions_csv):
         ("a,0,1.0\nb,-3,2.0\n", "{}:3: negative time_index -3"),
         ("a,0,1.0\n\nb,1\n", "{}:4: expected 3 fields, got 2"),
         ("a,0,1.0\n  \nb\n", "{}:4: expected 3 fields, got 1"),
+        ("a,0,1.0\n , \n", "{}:3: expected 3 fields, got 2"),  # empty fields, not a blank line
         # faults are reported in file order, whatever check finds them
         ("a,0,1.0\nb,0,x\nz,0,1.0\nb,q,1.0\n", "{}:3: bad value 'x'"),
         ("a,0,1.0\nb,-1,1.0\na,0,x\n", "{}:3: negative time_index -1"),
         ("a,0,1.0\nz,x,1.0\nb,1,1.0\n", "{}:3: node 'z' not in positions file"),
+        # a wrong field count takes its place in file order too
+        ("a,0,zz\nb,0,1.0\na,1\n", "{}:2: bad value 'zz'"),
+        ("z,0,1.0\na,0,1.0,2\n", "{}:2: node 'z' not in positions file"),
     ]
     for k, (body, message) in enumerate(cases):
         readings = write(tmp_path / f"r{k}.csv", header + body)
         with pytest.raises((MalformedCsv, UnknownNode)) as info:
             gf.load_dataset(positions_csv, readings)
         assert str(info.value) == message.format(readings)
+    positions = write(tmp_path / "p.csv", "node_id,x,y\na,0,0\na,1,1\nb,2\n")
+    with pytest.raises(MalformedCsv) as info:
+        gf.load_positions(positions)
+    assert str(info.value) == f"{positions}:3: duplicate node_id 'a'"
 
 
 def test_quoting_padding_and_blank_lines(tmp_path):
@@ -161,6 +169,21 @@ def test_quoting_padding_and_blank_lines(tmp_path):
     assert ds.time_indices == (0, 1)
     assert ds.signal.values.tolist() == [[1.5, -0.25], [2.5, 0.0], [0.0, 0.0]]
     assert ds.native_mask.tolist() == [[True, True], [True, False], [False, False]]
+
+
+def test_quoted_line_break_kept_in_node_id(tmp_path):
+    positions = write(tmp_path / "p.csv", 'node_id,x,y\n"a\nb",0,0\nc,1,0\n')
+    readings = write(
+        tmp_path / "r.csv",
+        'node_id,time_index,value\n"a\nb",0,1.5\nc,0,2.5\n\n"a\nb",1,0.5\n',
+    )
+    ds = gf.load_dataset(positions, readings)
+    assert ds.positions.node_ids == ("a\nb", "c")
+    assert ds.signal.values.tolist() == [[1.5, 0.5], [2.5, 0.0]]
+    # a later fault still names its physical line
+    write(readings, readings.read_text() + "c,x,1.0\n")
+    with pytest.raises(MalformedCsv, match=f"^{readings}:8: bad time_index 'x'$"):
+        gf.load_dataset(positions, readings)
 
 
 def test_node_without_readings_dropped_with_warning(tmp_path, positions_csv):
@@ -304,7 +327,7 @@ def load_outcome(positions, readings, checker_only=False):
     """What load_dataset gives: the Dataset's bytes and its warnings, or its error.
 
     checker_only turns numpy's parser off, so every file goes through the
-    column checker.
+    row checker.
     """
     no_fast_path = mock.patch.object(ingest, "_parse_readings_fast", lambda text, index: None)
     with warnings.catch_warnings(record=True) as caught, (
@@ -354,7 +377,7 @@ faulty_rows = st.sampled_from(
 def test_fast_path_matches_checker(data, ids, refused):
     # Quote-free files in any row order, with padding, blank lines and every
     # value token class load the same through the public entry as through the
-    # column checker alone, down to the bytes, the drop warning and the error
+    # row checker alone, down to the bytes, the drop warning and the error
     # message. Files with refused tokens, faulty rows or a repeated cell fall
     # back; the others must take numpy's parser.
     cells = data.draw(

@@ -11,7 +11,7 @@ from graphfill import harness, solver
 from graphfill.errors import HorizonTooShort, ProblemTooLarge, SingularSystem
 from graphfill.harness import fit_observed_scale
 
-from conftest import random_geometric_graph, random_instance, unit_path_graph
+from conftest import random_geometric_graph, random_instance, random_positions, unit_path_graph
 
 GAMMA_GRID = (1e-3, 1e-2, 1e-1, 1.0)
 CRITERION_4_CELLS = (
@@ -201,6 +201,46 @@ def test_direct_path_depends_on_gamma_times_b(seed, n, m, epsilon, beta, s):
     x = gf.reconstruct_sobolev(y, mask, graph, cfg).xbar.values
     x_scaled = gf.reconstruct_sobolev(y, mask, scaled_graph, scaled_cfg).xbar.values
     assert np.linalg.norm(x_scaled - x) <= 1e-12 * np.linalg.norm(x)
+
+
+@settings(max_examples=50, deadline=None)
+@given(**direct_instances)
+def test_direct_path_permutation_equivariance(seed, n, m, epsilon, beta):
+    # relabelling the nodes (positions, mask and Y) permutes X; random_instance
+    # builds its graph from random_positions(n, seed) with k = 2
+    graph, mask, y, cfg = _direct_instance(seed, n, m, epsilon, beta)
+    perm = np.random.default_rng(seed).permutation(n)
+    positions = random_positions(n, seed)
+    permuted_graph = gf.build_knn_graph(
+        gf.NodePositions(
+            coords=positions.coords[perm], node_ids=tuple(positions.node_ids[i] for i in perm)
+        ),
+        2,
+    )
+    assert solver._takes_direct_path(permuted_graph, cfg, mask[perm].astype(float))
+    x = gf.reconstruct_sobolev(y, mask, graph, cfg).xbar.values
+    permuted_y = gf.TimeVaryingSignal(values=y.values[perm])
+    x_permuted = gf.reconstruct_sobolev(permuted_y, mask[perm], permuted_graph, cfg).xbar.values
+    assert np.linalg.norm(x_permuted - x[perm]) <= 1e-12 * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_large_gamma_tends_to_observed_node_means(seed):
+    # as gamma grows, X D -> 0 (B is positive definite for eps > 0), so each
+    # node's row tends to the mean of its observed values, and the relative
+    # deviation from that limit falls tenfold per decade of gamma
+    graph, _, mask, y = random_instance(seed=seed, n=6, m=8, density=0.5)
+    means = (y.values * mask).sum(axis=1) / mask.sum(axis=1)
+    limit = np.repeat(means[:, None], 8, axis=1)
+    deviations = []
+    for gamma in (1e4, 1e5, 1e6, 1e7):
+        cfg = gf.SobolevConfig(epsilon=0.5, beta=1.0, gamma=gamma)
+        assert solver._takes_direct_path(graph, cfg, mask.astype(float))
+        x = gf.reconstruct_sobolev(y, mask, graph, cfg).xbar.values
+        deviations.append(np.linalg.norm(x - limit) / np.linalg.norm(limit))
+    ratios = np.array(deviations[:-1]) / np.array(deviations[1:])
+    assert np.all((9.5 <= ratios) & (ratios <= 10.5)), ratios
+    assert deviations[-1] <= 1e-6
 
 
 @pytest.mark.parametrize("graph_kind", ["path", "knn"])
