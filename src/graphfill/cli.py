@@ -37,13 +37,11 @@ from .errors import (
     MalformedCsv,
     UnknownNode,
 )
-from .graph import _frozen, build_knn_graph, spectral_decomposition, write_edge_list
-from .harness import ExperimentConfig, fit_observed_scale, grid_search, run_experiment
+from .graph import build_knn_graph, spectral_decomposition, write_edge_list
+from .harness import ExperimentConfig, grid_search, masked_problem, run_experiment
 from .metrics import error_report, inverse_scale
-from .sampling import random_mask
 from .solver import SobolevConfig, reconstruct_sobolev
 from .synthetic import synthetic_dataset
-from .temporal import TimeVaryingSignal
 
 _VALIDATION_ERRORS = (
     MalformedCsv,
@@ -181,16 +179,9 @@ def _cmd_reconstruct(args) -> int:
     dataset = ingest.load_dataset(args.positions, args.readings)
     dataset = ingest.filter_consistent_nodes(dataset, args.min_coverage)
     graph = build_knn_graph(dataset.positions, args.k)
-    n, m = dataset.signal.values.shape
-    drawn = random_mask(n, m, args.density, args.seed)
-
-    # Natively missing entries count as unobserved regardless of the draw,
-    # but only artificially hidden entries with ground truth are scored.
-    effective = _frozen(drawn & dataset.native_mask, bool)
-    hidden = _frozen(~drawn & dataset.native_mask, bool)
-    params, y_values = fit_observed_scale(dataset.signal.values, effective)
+    observed, hidden, params, y = masked_problem(dataset, args.density, args.seed)
     config = SobolevConfig(epsilon=args.epsilon, beta=args.beta, gamma=args.gamma)
-    result = reconstruct_sobolev(TimeVaryingSignal(values=y_values), effective, graph, config)
+    result = reconstruct_sobolev(y, observed, graph, config)
     if not result.converged:
         print(
             f"graphfill: solver did not converge after {result.iterations} iterations "
@@ -313,8 +304,8 @@ def _cmd_gridsearch(args) -> int:
         "entries": [
             {
                 "config": asdict(config),
-                "rmse_mean": _none_if_nan(result.rmse_mean),
-                "mae_mean": _none_if_nan(result.mae_mean),
+                "rmse_mean": ingest._finite_or_none(result.rmse_mean),
+                "mae_mean": ingest._finite_or_none(result.mae_mean),
                 "failed_reps": [
                     {"seed": seed, "error": message} for seed, message in result.failed
                 ],
@@ -330,10 +321,6 @@ def _cmd_gridsearch(args) -> int:
     )
     print(f"wrote {csv_path} and {json_path}")
     return 0
-
-
-def _none_if_nan(value: float):
-    return None if np.isnan(value) else value
 
 
 def _cmd_graph_info(args) -> int:

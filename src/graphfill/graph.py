@@ -140,7 +140,8 @@ def build_knn_graph(positions: NodePositions, k: int) -> SensorGraph:
     by ascending node index) and an undirected edge is kept if either
     endpoint selected the other. Edge (i, j) gets weight
     exp(-d(i,j)**2 / sigma**2) with sigma the mean length over the final
-    undirected edge set.
+    undirected edge set. An edge whose weight underflows to 0 is dropped, so
+    a node far from all others is left isolated.
 
     Args:
         positions: node coordinates; no two nodes may coincide.
@@ -188,6 +189,7 @@ def build_knn_graph(positions: NodePositions, k: int) -> SensorGraph:
         weights[i, j] = w
         weights[j, i] = w
     laplacian = np.diag(weights.sum(axis=1)) - weights
+    edges = tuple((i, j) for i, j in edges if weights[i, j] > 0)
     return SensorGraph(
         n_nodes=n, edges=edges, weights=weights, laplacian=laplacian, sigma=sigma
     )

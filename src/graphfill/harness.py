@@ -1,10 +1,12 @@
 """Monte-Carlo experiments, hyperparameter grid search and the kNN baseline.
 
-The protocol: for each sampling density, repeatedly (i) draw a random mask
-seeded by master_seed + repetition, (ii) min-max scale the data using the
-observed entries only, (iii) reconstruct the hidden entries with the chosen
-method, (iv) undo the scaling, and (v) score RMSE/MAE against the ground
-truth over the hidden entries. Aggregates are the mean and population
+The protocol: for each sampling density and each seed master_seed +
+repetition, masked_problem (i) draws a random mask and (ii) min-max scales
+the data using the observed entries only. Then, for every method and
+configuration being compared, (iii) reconstruct the hidden entries, (iv)
+undo the scaling and (v) score RMSE/MAE against the ground truth over the
+hidden entries. Each seed's mask is posed once and shared by every
+configuration of a grid search. Aggregates are the mean and population
 standard deviation over repetitions.
 """
 
@@ -12,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -150,26 +152,20 @@ def _solve(method, y, mask, graph, sobolev_cfg):
     return result.xbar
 
 
-def run_single_repetition(
-    truth: TimeVaryingSignal,
-    graph: SensorGraph,
-    density: float,
-    seed: int,
-    method: str,
-    sobolev_cfg: SobolevConfig,
-) -> tuple[float, float, np.ndarray]:
-    """One mask draw, solve and score; returns (rmse, mae, mask)."""
-    n, m = truth.values.shape
-    mask = random_mask(n, m, density, seed)
-    hidden = _frozen(~mask, bool)
-    if not hidden.any():
-        raise EmptyEvaluationSet(
-            f"density {density} observes every entry; nothing left to evaluate"
-        )
-    params, y_values = fit_observed_scale(truth.values, mask)
-    estimate = _solve(method, TimeVaryingSignal(values=y_values), mask, graph, sobolev_cfg)
-    report = error_report(truth, inverse_scale(estimate, params), hidden)
-    return report.rmse, report.mae, mask
+def masked_problem(dataset: Dataset, density: float, seed: int):
+    """Pose one repetition: (observed, hidden, scale, y) for the seed's mask.
+
+    observed is the random_mask draw ANDed with the dataset's native mask;
+    hidden holds the natively present entries the draw hides, the only ones
+    with ground truth to score. scale and y come from fit_observed_scale on
+    the observed entries alone.
+    """
+    n, m = dataset.signal.values.shape
+    drawn = random_mask(n, m, density, seed)
+    observed = _frozen(drawn & dataset.native_mask, bool)
+    hidden = _frozen(~drawn & dataset.native_mask, bool)
+    scale, y_values = fit_observed_scale(dataset.signal.values, observed)
+    return observed, hidden, scale, TimeVaryingSignal(values=y_values)
 
 
 def _aggregate(dataset_name, method, density, per_rep, failed, repetitions):
@@ -206,24 +202,37 @@ def _require_full_coverage(dataset: Dataset) -> None:
         )
 
 
-def _run_cell(truth, graph, dataset_name, density, cfg: ExperimentConfig):
-    n = truth.values.shape[0]
+def _run_cells(dataset: Dataset, graph, density, seeds, cells) -> list[ExperimentResult]:
+    """Score every (method, SobolevConfig) cell on each seed's mask, posed once.
+
+    A seed whose mask cannot be posed is a failed repetition of every cell.
+    """
+    n = dataset.n_nodes
     if samples_per_column(n, density) >= n:
         raise EmptyEvaluationSet(
             f"density {density} samples all {n} nodes per snapshot; "
             "nothing is hidden, so there is nothing to evaluate"
         )
-    per_rep, failed = [], []
-    for rep in range(cfg.repetitions):
-        seed = cfg.master_seed + rep
+    per_rep = [[] for _ in cells]
+    failed = [[] for _ in cells]
+    for seed in seeds:
         try:
-            r, m, _ = run_single_repetition(
-                truth, graph, density, seed, cfg.method, cfg.sobolev
-            )
-            per_rep.append((seed, r, m))
+            observed, hidden, scale, y = masked_problem(dataset, density, seed)
         except GraphfillError as exc:
-            failed.append((seed, f"{type(exc).__name__}: {exc}"))
-    return _aggregate(dataset_name, cfg.method, density, per_rep, failed, cfg.repetitions)
+            for cell_failed in failed:
+                cell_failed.append((seed, f"{type(exc).__name__}: {exc}"))
+            continue
+        for (method, sobolev_cfg), cell_reps, cell_failed in zip(cells, per_rep, failed):
+            try:
+                estimate = _solve(method, y, observed, graph, sobolev_cfg)
+                report = error_report(dataset.signal, inverse_scale(estimate, scale), hidden)
+                cell_reps.append((seed, report.rmse, report.mae))
+            except GraphfillError as exc:
+                cell_failed.append((seed, f"{type(exc).__name__}: {exc}"))
+    return [
+        _aggregate(dataset.name, method, density, reps, fails, len(seeds))
+        for (method, _), reps, fails in zip(cells, per_rep, failed)
+    ]
 
 
 def run_experiment(dataset: Dataset, cfg: ExperimentConfig) -> list[ExperimentResult]:
@@ -235,8 +244,9 @@ def run_experiment(dataset: Dataset, cfg: ExperimentConfig) -> list[ExperimentRe
     """
     _require_full_coverage(dataset)
     graph = build_knn_graph(dataset.positions, cfg.k_graph)
+    seeds = range(cfg.master_seed, cfg.master_seed + cfg.repetitions)
     return [
-        _run_cell(dataset.signal, graph, dataset.name, density, cfg)
+        _run_cells(dataset, graph, density, seeds, [(cfg.method, cfg.sobolev)])[0]
         for density in cfg.densities
     ]
 
@@ -260,7 +270,7 @@ def grid_search(
     excluded from the argmin.
     """
     # every configuration is validated before the first cell runs
-    base = ExperimentConfig(
+    ExperimentConfig(
         densities=(density,),
         repetitions=repetitions,
         master_seed=master_seed,
@@ -276,11 +286,9 @@ def grid_search(
     _require_full_coverage(dataset)
     graph = build_knn_graph(dataset.positions, k_graph)
 
-    entries = []
-    for sobolev_cfg in configs:
-        cfg = replace(base, sobolev=sobolev_cfg)
-        result = _run_cell(dataset.signal, graph, dataset.name, density, cfg)
-        entries.append((sobolev_cfg, result))
+    seeds = range(master_seed, master_seed + repetitions)
+    results = _run_cells(dataset, graph, density, seeds, [("sobolev", c) for c in configs])
+    entries = list(zip(configs, results))
 
     eligible = [(c, r) for c, r in entries if r.complete]
     if not eligible:

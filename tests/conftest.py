@@ -26,6 +26,16 @@ def random_positions(n: int, seed: int) -> gf.NodePositions:
     return gf.NodePositions(coords=coords, node_ids=tuple(f"n{i}" for i in range(n)))
 
 
+def outlier_positions() -> gf.NodePositions:
+    """60 uniform nodes in the unit square, the last moved to (1000, 1000).
+
+    With k = 5 the outlier's kNN weights exp(-d**2 / sigma**2) underflow to 0.
+    """
+    coords = np.random.default_rng(0).uniform(0.0, 1.0, size=(60, 2))
+    coords[-1] = (1000.0, 1000.0)
+    return gf.NodePositions(coords=coords, node_ids=tuple(f"n{i}" for i in range(60)))
+
+
 def random_geometric_graph(n: int, k: int, seed: int) -> gf.SensorGraph:
     return gf.build_knn_graph(random_positions(n, seed), k)
 

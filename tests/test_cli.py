@@ -14,6 +14,8 @@ from graphfill import harness, solver
 from graphfill.cli import main
 from graphfill.harness import fit_observed_scale
 
+from conftest import outlier_positions
+
 
 @pytest.fixture
 def fixture_files(tmp_path):
@@ -399,7 +401,7 @@ def test_gridsearch_non_finite_gamma_exits_2_before_solving(tmp_path, capsys, mo
     def no_cell(*args):
         raise AssertionError("a grid cell ran")
 
-    monkeypatch.setattr(harness, "_run_cell", no_cell)
+    monkeypatch.setattr(harness, "_run_cells", no_cell)
     config = gridsearch_config(tmp_path, gamma_grid=[0.3, float("nan")])
     assert main(["gridsearch", "--synthetic", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
     assert "gamma must be finite" in capsys.readouterr().err
@@ -422,7 +424,7 @@ def test_gridsearch_non_numeric_config_exits_2_before_solving(
     def no_cell(*args):
         raise AssertionError("a grid cell ran")
 
-    monkeypatch.setattr(harness, "_run_cell", no_cell)
+    monkeypatch.setattr(harness, "_run_cells", no_cell)
     config = gridsearch_config(tmp_path, **override)
     assert main(["gridsearch", "--synthetic", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
     assert message in capsys.readouterr().err
@@ -446,6 +448,17 @@ def test_graph_info(tmp_path, fixture_files, capsys):
     out = capsys.readouterr().out
     assert "nodes:" in out and "sigma:" in out and "lambda_2:" in out
     assert edge_out.read_text().splitlines()[0] == "src_id,dst_id,weight"
+
+
+def test_graph_info_isolates_far_outlier(tmp_path, capsys):
+    pos = outlier_positions()
+    positions = tmp_path / "positions.csv"
+    positions.write_text("node_id,x,y\n" + "".join(
+        f"{node_id},{x!r},{y!r}\n" for node_id, (x, y) in zip(pos.node_ids, pos.coords.tolist())
+    ))
+    assert main(["graph-info", "--positions", str(positions), "--k", "5"]) == 0
+    out = capsys.readouterr().out
+    assert "components:        2\n" in out and "connected:         False\n" in out
 
 
 def test_graph_info_creates_missing_out_directory(tmp_path, fixture_files, capsys):

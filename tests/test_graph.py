@@ -6,7 +6,12 @@ import pytest
 import graphfill as gf
 from graphfill.errors import DuplicateCoordinates, KTooLarge
 
-from conftest import random_geometric_graph, random_positions, unit_path_graph
+from conftest import (
+    outlier_positions,
+    random_geometric_graph,
+    random_positions,
+    unit_path_graph,
+)
 
 
 def test_two_nodes_single_edge():
@@ -106,6 +111,16 @@ def test_disconnected_graph_zero_multiplicity():
     # two distant pairs, k=1: each pair only links internally
     coords = np.array([[0.0, 0.0], [1.0, 0.0], [100.0, 100.0], [101.0, 100.0]])
     g = gf.build_knn_graph(gf.NodePositions(coords=coords, node_ids=tuple("abcd")), 1)
+    lam = gf.spectral_decomposition(g).eigenvalues
+    assert int(np.sum(np.abs(lam) < 1e-10)) == 2
+
+
+def test_far_outlier_is_isolated_not_rejected():
+    g = gf.build_knn_graph(outlier_positions(), 5)
+    support = {(int(i), int(j)) for i, j in zip(*np.nonzero(np.triu(g.weights, 1)))}
+    assert set(g.edges) == support
+    assert not g.weights[59].any()
+    assert g.sigma > 1.0  # the outlier's dropped edges still count towards sigma
     lam = gf.spectral_decomposition(g).eigenvalues
     assert int(np.sum(np.abs(lam) < 1e-10)) == 2
 

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 import graphfill as gf
+from graphfill import harness
 from graphfill.errors import EmptyColumn, EmptyEvaluationSet, GraphfillError
-from graphfill.harness import fit_observed_scale, run_single_repetition
+from graphfill.harness import fit_observed_scale, masked_problem
 
-from conftest import unit_path_graph
+from conftest import outlier_positions, unit_path_graph
 
 
 def small_dataset(seed=0, n=20, m=40):
@@ -158,14 +159,88 @@ def test_failed_repetitions_recorded_not_averaged():
     assert np.isnan(result.rmse_mean)
 
 
-def test_single_repetition_seed_controls_mask():
+def test_masked_problem_seed_controls_mask():
     ds = small_dataset(n=10, m=12)
+    native = ds.native_mask.copy()
+    native[0, :6] = False
+    partial = gf.Dataset(
+        positions=ds.positions,
+        signal=gf.TimeVaryingSignal(values=np.where(native, ds.signal.values, 0.0)),
+        native_mask=native,
+        name="partial",
+        time_indices=ds.time_indices,
+    )
+    observed, hidden, scale, y = masked_problem(partial, 0.5, 3)
+    drawn = gf.random_mask(10, 12, 0.5, seed=3)
+    assert np.array_equal(observed, drawn & native)
+    assert np.array_equal(hidden, ~drawn & native)  # only entries with ground truth
+    params, y_values = fit_observed_scale(partial.signal.values, observed)
+    assert scale == params and np.array_equal(y.values, y_values)
+    assert not np.array_equal(observed, masked_problem(partial, 0.5, 4)[0])
+
+
+def test_grid_search_draws_each_mask_once(monkeypatch):
+    calls = []
+    draw = harness.random_mask
+
+    def counting(*args):
+        calls.append(args)
+        return draw(*args)
+
+    monkeypatch.setattr(harness, "random_mask", counting)
+    search = gf.grid_search(
+        small_dataset(), 0.5, [0.1, 1.0], [1.0, 2.0], [0.1, 1.0], repetitions=3, k_graph=3
+    )
+    assert len(search.entries) == 8
+    assert [seed for *_, seed in calls] == [0, 1, 2]
+
+
+def test_grid_search_entries_match_run_experiment():
+    ds = small_dataset()
+    search = gf.grid_search(
+        ds, 0.3, [0.0, 0.5], [1.0, 2.0], [0.1, 1.0], repetitions=3, master_seed=5, k_graph=3
+    )
+    for config, result in search.entries:
+        cfg = quick_config(densities=(0.3,), master_seed=5, sobolev=config)
+        (alone,) = gf.run_experiment(ds, cfg)
+        assert result.per_rep == alone.per_rep and result.failed == alone.failed
+
+
+def test_unposable_mask_fails_every_cell():
+    ds = small_dataset(n=10, m=12)
+    flat = gf.Dataset(
+        positions=ds.positions,
+        signal=gf.TimeVaryingSignal(values=np.ones((10, 12))),
+        native_mask=ds.native_mask,
+        name="flat",
+        time_indices=ds.time_indices,
+    )
     graph = gf.build_knn_graph(ds.positions, 3)
-    cfg = gf.SobolevConfig()
-    r1 = run_single_repetition(ds.signal, graph, 0.5, 3, "sobolev", cfg)
-    r2 = run_single_repetition(ds.signal, graph, 0.5, 3, "sobolev", cfg)
-    assert r1[0] == r2[0] and r1[1] == r2[1]
-    assert np.array_equal(r1[2], r2[2])
+    cells = [("sobolev", gf.SobolevConfig()), ("knn_baseline", gf.SobolevConfig())]
+    results = harness._run_cells(flat, graph, 0.5, range(2), cells)
+    message = "DegenerateRange: max_value 1.0 must exceed min_value 1.0"
+    assert [r.failed for r in results] == [((0, message), (1, message))] * 2
+    assert all(r.per_rep == () and r.repetitions == 2 for r in results)
+
+
+def test_far_outlier_experiment():
+    # the outlier is isolated in L: eps > 0 keeps the system definite, eps = 0 does not
+    pos = outlier_positions()
+    m = 12
+    ds = gf.Dataset(
+        positions=pos,
+        signal=gf.TimeVaryingSignal(values=np.random.default_rng(1).normal(size=(60, m))),
+        native_mask=np.ones((60, m), dtype=bool),
+        name="outlier",
+        time_indices=tuple(range(m)),
+    )
+    sobolev = gf.SobolevConfig(epsilon=0.5, beta=1.0, gamma=1.0)
+    (result,) = gf.run_experiment(ds, quick_config(densities=(0.5,), sobolev=sobolev, k_graph=5))
+    assert result.complete
+    cfg = quick_config(densities=(0.5,), method="tikhonov", sobolev=sobolev, k_graph=5)
+    (result,) = gf.run_experiment(ds, cfg)
+    assert result.per_rep == () and len(result.failed) == cfg.repetitions
+    assert all(message.startswith("SingularSystem: ") for _, message in result.failed)
 
 
 def test_grid_search_single_point():
