@@ -4,7 +4,6 @@ reconstruction with a Sobolev smoothness penalty."""
 from .graph import (
     NodePositions,
     SensorGraph,
-    SpectralDecomposition,
     build_knn_graph,
     sobolev_operator,
     spectral_decomposition,
@@ -44,7 +43,6 @@ __all__ = [
     "ScaleParams",
     "SensorGraph",
     "SobolevConfig",
-    "SpectralDecomposition",
     "TimeVaryingSignal",
     "apply_mask",
     "build_knn_graph",

@@ -326,8 +326,7 @@ def _cmd_gridsearch(args) -> int:
 def _cmd_graph_info(args) -> int:
     positions = ingest.load_positions(args.positions)
     graph = build_knn_graph(positions, args.k)
-    decomp = spectral_decomposition(graph)
-    lam = decomp.eigenvalues
+    lam, _ = spectral_decomposition(graph)
     n_zero = int(np.sum(np.abs(lam) < 1e-10))
     print(f"nodes:             {graph.n_nodes}")
     print(f"edges:             {graph.n_edges}")

@@ -1,10 +1,10 @@
 """Sensor graph construction and spectral machinery.
 
 Connects sensor nodes with a k-nearest-neighbour rule over Euclidean
-distance, weights each edge with a Gaussian kernel whose scale is the mean
-edge length, and exposes the combinatorial Laplacian L = D - W together with
-its eigendecomposition and the shifted powers (L + eps*I)**beta that act as
-the smoothness operator for reconstruction.
+distance and weights each edge with a Gaussian kernel whose scale is the mean
+edge length. A graph is its weight matrix W; the combinatorial Laplacian
+L = D - W, its eigendecomposition and the shifted powers (L + eps*I)**beta
+that act as the smoothness operator for reconstruction all derive from it.
 """
 
 from __future__ import annotations
@@ -15,12 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    ConvergenceFailure,
-    DuplicateCoordinates,
-    KTooLarge,
-    NegativeBase,
-)
+from .errors import ConvergenceFailure, DuplicateCoordinates, KTooLarge, NegativeBase
 
 # How far below zero a Laplacian eigenvalue may dip before the matrix is
 # treated as numerically broken rather than merely noisy.
@@ -67,70 +62,45 @@ class NodePositions:
 
 @dataclass(frozen=True, eq=False)
 class SensorGraph:
-    """Undirected weighted sensor graph with its Laplacian.
+    """Undirected weighted sensor graph, given by its weight matrix W.
 
-    Invariants enforced at construction: W is symmetric with zero diagonal
-    and nonnegative entries, the edge set matches the support of W, and
-    L = D - W (so every row of L sums to zero and L is positive
-    semidefinite). Instances are immutable; spectral data and smoothness
-    operators are cached internally on first use.
+    W must be square, finite, symmetric, zero on the diagonal and
+    nonnegative, and sigma (the Gaussian kernel scale) positive when W has
+    an edge. The edge list (the support of W, i < j, in row-major order) and
+    the Laplacian L = D - W are derived from W. Instances are immutable;
+    spectral data and smoothness operators are cached on first use.
     """
 
-    n_nodes: int
-    edges: tuple[tuple[int, int], ...]
     weights: np.ndarray
-    laplacian: np.ndarray
     sigma: float
-    _cache: dict = field(default_factory=dict, repr=False)
+    n_nodes: int = field(init=False)
+    edges: tuple[tuple[int, int], ...] = field(init=False)
+    laplacian: np.ndarray = field(init=False, repr=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
-        lap = np.asarray(self.laplacian, dtype=float)
-        n = self.n_nodes
-        if w.shape != (n, n) or lap.shape != (n, n):
-            raise ValueError("weights and laplacian must be N x N")
+        if w.ndim != 2 or w.shape[0] != w.shape[1]:
+            raise ValueError(f"weights must be N x N, got shape {w.shape}")
+        if not np.isfinite(w).all():
+            raise ValueError("weights must be finite")
         if np.abs(w - w.T).max() > 1e-10:
             raise ValueError("weight matrix is not symmetric")
         if np.abs(np.diag(w)).max() > 0:
             raise ValueError("weight matrix has nonzero diagonal")
         if w.min() < 0:
             raise ValueError("weights must be nonnegative")
-        edge_set = {(min(i, j), max(i, j)) for i, j in self.edges}
-        support = {(i, j) for i, j in zip(*np.nonzero(np.triu(w, 1)))}
-        support = {(int(i), int(j)) for i, j in support}
-        if edge_set != support:
-            raise ValueError("edge set does not match the support of W")
-        expected = np.diag(w.sum(axis=1)) - w
-        if np.abs(lap - expected).max() > 1e-10:
-            raise ValueError("laplacian is not D - W")
-        if self.sigma <= 0 and edge_set:
+        rows, cols = np.nonzero(np.triu(w, 1))
+        if self.sigma <= 0 and rows.size:
             raise ValueError("sigma must be positive for a graph with edges")
-        object.__setattr__(self, "edges", tuple(sorted(edge_set)))
         object.__setattr__(self, "weights", _frozen(w))
-        object.__setattr__(self, "laplacian", _frozen(lap))
+        object.__setattr__(self, "n_nodes", w.shape[0])
+        object.__setattr__(self, "edges", tuple(zip(rows.tolist(), cols.tolist())))
+        object.__setattr__(self, "laplacian", _frozen(np.diag(w.sum(axis=1)) - w))
 
     @property
     def n_edges(self) -> int:
         return len(self.edges)
-
-
-@dataclass(frozen=True, eq=False)
-class SpectralDecomposition:
-    """Eigenvalues (ascending) and orthonormal eigenvectors of a Laplacian."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def __post_init__(self):
-        lam = np.asarray(self.eigenvalues, dtype=float)
-        vecs = np.asarray(self.eigenvectors, dtype=float)
-        n = lam.shape[0]
-        if vecs.shape != (n, n):
-            raise ValueError("eigenvectors must be N x N")
-        if np.any(np.diff(lam) < -1e-12):
-            raise ValueError("eigenvalues must be ascending")
-        object.__setattr__(self, "eigenvalues", _frozen(lam))
-        object.__setattr__(self, "eigenvectors", _frozen(vecs))
 
 
 def build_knn_graph(positions: NodePositions, k: int) -> SensorGraph:
@@ -140,7 +110,7 @@ def build_knn_graph(positions: NodePositions, k: int) -> SensorGraph:
     by ascending node index) and an undirected edge is kept if either
     endpoint selected the other. Edge (i, j) gets weight
     exp(-d(i,j)**2 / sigma**2) with sigma the mean length over the final
-    undirected edge set. An edge whose weight underflows to 0 is dropped, so
+    undirected edge set. An edge whose weight underflows to 0 is not in W, so
     a node far from all others is left isolated.
 
     Args:
@@ -148,7 +118,7 @@ def build_knn_graph(positions: NodePositions, k: int) -> SensorGraph:
         k: neighbours per node, 1 <= k <= N-1.
 
     Returns:
-        A SensorGraph satisfying all Laplacian invariants.
+        The SensorGraph of the weight matrix W.
 
     Raises:
         KTooLarge: k >= N.
@@ -162,45 +132,34 @@ def build_knn_graph(positions: NodePositions, k: int) -> SensorGraph:
 
     delta = positions.coords[:, None, :] - positions.coords[None, :, :]
     dist = np.sqrt((delta * delta).sum(axis=-1))
-    rows, cols = np.triu_indices(n, 1)
-    duplicates = np.nonzero(dist[rows, cols] == 0.0)[0]
+    duplicates = np.argwhere(np.triu(dist == 0.0, 1))
     if duplicates.size:
-        i, j = int(rows[duplicates[0]]), int(cols[duplicates[0]])
+        i, j = duplicates[0]
         raise DuplicateCoordinates(
             f"nodes {positions.node_ids[i]!r} and {positions.node_ids[j]!r} coincide"
         )
 
-    edge_set: set[tuple[int, int]] = set()
-    indices = np.arange(n)
-    for i in range(n):
-        row = dist[i].copy()
-        row[i] = np.inf
-        # lexsort: primary key distance, secondary key node index
-        order = np.lexsort((indices, row))
-        for j in order[:k]:
-            edge_set.add((min(i, int(j)), max(i, int(j))))
-
-    edges = tuple(sorted(edge_set))
-    sigma = float(np.mean([dist[i, j] for i, j in edges]))
+    # lexsort: primary key distance (never to itself), secondary key index
+    index = np.broadcast_to(np.arange(n), (n, n))
+    nearest = np.lexsort((index, dist + np.diag(np.full(n, np.inf))), axis=-1)[:, :k]
+    selected = np.zeros((n, n), dtype=bool)
+    selected[np.arange(n)[:, None], nearest] = True
+    rows, cols = np.nonzero(np.triu(selected | selected.T, 1))
+    sigma = float(np.mean(dist[rows, cols]))
 
     weights = np.zeros((n, n))
-    for i, j in edges:
-        w = np.exp(-dist[i, j] ** 2 / sigma**2)
-        weights[i, j] = w
-        weights[j, i] = w
-    laplacian = np.diag(weights.sum(axis=1)) - weights
-    edges = tuple((i, j) for i, j in edges if weights[i, j] > 0)
-    return SensorGraph(
-        n_nodes=n, edges=edges, weights=weights, laplacian=laplacian, sigma=sigma
-    )
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        weights[i, j] = weights[j, i] = np.exp(-dist[i, j] ** 2 / sigma**2)
+    return SensorGraph(weights, sigma)
 
 
-def spectral_decomposition(graph: SensorGraph) -> SpectralDecomposition:
+def spectral_decomposition(graph: SensorGraph) -> tuple[np.ndarray, np.ndarray]:
     """Full symmetric eigendecomposition of the graph Laplacian.
 
-    Deterministic for a fixed graph: eigenvalues ascending, and each
-    eigenvector's first nonzero entry is made positive. The result is cached
-    on the graph.
+    Returns the read-only pair (eigenvalues, eigenvectors), eigenvalues
+    ascending and eigenvectors as columns. Deterministic for a fixed graph:
+    each eigenvector's first nonzero entry is made positive. The result is
+    cached on the graph.
     """
     cached = graph._cache.get("spectral")
     if cached is not None:
@@ -209,13 +168,9 @@ def spectral_decomposition(graph: SensorGraph) -> SpectralDecomposition:
         lam, vecs = np.linalg.eigh(graph.laplacian)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigendecomposition failed: {exc}") from exc
-    vecs = vecs.copy()
-    for col in range(vecs.shape[1]):
-        v = vecs[:, col]
-        nonzero = np.nonzero(np.abs(v) > 1e-12)[0]
-        if nonzero.size and v[nonzero[0]] < 0:
-            vecs[:, col] = -v
-    decomp = SpectralDecomposition(eigenvalues=lam, eigenvectors=vecs)
+    first = np.argmax(np.abs(vecs) > 1e-12, axis=0)
+    vecs = vecs * np.where(vecs[first, np.arange(vecs.shape[1])] < 0, -1.0, 1.0)
+    decomp = (_frozen(lam), _frozen(vecs))
     graph._cache["spectral"] = decomp
     return decomp
 
@@ -247,14 +202,13 @@ def sobolev_operator(graph: SensorGraph, epsilon: float, beta: float) -> np.ndar
     if float(beta).is_integer():
         matrix = np.linalg.matrix_power(shifted, int(beta))
     else:
-        decomp = spectral_decomposition(graph)
-        lam = decomp.eigenvalues + epsilon
+        lam, u = spectral_decomposition(graph)
+        lam = lam + epsilon
         if lam.min() < -PSD_TOLERANCE:
             raise NegativeBase(
                 f"cannot raise eigenvalue {lam.min():.3e} to fractional power {beta}"
             )
         lam = np.clip(lam, 0.0, None) ** beta
-        u = decomp.eigenvectors
         matrix = (u * lam) @ u.T
     matrix = _frozen((matrix + matrix.T) / 2.0)
     graph._cache[key] = matrix

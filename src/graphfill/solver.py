@@ -28,12 +28,11 @@ them, and an exact solve moves those metrics by more than the reference
 allows. dense_oracle_solve builds the full system explicitly with a
 Kronecker product and factorizes it, serving as an independent check.
 
-With eps = 0 the operator B = L**beta is itself singular, and certain
-observation patterns (a disconnected bipartite pattern of sampled rows and
-columns) make the normal equations singular even though every node is
-covered. The direct path rejects such systems with SingularSystem, and so
-does the dense oracle, by an eigenvalue bound of its own; on the CG path
-they surface as a non-converged result.
+With eps = 0 the operator B = L**beta is itself singular, and some
+observation patterns make the normal equations singular even though every
+node is covered. reconstruct_sobolev rejects them before either path (see
+_check_linked), and the direct path's pivot test guards near-singular
+systems, with SingularSystem; the dense oracle has an eigenvalue bound.
 """
 
 from __future__ import annotations
@@ -172,7 +171,7 @@ _PIVOT_FACTOR = 1e4
 
 def _takes_direct_path(graph: SensorGraph, config: SobolevConfig, j: np.ndarray) -> bool:
     """Whether reconstruct_sobolev solves by _block_solve rather than CG."""
-    lam_g = spectral_decomposition(graph).eigenvalues
+    lam_g, _ = spectral_decomposition(graph)
     lam_b = np.clip(lam_g + config.epsilon, 0.0, None) ** config.beta
     m = j.shape[1]
     # Eigenvalues of T; only the largest enters the rule.
@@ -234,6 +233,30 @@ def _block_solve(b: np.ndarray, gamma: float, j: np.ndarray, y: np.ndarray) -> n
         np.add(h[t], coupled, out=h[t])
         dtpsv(n, factors[t], h[t], lower=1, trans=1, overwrite_x=1)
     return np.ascontiguousarray(h.T)
+
+
+def _check_linked(graph: SensorGraph, j: np.ndarray) -> None:
+    """Raise SingularSystem if the mask leaves the eps = 0 system singular.
+
+    B = L**beta vanishes on X = v_i + a_t over one graph component, so the
+    system is definite iff, on every component, the bipartite graph of its
+    nodes and all M time steps, an edge per observed entry, is connected.
+    """
+    n = j.shape[0]
+    reach = np.ones((n, n), dtype=bool)
+    # Reachability by repeated squaring: first over the graph's edges, then,
+    # within each component, between nodes observed at a shared time step.
+    for adjacency in (graph.weights > 0, j @ j.T > 0):
+        reach &= adjacency | np.eye(n, dtype=bool)
+        for _ in range(math.ceil(math.log2(n))):
+            reach = reach @ reach.astype(float) > 0
+    unlinked = np.argwhere(reach @ j == 0)
+    if unlinked.size:
+        node, t = unlinked[0]
+        raise SingularSystem(
+            f"singular system: with epsilon = 0, no observed entries link node "
+            f"{node} to time step {t} within its graph component"
+        )
 
 
 def _check_pivots(factors, on_diagonal, diagonal, failed_at=None) -> None:
@@ -307,7 +330,8 @@ def reconstruct_sobolev(
 
     Raises:
         SingularSystem: some node is never observed, gamma = 0 with an
-            incomplete mask, or the direct solve meets a negligible pivot.
+            incomplete mask, eps = 0 with a mask that leaves the system
+            singular, or the direct solve meets a negligible pivot.
     """
     j = _check_inputs(y, mask, graph)
     uncovered = np.nonzero(j.sum(axis=1) == 0)[0]
@@ -324,6 +348,8 @@ def reconstruct_sobolev(
             objective_value=sobolev_objective(y, y, mask, b_matrix, 0.0),
             converged=True,
         )
+    if config.epsilon == 0.0:
+        _check_linked(graph, j)
 
     b_matrix = sobolev_operator(graph, config.epsilon, config.beta)
     gamma = config.gamma

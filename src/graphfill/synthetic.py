@@ -41,12 +41,12 @@ def synthetic_dataset(
     positions = NodePositions(coords=coords, node_ids=node_ids)
 
     graph = build_knn_graph(positions, k)
-    decomp = spectral_decomposition(graph)
+    _, modes = spectral_decomposition(graph)
     t = np.arange(n_steps)
 
     values = np.zeros((n_nodes, n_steps))
     for q in range(n_modes):
-        mode = decomp.eigenvectors[:, q + 1]  # skip the constant eigenvector
+        mode = modes[:, q + 1]  # skip the constant eigenvector
         amplitude = float(n_modes - q)
         frequency = q + 1.0
         phase = rng.uniform(0.0, 2.0 * np.pi)

@@ -12,13 +12,11 @@ def rng():
 
 
 def unit_path_graph(n: int) -> gf.SensorGraph:
-    """Path graph with unit edge weights, built directly (no kNN step)."""
+    """Path graph with unit edge weights, built from W (no kNN step)."""
     w = np.zeros((n, n))
     for i in range(n - 1):
         w[i, i + 1] = w[i + 1, i] = 1.0
-    lap = np.diag(w.sum(axis=1)) - w
-    edges = tuple((i, i + 1) for i in range(n - 1))
-    return gf.SensorGraph(n_nodes=n, edges=edges, weights=w, laplacian=lap, sigma=1.0)
+    return gf.SensorGraph(w, sigma=1.0)
 
 
 def random_positions(n: int, seed: int) -> gf.NodePositions:

@@ -483,11 +483,12 @@ def test_python_dash_m_runs_the_cli():
 
 
 def test_import_leaves_out_scipy_spatial_and_fft():
-    # Both cost a large share of every CLI start-up and neither is needed.
+    # Each costs a large share of every CLI start-up and none is needed: the
+    # epsilon = 0 mask check finds graph components without csgraph.
     done = run_python(
         "-c",
-        "import sys, graphfill; "
-        "print(sorted(m for m in ('scipy.spatial', 'scipy.fft') if m in sys.modules))",
+        "import sys, graphfill; print(sorted(m for m in "
+        "('scipy.spatial', 'scipy.fft', 'scipy.sparse.csgraph') if m in sys.modules))",
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"

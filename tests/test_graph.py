@@ -44,6 +44,48 @@ def test_knn_tie_break_prefers_lower_index():
     assert g.sigma == pytest.approx(1.0)
 
 
+def _loop_knn_weights(positions, k):
+    """W and sigma of the kNN rule as per-node loops, the reference for
+    build_knn_graph's vectorized neighbour choice."""
+    n = positions.n_nodes
+    delta = positions.coords[:, None, :] - positions.coords[None, :, :]
+    dist = np.sqrt((delta * delta).sum(axis=-1))
+    edges = set()
+    for i in range(n):
+        row = dist[i].copy()
+        row[i] = np.inf
+        for j in np.lexsort((np.arange(n), row))[:k]:
+            edges.add((min(i, int(j)), max(i, int(j))))
+    edges = sorted(edges)
+    sigma = float(np.mean([dist[i, j] for i, j in edges]))
+    w = np.zeros((n, n))
+    for i, j in edges:
+        w[i, j] = w[j, i] = np.exp(-dist[i, j] ** 2 / sigma**2)
+    return w, sigma
+
+
+def _lattice(side):
+    xs, ys = np.meshgrid(np.arange(float(side)), np.arange(float(side)))
+    coords = np.column_stack([xs.ravel(), ys.ravel()])
+    return gf.NodePositions(coords=coords, node_ids=tuple(map(str, range(side * side))))
+
+
+@pytest.mark.parametrize(
+    "positions,k",
+    [
+        *((random_positions(n, seed), k) for seed in range(3)
+          for n, k in [(4, 2), (6, 3), (12, 5), (50, 5), (30, 29)]),
+        (_lattice(5), 4),  # every node has tied neighbours
+        (outlier_positions(), 5),
+    ],
+)
+def test_knn_graph_matches_per_node_loop_bit_for_bit(positions, k):
+    g = gf.build_knn_graph(positions, k)
+    w, sigma = _loop_knn_weights(positions, k)
+    assert g.weights.tobytes() == w.tobytes()
+    assert g.sigma == sigma
+
+
 @pytest.mark.parametrize("n,k,seed", [(5, 2, 0), (8, 3, 1), (12, 4, 2)])
 def test_laplacian_invariants(n, k, seed):
     g = random_geometric_graph(n, k, seed)
@@ -95,15 +137,15 @@ def test_node_positions_validation():
 
 def test_p2_eigenvalues():
     g = unit_path_graph(2)
-    decomp = gf.spectral_decomposition(g)
-    assert decomp.eigenvalues == pytest.approx([0.0, 2.0], abs=1e-12)
+    lam, _ = gf.spectral_decomposition(g)
+    assert lam == pytest.approx([0.0, 2.0], abs=1e-12)
 
 
 def test_zero_eigenvalue_has_constant_eigenvector():
     g = random_geometric_graph(6, 2, seed=3)
-    decomp = gf.spectral_decomposition(g)
-    assert abs(decomp.eigenvalues[0]) <= 1e-8
-    v = decomp.eigenvectors[:, 0]
+    lam, u = gf.spectral_decomposition(g)
+    assert abs(lam[0]) <= 1e-8
+    v = u[:, 0]
     assert np.abs(v - v[0]).max() <= 1e-8  # proportional to the all-ones vector
 
 
@@ -111,7 +153,7 @@ def test_disconnected_graph_zero_multiplicity():
     # two distant pairs, k=1: each pair only links internally
     coords = np.array([[0.0, 0.0], [1.0, 0.0], [100.0, 100.0], [101.0, 100.0]])
     g = gf.build_knn_graph(gf.NodePositions(coords=coords, node_ids=tuple("abcd")), 1)
-    lam = gf.spectral_decomposition(g).eigenvalues
+    lam, _ = gf.spectral_decomposition(g)
     assert int(np.sum(np.abs(lam) < 1e-10)) == 2
 
 
@@ -120,15 +162,17 @@ def test_far_outlier_is_isolated_not_rejected():
     support = {(int(i), int(j)) for i, j in zip(*np.nonzero(np.triu(g.weights, 1)))}
     assert set(g.edges) == support
     assert not g.weights[59].any()
+    assert not any(59 in edge for edge in g.edges)
+    assert not g.laplacian[59].any() and not g.laplacian[:, 59].any()
+    assert np.array_equal(g.laplacian, np.diag(g.weights.sum(axis=1)) - g.weights)
     assert g.sigma > 1.0  # the outlier's dropped edges still count towards sigma
-    lam = gf.spectral_decomposition(g).eigenvalues
+    lam, _ = gf.spectral_decomposition(g)
     assert int(np.sum(np.abs(lam) < 1e-10)) == 2
 
 
 def test_spectral_reconstruction_and_orthonormality():
     g = random_geometric_graph(9, 3, seed=11)
-    decomp = gf.spectral_decomposition(g)
-    u, lam = decomp.eigenvectors, decomp.eigenvalues
+    lam, u = gf.spectral_decomposition(g)
     assert np.abs(u.T @ u - np.eye(9)).max() <= 1e-8
     assert np.abs((u * lam) @ u.T - g.laplacian).max() <= 1e-8
     assert np.all(np.diff(lam) >= -1e-12)
@@ -136,7 +180,7 @@ def test_spectral_reconstruction_and_orthonormality():
 
 def test_eigenvector_sign_convention():
     g = random_geometric_graph(7, 2, seed=4)
-    u = gf.spectral_decomposition(g).eigenvectors
+    _, u = gf.spectral_decomposition(g)
     for col in range(7):
         v = u[:, col]
         first = v[np.abs(v) > 1e-12][0]
@@ -148,9 +192,10 @@ def test_spectral_decomposition_is_cached_and_deterministic():
     d1 = gf.spectral_decomposition(g)
     d2 = gf.spectral_decomposition(g)
     assert d1 is d2
+    assert not any(part.flags.writeable for part in d1)
     g_again = random_geometric_graph(6, 2, seed=8)
     d3 = gf.spectral_decomposition(g_again)
-    assert np.array_equal(d1.eigenvectors, d3.eigenvectors)
+    assert np.array_equal(d1[1], d3[1])
 
 
 def test_sobolev_beta_one_is_shifted_laplacian():
@@ -176,9 +221,8 @@ def test_sobolev_smallest_eigenvalue_bound(beta):
 def test_integer_and_spectral_paths_agree(beta):
     g = random_geometric_graph(7, 3, seed=10)
     integer_path = gf.sobolev_operator(g, 0.3, float(beta))
-    decomp = gf.spectral_decomposition(g)
-    lam = np.clip(decomp.eigenvalues + 0.3, 0.0, None) ** beta
-    spectral_path = (decomp.eigenvectors * lam) @ decomp.eigenvectors.T
+    lam, u = gf.spectral_decomposition(g)
+    spectral_path = (u * np.clip(lam + 0.3, 0.0, None) ** beta) @ u.T
     assert np.abs(integer_path - spectral_path).max() <= 1e-8
 
 
@@ -207,7 +251,7 @@ def test_sobolev_parameter_validation():
 
 def test_shift_makes_laplacian_invertible():
     g = random_geometric_graph(6, 2, seed=12)
-    lam = gf.spectral_decomposition(g).eigenvalues
+    lam, _ = gf.spectral_decomposition(g)
     assert abs(lam[0]) <= 1e-8  # L itself is singular
     shifted = np.linalg.eigvalsh(g.laplacian + 0.25 * np.eye(6))
     assert shifted.min() >= 0.25 - 1e-8
@@ -230,16 +274,60 @@ def test_permutation_equivariance():
 
 
 def test_sensor_graph_invariant_validation():
-    w = np.array([[0.0, 1.0], [0.5, 0.0]])  # asymmetric
-    with pytest.raises(ValueError):
-        gf.SensorGraph(
-            n_nodes=2, edges=((0, 1),), weights=w,
-            laplacian=np.diag(w.sum(axis=1)) - w, sigma=1.0,
-        )
-    w = np.array([[0.0, 1.0], [1.0, 0.0]])
-    with pytest.raises(ValueError):
-        gf.SensorGraph(n_nodes=2, edges=(), weights=w,
-                       laplacian=np.diag(w.sum(axis=1)) - w, sigma=1.0)
+    with pytest.raises(ValueError, match="not symmetric"):
+        gf.SensorGraph(np.array([[0.0, 1.0], [0.5, 0.0]]), sigma=1.0)
+
+
+def test_sensor_graph_rejects_nonzero_diagonal():
+    with pytest.raises(ValueError, match="nonzero diagonal"):
+        gf.SensorGraph(np.array([[0.0, 1.0], [1.0, 0.5]]), sigma=1.0)
+
+
+def test_sensor_graph_rejects_negative_weight():
+    with pytest.raises(ValueError, match="nonnegative"):
+        gf.SensorGraph(np.array([[0.0, -1.0], [-1.0, 0.0]]), sigma=1.0)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
+def test_sensor_graph_rejects_non_square(shape):
+    with pytest.raises(ValueError, match="must be N x N"):
+        gf.SensorGraph(np.zeros(shape), sigma=1.0)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_sensor_graph_rejects_non_finite_weight(value):
+    # NaN and inf pass the symmetry and sign checks, and eigh returns NaN
+    # eigenpairs for them without raising
+    with pytest.raises(ValueError, match="finite"):
+        gf.SensorGraph(np.array([[0.0, value], [value, 0.0]]), sigma=1.0)
+
+
+@pytest.mark.parametrize("sigma", [0.0, -1.0])
+def test_sensor_graph_sigma_must_be_positive_with_edges(sigma):
+    with pytest.raises(ValueError, match="sigma must be positive"):
+        gf.SensorGraph(np.array([[0.0, 1.0], [1.0, 0.0]]), sigma=sigma)
+    assert gf.SensorGraph(np.zeros((2, 2)), sigma=sigma).n_edges == 0
+
+
+def test_path_graph_edges_and_laplacian_derived_from_w():
+    g = unit_path_graph(4)
+    assert g.n_nodes == 4
+    assert g.edges == ((0, 1), (1, 2), (2, 3))
+    expected = np.array(
+        [[1.0, -1.0, 0.0, 0.0], [-1.0, 2.0, -1.0, 0.0],
+         [0.0, -1.0, 2.0, -1.0], [0.0, 0.0, -1.0, 1.0]]
+    )
+    assert np.array_equal(g.laplacian, expected)
+    assert not g.weights.flags.writeable and not g.laplacian.flags.writeable
+
+
+def test_edges_are_support_of_w_in_row_major_order():
+    w = np.zeros((4, 4))
+    for i, j, value in [(2, 3, 0.5), (0, 3, 1e-300), (1, 2, 2.0)]:
+        w[i, j] = w[j, i] = value
+    g = gf.SensorGraph(w, sigma=1.0)
+    assert g.edges == ((0, 3), (1, 2), (2, 3))  # column-major would put (1, 2) first
+    assert np.array_equal(g.laplacian, np.diag(w.sum(axis=1)) - w)
 
 
 def test_edge_list_export(tmp_path):

@@ -3,7 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import graphfill as gf
@@ -11,7 +11,13 @@ from graphfill import harness, solver
 from graphfill.errors import HorizonTooShort, ProblemTooLarge, SingularSystem
 from graphfill.harness import fit_observed_scale
 
-from conftest import random_geometric_graph, random_instance, random_positions, unit_path_graph
+from conftest import (
+    outlier_positions,
+    random_geometric_graph,
+    random_instance,
+    random_positions,
+    unit_path_graph,
+)
 
 GAMMA_GRID = (1e-3, 1e-2, 1e-1, 1.0)
 CRITERION_4_CELLS = (
@@ -192,10 +198,7 @@ def test_direct_path_depends_on_gamma_times_b(seed, n, m, epsilon, beta, s):
     # scaling W and eps by s scales B = (L + eps*I)**beta by s**beta, so
     # gamma / s**beta leaves gamma * B, and with it X, unchanged
     graph, mask, y, cfg = _direct_instance(seed, n, m, epsilon, beta)
-    scaled_graph = gf.SensorGraph(
-        n_nodes=graph.n_nodes, edges=graph.edges, weights=s * graph.weights,
-        laplacian=s * graph.laplacian, sigma=graph.sigma,
-    )
+    scaled_graph = gf.SensorGraph(s * graph.weights, sigma=graph.sigma)
     scaled_cfg = gf.SobolevConfig(s * epsilon, beta, cfg.gamma / s**beta)
     assert solver._takes_direct_path(scaled_graph, scaled_cfg, mask.astype(float))
     x = gf.reconstruct_sobolev(y, mask, graph, cfg).xbar.values
@@ -248,22 +251,78 @@ def test_large_gamma_tends_to_observed_node_means(seed):
 def test_direct_path_singular_system_raises_deterministically(graph_kind, gamma):
     # Observations in two disconnected node x time blocks: with epsilon = 0,
     # X = 1 at nodes 0-1 and times 2-3, -1 at nodes 2-3 and times 0-1 and 0
-    # elsewhere is in the null space. On each graph one gamma ends in a
-    # failed Cholesky pivot and the other in a tiny positive one, which
-    # only the relative pivot test catches.
+    # elsewhere is in the null space. reconstruct_sobolev rejects the mask
+    # before solving. Given the same system, _block_solve ends on each graph
+    # at one gamma in a failed Cholesky pivot and at the other in a tiny
+    # positive one, which only the relative pivot test catches.
     graph = unit_path_graph(4) if graph_kind == "path" else random_geometric_graph(4, 2, seed=3)
     mask = np.zeros((4, 4), dtype=bool)
     mask[:2, :2] = mask[2:, 2:] = True
     y = gf.TimeVaryingSignal(values=np.where(mask, np.arange(16.0).reshape(4, 4), 0.0))
     cfg = gf.SobolevConfig(epsilon=0.0, beta=1.0, gamma=gamma)
     assert solver._takes_direct_path(graph, cfg, mask.astype(float))
-    messages = []
-    for _ in range(2):
-        with pytest.raises(SingularSystem) as caught:
-            gf.reconstruct_sobolev(y, mask, graph, cfg)
-        messages.append(str(caught.value))
-    assert messages[0] == messages[1]
-    assert "time block" in messages[0]
+    b = gf.sobolev_operator(graph, cfg.epsilon, cfg.beta)
+    for solve, expected in [
+        (lambda: gf.reconstruct_sobolev(y, mask, graph, cfg),
+         "no observed entries link node 0 to time step 2"),
+        (lambda: solver._block_solve(b, gamma, mask.astype(float), y.values), "time block"),
+    ]:
+        messages = []
+        for _ in range(2):
+            with pytest.raises(SingularSystem) as caught:
+                solve()
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
+        assert expected in messages[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    n=st.integers(min_value=3, max_value=7),
+    m=st.integers(min_value=2, max_value=5),
+    k=st.integers(min_value=1, max_value=3),
+    density=st.floats(min_value=0.2, max_value=0.6),
+    epsilon=st.sampled_from([0.0, 0.1]),
+    beta=st.sampled_from([1.0, 1.5, 2.0]),
+    gamma=st.sampled_from([1e-3, 0.1, 1.0, 50.0]),
+)
+def test_singular_exactly_when_dense_oracle_is(seed, n, m, k, density, epsilon, beta, gamma):
+    # Both solver paths must refuse a singular system as the oracle does: the
+    # gamma values fall on either side of the direct-path rule, and the
+    # Bernoulli mask may leave a node or a time step unobserved.
+    assume(k < n)
+    rng = np.random.default_rng(seed)
+    graph = random_geometric_graph(n, k, seed)
+    mask = rng.random((n, m)) < density
+    y = gf.TimeVaryingSignal(values=np.where(mask, rng.normal(size=(n, m)), 0.0))
+    cfg = gf.SobolevConfig(epsilon=epsilon, beta=beta, gamma=gamma)
+
+    def raises(solve):
+        try:
+            solve(y, mask, graph, cfg)
+        except SingularSystem:
+            return True
+        return False
+
+    assert raises(gf.reconstruct_sobolev) == raises(gf.dense_oracle_solve)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("gamma", [1e-3, 1e-2, 1.0])
+def test_isolated_node_tikhonov_raises_on_both_paths(seed, gamma):
+    # The far outlier is its own graph component. With epsilon = 0 its row of
+    # B is zero, so its unobserved entries are free. gamma <= 1e-2 takes the
+    # CG path, which converges on such a consistent singular system, and
+    # gamma = 1 the block solve: both must raise before solving.
+    graph = gf.build_knn_graph(outlier_positions(), 5)
+    mask = gf.random_mask(60, 12, 0.5, seed=seed)
+    truth = np.random.default_rng(seed).normal(size=(60, 12))
+    y = gf.TimeVaryingSignal(values=np.where(mask, truth, 0.0))
+    cfg = gf.SobolevConfig(epsilon=0.0, beta=1.0, gamma=gamma)
+    first_gap = int(np.flatnonzero(~mask[59])[0])
+    with pytest.raises(SingularSystem, match=f"node 59 to time step {first_gap} "):
+        gf.reconstruct_sobolev(y, mask, graph, cfg)
 
 
 def test_block_solve_raises_where_cholesky_stops():
