@@ -231,7 +231,7 @@ def _write_reconstruction(path: Path, node_ids, time_indices, values: np.ndarray
             csv.writer(line, lineterminator="\n").writerow([node_id, ""])
             # the empty second field stops an empty id being written as '""'
             prefix = line.getvalue()[:-2].replace("%", "%%")
-            fh.write("".join(prefix + cell for cell in cells) % tuple(row.tolist()))
+            fh.write((prefix + prefix.join(cells)) % tuple(row.tolist()))
 
 
 def _cmd_experiment(args) -> int:

@@ -123,6 +123,7 @@ def build_knn_graph(positions: NodePositions, k: int) -> SensorGraph:
     Raises:
         KTooLarge: k >= N.
         DuplicateCoordinates: two nodes at distance zero.
+        ValueError: the distance between two neighbours overflows.
     """
     n = positions.n_nodes
     if k >= n:
@@ -130,8 +131,10 @@ def build_knn_graph(positions: NodePositions, k: int) -> SensorGraph:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
 
-    delta = positions.coords[:, None, :] - positions.coords[None, :, :]
-    dist = np.sqrt((delta * delta).sum(axis=-1))
+    # A far pair's distance may overflow to inf; that only matters on an edge.
+    with np.errstate(over="ignore"):
+        delta = positions.coords[:, None, :] - positions.coords[None, :, :]
+        dist = np.sqrt((delta * delta).sum(axis=-1))
     duplicates = np.argwhere(np.triu(dist == 0.0, 1))
     if duplicates.size:
         i, j = duplicates[0]
@@ -145,6 +148,13 @@ def build_knn_graph(positions: NodePositions, k: int) -> SensorGraph:
     selected = np.zeros((n, n), dtype=bool)
     selected[np.arange(n)[:, None], nearest] = True
     rows, cols = np.nonzero(np.triu(selected | selected.T, 1))
+    overflowed = np.flatnonzero(~np.isfinite(dist[rows, cols]))
+    if overflowed.size:
+        i, j = rows[overflowed[0]], cols[overflowed[0]]
+        raise ValueError(
+            f"the distance between nodes {positions.node_ids[i]!r} and "
+            f"{positions.node_ids[j]!r} overflows; scale the coordinates down"
+        )
     sigma = float(np.mean(dist[rows, cols]))
 
     weights = np.zeros((n, n))

@@ -33,6 +33,13 @@ observation patterns make the normal equations singular even though every
 node is covered. reconstruct_sobolev rejects them before either path (see
 _check_linked), and the direct path's pivot test guards near-singular
 systems, with SingularSystem; the dense oracle has an eigenvalue bound.
+
+scipy.linalg is imported inside _block_solve and dense_oracle_solve, the
+only functions that use it, not at module level. It is most of the cost of
+importing graphfill (about 0.3 s of 0.5 s on a 2-core Xeon), and a process
+that never factors a matrix (--help, graph-info, input errors, the kNN
+baseline, CG-only cells) then loads numpy alone. The first direct solve in
+a process pays the import once.
 """
 
 from __future__ import annotations
@@ -42,9 +49,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.blas import dgemv, dsyrk, dtpsv, dtrsm
-from scipy.linalg.lapack import dpotrf
 
 from .errors import DimensionMismatch, HorizonTooShort, ProblemTooLarge, SingularSystem
 from .graph import SensorGraph, sobolev_operator, spectral_decomposition
@@ -197,6 +201,9 @@ def _block_solve(b: np.ndarray, gamma: float, j: np.ndarray, y: np.ndarray) -> n
         SingularSystem: a pivot is non-positive or negligible (see
             _PIVOT_FACTOR); the message names the first such time block.
     """
+    from scipy.linalg.blas import dgemv, dsyrk, dtpsv, dtrsm
+    from scipy.linalg.lapack import dpotrf
+
     n, m = y.shape
     gb = np.asfortranarray(gamma * b)
     t_diag = np.full(m, 2.0)
@@ -444,6 +451,8 @@ def dense_oracle_solve(
             times its largest, the factorization fails or the solution does
             not satisfy the system.
     """
+    import scipy.linalg
+
     j = _check_inputs(y, mask, graph)
     n, m = y.values.shape
     if n * m > _DENSE_LIMIT:

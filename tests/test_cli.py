@@ -461,6 +461,14 @@ def test_graph_info_isolates_far_outlier(tmp_path, capsys):
     assert "components:        2\n" in out and "connected:         False\n" in out
 
 
+def test_graph_info_overflowing_distance_exits_2(tmp_path, capsys):
+    positions = tmp_path / "positions.csv"
+    positions.write_text("node_id,x,y\na,0,0\nb,1e160,0\nc,0,2e160\n")
+    assert main(["graph-info", "--positions", str(positions), "--k", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "nodes 'a' and 'b' overflows; scale the coordinates down" in err
+
+
 def test_graph_info_creates_missing_out_directory(tmp_path, fixture_files, capsys):
     positions, _ = fixture_files
     edge_out = tmp_path / "missing" / "edges.csv"
@@ -482,16 +490,68 @@ def test_python_dash_m_runs_the_cli():
     assert "reconstruct" in done.stdout and "graph-info" in done.stdout
 
 
-def test_import_leaves_out_scipy_spatial_and_fft():
-    # Each costs a large share of every CLI start-up and none is needed: the
-    # epsilon = 0 mask check finds graph components without csgraph.
-    done = run_python(
-        "-c",
-        "import sys, graphfill; print(sorted(m for m in "
-        "('scipy.spatial', 'scipy.fft', 'scipy.sparse.csgraph') if m in sys.modules))",
-    )
+# Runs `python -m graphfill ARGS` (or only imports graphfill when there are
+# none) in this interpreter, then prints the scipy modules it loaded and
+# exits with the command's code.
+SCIPY_PROBE = """
+import runpy, sys
+code = 0
+if len(sys.argv) > 1:
+    try:
+        runpy.run_module("graphfill", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        code = exc.code
+else:
+    import graphfill
+print("scipy modules:", sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize(
+    "command, code",
+    [
+        ((), 0),
+        (("--help",), 0),
+        (("graph-info", "--positions", "{positions}", "--k", "2"), 0),
+        (reconstruct_args("{positions}", "{readings}", "{out}", **{"--density": "1.5"}), 2),
+    ],
+    ids=["import", "help", "graph-info", "reconstruct-exit-2"],
+)
+def test_start_up_loads_no_scipy(tmp_path, fixture_files, command, code):
+    # scipy.linalg is most of a cold start and only a direct solve needs it;
+    # scipy.spatial, scipy.fft and scipy.sparse.csgraph are never needed
+    positions, readings = fixture_files
+    argv = [a.format(positions=positions, readings=readings, out=tmp_path / "r") for a in command]
+    done = run_python("-c", SCIPY_PROBE, *argv)
+    assert done.returncode == code, done.stderr
+    assert done.stdout.splitlines()[-1] == "scipy modules: []"
+
+
+def test_fresh_direct_solve_imports_scipy_linalg_and_matches_in_process(
+    tmp_path, fixture_files, monkeypatch
+):
+    # in-process tests run with scipy.linalg already loaded; this is the one
+    # run whose first direct solve performs the deferred import
+    positions, readings = fixture_files
+    calls = []
+    block_solve = solver._block_solve
+
+    def counted(*args):
+        calls.append(args)
+        return block_solve(*args)
+
+    monkeypatch.setattr(solver, "_block_solve", counted)
+    direct = {"--gamma": "50"}
+    assert main(reconstruct_args(positions, readings, tmp_path / "inproc", **direct)) == 0
+    assert calls, "the configuration must take the direct path"
+    argv = reconstruct_args(positions, readings, tmp_path / "fresh", **direct)
+    done = run_python("-c", SCIPY_PROBE, *argv)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    assert "'scipy.linalg'" in done.stdout.splitlines()[-1]
+    for suffix in (".csv", ".json"):
+        fresh = (tmp_path / f"fresh{suffix}").read_bytes()
+        assert fresh == (tmp_path / f"inproc{suffix}").read_bytes()
 
 
 def test_reconstruct_oversized_quoted_field_exits_2(tmp_path, fixture_files, capsys):

@@ -128,6 +128,24 @@ def test_duplicate_coordinates_rejected():
         gf.build_knn_graph(pos, 1)
 
 
+def test_overflowing_edge_distance_names_the_nodes():
+    # the squared distances overflow; without the edge check this surfaced
+    # as RuntimeWarnings and "weights must be finite", naming no node
+    coords = np.array([[0.0, 0.0], [1e160, 0.0], [0.0, 2e160]])
+    pos = gf.NodePositions(coords=coords, node_ids=("a", "b", "c"))
+    with pytest.raises(ValueError, match="nodes 'a' and 'b' overflows; scale the coordinates down"):
+        gf.build_knn_graph(pos, 1)
+
+
+def test_overflow_between_non_neighbours_is_harmless():
+    # two clusters 1e160 apart: only distances across them overflow, and
+    # with k = 1 no edge crosses, so the graph builds without a warning
+    coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1e160, 1e160], [1.0000001e160, 1e160]])
+    g = gf.build_knn_graph(gf.NodePositions(coords=coords, node_ids=tuple("abcde")), 1)
+    assert g.edges == ((0, 1), (0, 2), (3, 4))
+    assert np.isfinite(g.weights).all() and np.isfinite(g.sigma)
+
+
 def test_node_positions_validation():
     with pytest.raises(ValueError):
         gf.NodePositions(coords=np.array([[0.0, 0.0]]), node_ids=("a",))
