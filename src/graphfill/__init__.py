@@ -17,9 +17,9 @@ from .harness import (
     knn_baseline_impute,
     run_experiment,
 )
-from .ingest import Dataset, filter_consistent_nodes, load_dataset, load_positions, write_results
+from .ingest import Dataset, filter_consistent_nodes, load_dataset, load_positions
 from .metrics import MetricReport, ScaleParams, error_report, inverse_scale
-from .sampling import apply_mask, random_mask
+from .sampling import random_mask
 from .solver import (
     ReconstructionResult,
     SobolevConfig,
@@ -44,7 +44,6 @@ __all__ = [
     "SensorGraph",
     "SobolevConfig",
     "TimeVaryingSignal",
-    "apply_mask",
     "build_knn_graph",
     "dense_oracle_solve",
     "error_report",
@@ -64,5 +63,4 @@ __all__ = [
     "synthetic_dataset",
     "temporal_difference_operator",
     "write_edge_list",
-    "write_results",
 ]

@@ -7,7 +7,8 @@ kNN graph built from a positions file).
 
 Exit codes are a stable contract: 0 success, 2 usage or validation
 problems, 3 runtime or solver failures. Diagnostics go to stderr; result
-tables go to stdout and to the output files.
+tables go to stdout and to the ``<out>.csv``/``<out>.json`` files, which
+only this module writes (_write_results).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -37,7 +39,7 @@ from .errors import (
     MalformedCsv,
     UnknownNode,
 )
-from .graph import build_knn_graph, spectral_decomposition, write_edge_list
+from .graph import _reachable, build_knn_graph, spectral_decomposition, write_edge_list
 from .harness import ExperimentConfig, grid_search, masked_problem, run_experiment
 from .metrics import error_report, inverse_scale
 from .solver import SobolevConfig, reconstruct_sobolev
@@ -182,18 +184,7 @@ def _cmd_reconstruct(args) -> int:
     observed, hidden, params, y = masked_problem(dataset, args.density, args.seed)
     config = SobolevConfig(epsilon=args.epsilon, beta=args.beta, gamma=args.gamma)
     result = reconstruct_sobolev(y, observed, graph, config)
-    if not result.converged:
-        print(
-            f"graphfill: solver did not converge after {result.iterations} iterations "
-            f"(relative residual {result.final_relative_residual:.3e})",
-            file=sys.stderr,
-        )
-        return 3
     recon = inverse_scale(result.xbar, params)
-
-    csv_path, json_path = ingest.result_paths(args.out)
-    _write_reconstruction(csv_path, dataset.positions.node_ids, dataset.time_indices, recon.values)
-
     metrics_doc = {
         "dataset": dataset.name,
         "density": args.density,
@@ -211,12 +202,16 @@ def _cmd_reconstruct(args) -> int:
         report = error_report(dataset.signal, recon, hidden)
         metrics_doc["rmse"] = report.rmse
         metrics_doc["mae"] = report.mae
-    json_path.write_text(json.dumps(metrics_doc, indent=2, sort_keys=True) + "\n")
+
+    def write_csv(fh):
+        _write_reconstruction(fh, dataset.positions.node_ids, dataset.time_indices, recon.values)
+
+    csv_path, json_path = _write_results(args.out, write_csv, metrics_doc)
     print(f"wrote {csv_path} and {json_path}")
     return 0
 
 
-def _write_reconstruction(path: Path, node_ids, time_indices, values: np.ndarray) -> None:
+def _write_reconstruction(fh, node_ids, time_indices, values: np.ndarray) -> None:
     """Write ``node_id,time_index,value`` rows, one block per node.
 
     The bytes are those of csv.writer with values formatted ``.12g``: each
@@ -224,14 +219,53 @@ def _write_reconstruction(path: Path, node_ids, time_indices, values: np.ndarray
     formatted by one ``%`` operation.
     """
     cells = [f",{t},%.12g\n" for t in time_indices]
-    with path.open("w", newline="") as fh:
-        fh.write("node_id,time_index,value\n")
-        for node_id, row in zip(node_ids, values):
-            line = io.StringIO()
-            csv.writer(line, lineterminator="\n").writerow([node_id, ""])
-            # the empty second field stops an empty id being written as '""'
-            prefix = line.getvalue()[:-2].replace("%", "%%")
-            fh.write((prefix + prefix.join(cells)) % tuple(row.tolist()))
+    fh.write("node_id,time_index,value\n")
+    for node_id, row in zip(node_ids, values):
+        line = io.StringIO()
+        csv.writer(line, lineterminator="\n").writerow([node_id, ""])
+        # the empty second field stops an empty id being written as '""'
+        prefix = line.getvalue()[:-2].replace("%", "%%")
+        fh.write((prefix + prefix.join(cells)) % tuple(row.tolist()))
+
+
+def _write_results(out, write_csv, doc: dict) -> tuple[Path, Path]:
+    """Write ``<out>.csv`` by write_csv(file) and ``<out>.json`` from doc.
+
+    A .csv or .json suffix on out is dropped and a missing parent directory
+    is created. The JSON has sorted keys, so equal results give equal bytes.
+    """
+    base = Path(out)
+    if base.suffix in {".csv", ".json"}:
+        base = base.with_suffix("")
+    base.parent.mkdir(parents=True, exist_ok=True)
+    csv_path, json_path = base.with_suffix(".csv"), base.with_suffix(".json")
+    with csv_path.open("w", newline="") as fh:
+        write_csv(fh)
+    json_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return csv_path, json_path
+
+
+def _write_table(header, rows):
+    """A write_csv for _write_results: header and rows through csv.writer."""
+    return lambda fh: csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+
+
+def _finite_or_none(value: float):
+    return float(value) if math.isfinite(value) else None
+
+
+# The statistics of an ExperimentResult, in the order of the CSV columns.
+_STATS = ("rmse_mean", "rmse_std", "mae_mean", "mae_std")
+
+
+def _stat_cells(r) -> list:
+    """A result's CSV cells: each of _STATS to 6 digits (nan if not finite), then reps."""
+    stats = [getattr(r, name) for name in _STATS]
+    return [format(v, ".6g") if math.isfinite(v) else "nan" for v in stats] + [len(r.per_rep)]
+
+
+def _failed_reps(r) -> list[dict]:
+    return [{"seed": seed, "error": message} for seed, message in r.failed]
 
 
 def _cmd_experiment(args) -> int:
@@ -240,7 +274,25 @@ def _cmd_experiment(args) -> int:
     results = run_experiment(dataset, cfg)
     echo = asdict(cfg)
     echo["dataset"] = dataset.name
-    ingest.write_results(results, args.out, config=echo)
+    header = ["dataset", "method", "density", *_STATS, "reps"]
+    rows = [[r.dataset_name, r.method, format(r.density, ".6g"), *_stat_cells(r)]
+            for r in results]
+    doc = {
+        "config": echo,
+        "results": [
+            {
+                "dataset": r.dataset_name,
+                "method": r.method,
+                "density": r.density,
+                **{name: _finite_or_none(getattr(r, name)) for name in _STATS},
+                "repetitions": r.repetitions,
+                "per_rep": [{"seed": seed, "rmse": rm, "mae": ma} for seed, rm, ma in r.per_rep],
+                "failed_reps": _failed_reps(r),
+            }
+            for r in results
+        ],
+    }
+    _write_results(args.out, _write_table(header, rows), doc)
     _print_table(results)
     failed = sum(len(r.failed) for r in results)
     if failed:
@@ -278,23 +330,10 @@ def _cmd_gridsearch(args) -> int:
         k_graph=doc.get("k_graph", 5),
     )
 
-    csv_path, json_path = ingest.result_paths(args.out)
-    with csv_path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["epsilon", "beta", "gamma", "rmse_mean", "rmse_std",
-                         "mae_mean", "mae_std", "reps", "failed"])
-        for config, result in search.entries:
-            writer.writerow([
-                format(config.epsilon, ".6g"),
-                format(config.beta, ".6g"),
-                format(config.gamma, ".6g"),
-                format(result.rmse_mean, ".6g"),
-                format(result.rmse_std, ".6g"),
-                format(result.mae_mean, ".6g"),
-                format(result.mae_std, ".6g"),
-                len(result.per_rep),
-                len(result.failed),
-            ])
+    header = ["epsilon", "beta", "gamma", *_STATS, "reps", "failed"]
+    rows = [[format(v, ".6g") for v in (config.epsilon, config.beta, config.gamma)]
+            + _stat_cells(result) + [len(result.failed)]
+            for config, result in search.entries]
     report = {
         "config_echo": doc,
         "dataset": dataset.name,
@@ -304,16 +343,14 @@ def _cmd_gridsearch(args) -> int:
         "entries": [
             {
                 "config": asdict(config),
-                "rmse_mean": ingest._finite_or_none(result.rmse_mean),
-                "mae_mean": ingest._finite_or_none(result.mae_mean),
-                "failed_reps": [
-                    {"seed": seed, "error": message} for seed, message in result.failed
-                ],
+                "rmse_mean": _finite_or_none(result.rmse_mean),
+                "mae_mean": _finite_or_none(result.mae_mean),
+                "failed_reps": _failed_reps(result),
             }
             for config, result in search.entries
         ],
     }
-    json_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    csv_path, json_path = _write_results(args.out, _write_table(header, rows), report)
     best = search.best_config
     print(
         f"best: epsilon={best.epsilon:g} beta={best.beta:g} gamma={best.gamma:g} "
@@ -327,15 +364,16 @@ def _cmd_graph_info(args) -> int:
     positions = ingest.load_positions(args.positions)
     graph = build_knn_graph(positions, args.k)
     lam, _ = spectral_decomposition(graph)
-    n_zero = int(np.sum(np.abs(lam) < 1e-10))
+    # one distinct row of the reachability matrix per connected component
+    n_components = len(np.unique(_reachable(graph.weights > 0), axis=0))
     print(f"nodes:             {graph.n_nodes}")
     print(f"edges:             {graph.n_edges}")
     print(f"sigma:             {graph.sigma:.6g}")
     print(f"mean degree:       {2 * graph.n_edges / graph.n_nodes:.3f}")
     print(f"lambda_2:          {lam[1]:.6g}")
     print(f"lambda_max:        {lam[-1]:.6g}")
-    print(f"components:        {n_zero}")
-    print(f"connected:         {n_zero == 1}")
+    print(f"components:        {n_components}")
+    print(f"connected:         {n_components == 1}")
     if args.out:
         write_edge_list(graph, positions.node_ids, args.out)
         print(f"wrote {args.out}")

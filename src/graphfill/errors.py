@@ -23,7 +23,7 @@ class DuplicateCoordinates(GraphfillError):
 
 
 class ConvergenceFailure(GraphfillError):
-    """The symmetric eigensolver failed; input is numerically pathological."""
+    """The Laplacian eigensolver failed, or CG stopped above its tolerance."""
 
 
 class NegativeBase(GraphfillError):

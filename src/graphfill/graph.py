@@ -10,6 +10,7 @@ that act as the smoothness operator for reconstruction all derive from it.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -91,7 +92,7 @@ class SensorGraph:
         if w.min() < 0:
             raise ValueError("weights must be nonnegative")
         rows, cols = np.nonzero(np.triu(w, 1))
-        if self.sigma <= 0 and rows.size:
+        if not self.sigma > 0 and rows.size:
             raise ValueError("sigma must be positive for a graph with edges")
         object.__setattr__(self, "weights", _frozen(w))
         object.__setattr__(self, "n_nodes", w.shape[0])
@@ -101,6 +102,19 @@ class SensorGraph:
     @property
     def n_edges(self) -> int:
         return len(self.edges)
+
+
+def _reachable(adjacency: np.ndarray) -> np.ndarray:
+    """Reachability over a symmetric bool adjacency, by repeated squaring.
+
+    Entry (a, b) is True iff a path of adjacent pairs links a to b; the
+    diagonal is True.
+    """
+    n = adjacency.shape[0]
+    reach = adjacency | np.eye(n, dtype=bool)
+    for _ in range(math.ceil(math.log2(n))):
+        reach = reach @ reach.astype(float) > 0
+    return reach
 
 
 def build_knn_graph(positions: NodePositions, k: int) -> SensorGraph:

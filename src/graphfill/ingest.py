@@ -1,4 +1,4 @@
-"""Dataset loading from CSV and result serialization.
+"""Dataset loading from CSV.
 
 Two long-format CSV contracts cover both weather-station style and indoor
 lab style sensor networks:
@@ -26,7 +26,6 @@ csv.field_size_limit().
 from __future__ import annotations
 
 import csv
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -301,80 +300,3 @@ def filter_consistent_nodes(dataset: Dataset, min_coverage: float) -> Dataset:
         time_indices=dataset.time_indices,
     )
 
-
-def _finite_or_none(value: float):
-    return float(value) if value is not None and math.isfinite(value) else None
-
-
-def result_paths(path) -> tuple[Path, Path]:
-    """Resolve an output base path into its (csv, json) pair.
-
-    The parent directory is created if it does not exist yet.
-    """
-    base = Path(path)
-    if base.suffix in {".csv", ".json"}:
-        base = base.with_suffix("")
-    base.parent.mkdir(parents=True, exist_ok=True)
-    return base.with_suffix(".csv"), base.with_suffix(".json")
-
-
-def write_results(results, path, config: dict | None = None) -> None:
-    """Write experiment results as a CSV summary table plus a JSON document.
-
-    ``path`` is a base path: ``<path>.csv`` gets one row per (dataset,
-    method, density) with means and population standard deviations at 6
-    significant digits; ``<path>.json`` carries full-precision per-repetition
-    values, failures, and an echo of the configuration. Output bytes are
-    deterministic for identical inputs.
-    """
-    results = list(results)
-    if not results:
-        raise ValueError("results must be nonempty")
-    csv_path, json_path = result_paths(path)
-
-    with csv_path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["dataset", "method", "density", "rmse_mean", "rmse_std", "mae_mean", "mae_std", "reps"]
-        )
-        for r in results:
-            writer.writerow(
-                [
-                    r.dataset_name,
-                    r.method,
-                    format(r.density, ".6g"),
-                    _fmt(r.rmse_mean),
-                    _fmt(r.rmse_std),
-                    _fmt(r.mae_mean),
-                    _fmt(r.mae_std),
-                    len(r.per_rep),
-                ]
-            )
-
-    doc = {
-        "config": config,
-        "results": [
-            {
-                "dataset": r.dataset_name,
-                "method": r.method,
-                "density": r.density,
-                "rmse_mean": _finite_or_none(r.rmse_mean),
-                "rmse_std": _finite_or_none(r.rmse_std),
-                "mae_mean": _finite_or_none(r.mae_mean),
-                "mae_std": _finite_or_none(r.mae_std),
-                "repetitions": r.repetitions,
-                "per_rep": [
-                    {"seed": seed, "rmse": rm, "mae": ma} for seed, rm, ma in r.per_rep
-                ],
-                "failed_reps": [
-                    {"seed": seed, "error": message} for seed, message in r.failed
-                ],
-            }
-            for r in results
-        ],
-    }
-    json_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def _fmt(value: float) -> str:
-    return format(value, ".6g") if math.isfinite(value) else "nan"

@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DensityTooLow, UnsatisfiableCoverage
-from .temporal import TimeVaryingSignal, check_mask
 
 _MAX_REDRAWS = 1000
 
@@ -59,8 +58,3 @@ def random_mask(n: int, m: int, density: float, seed: int) -> np.ndarray:
         f"{_MAX_REDRAWS} draws never observed every one of {n} nodes "
         f"({count} samples x {m} snapshots)"
     )
-
-
-def apply_mask(x: TimeVaryingSignal, mask: np.ndarray) -> TimeVaryingSignal:
-    """Entrywise product Y = J o X: observed entries kept, the rest zeroed."""
-    return TimeVaryingSignal(values=x.values * check_mask(mask, x.values.shape))

@@ -50,8 +50,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, HorizonTooShort, ProblemTooLarge, SingularSystem
-from .graph import SensorGraph, sobolev_operator, spectral_decomposition
+from .errors import (
+    ConvergenceFailure,
+    DimensionMismatch,
+    HorizonTooShort,
+    ProblemTooLarge,
+    SingularSystem,
+)
+from .graph import SensorGraph, _reachable, sobolev_operator, spectral_decomposition
 from .temporal import (
     TimeVaryingSignal,
     check_mask,
@@ -117,16 +123,13 @@ class ReconstructionResult:
 
     iterations counts CG iterations and is 0 on a direct solve.
     final_relative_residual is the true ||A(X) - Y||_F / ||Y||_F on either
-    path. converged is False when CG's iteration budget ran out (xbar then
-    holds the best iterate reached) or when the residual of a direct solve
-    exceeds CG's tolerance.
+    path; after CG it is at most _CG_TOLERANCE.
     """
 
     xbar: TimeVaryingSignal
     iterations: int
     final_relative_residual: float
     objective_value: float
-    converged: bool
 
 
 def _apply_second_difference(x: np.ndarray, diff: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -249,14 +252,9 @@ def _check_linked(graph: SensorGraph, j: np.ndarray) -> None:
     system is definite iff, on every component, the bipartite graph of its
     nodes and all M time steps, an edge per observed entry, is connected.
     """
-    n = j.shape[0]
-    reach = np.ones((n, n), dtype=bool)
-    # Reachability by repeated squaring: first over the graph's edges, then,
-    # within each component, between nodes observed at a shared time step.
-    for adjacency in (graph.weights > 0, j @ j.T > 0):
-        reach &= adjacency | np.eye(n, dtype=bool)
-        for _ in range(math.ceil(math.log2(n))):
-            reach = reach @ reach.astype(float) > 0
+    # Reachability first over the graph's edges, then, within each
+    # component, between nodes observed at a shared time step.
+    reach = _reachable(_reachable(graph.weights > 0) & (j @ j.T > 0))
     unlinked = np.argwhere(reach @ j == 0)
     if unlinked.size:
         node, t = unlinked[0]
@@ -328,17 +326,19 @@ def reconstruct_sobolev(
 ) -> ReconstructionResult:
     """Minimize the Sobolev reconstruction objective.
 
-    Y must be zero at unobserved entries (as produced by apply_mask). Where
-    _takes_direct_path holds, the normal equations are solved exactly by
-    _block_solve. Elsewhere CG starts from Y and stops once the relative
-    residual ||A(X) - Y||_F / ||Y||_F drops to _CG_TOLERANCE, or gives up
-    flagged after _CG_MAX_ITERATIONS iterations; the recursive CG residual
-    is verified against the true one before declaring convergence.
+    Y must be zero at unobserved entries, as harness.masked_problem makes
+    it. Where _takes_direct_path holds, the normal equations are solved
+    exactly by _block_solve. Elsewhere CG starts from Y and stops once the
+    relative residual ||A(X) - Y||_F / ||Y||_F drops to _CG_TOLERANCE; the
+    recursive CG residual is verified against the true one before it stops.
 
     Raises:
         SingularSystem: some node is never observed, gamma = 0 with an
             incomplete mask, eps = 0 with a mask that leaves the system
             singular, or the direct solve meets a negligible pivot.
+        ConvergenceFailure: CG used up _CG_MAX_ITERATIONS or broke down
+            (p.Ap <= 0) above _CG_TOLERANCE. A direct solve is exact up to
+            rounding and not held to it (at gamma = 1e6 it reads ~3e-10).
     """
     j = _check_inputs(y, mask, graph)
     uncovered = np.nonzero(j.sum(axis=1) == 0)[0]
@@ -353,7 +353,6 @@ def reconstruct_sobolev(
             iterations=0,
             final_relative_residual=0.0,
             objective_value=sobolev_objective(y, y, mask, b_matrix, 0.0),
-            converged=True,
         )
     if config.epsilon == 0.0:
         _check_linked(graph, j)
@@ -369,7 +368,6 @@ def reconstruct_sobolev(
             iterations=0,
             final_relative_residual=0.0,
             objective_value=0.0,
-            converged=True,
         )
     n, m = rhs.shape
     diff = np.empty(n * m + 1)
@@ -385,8 +383,8 @@ def reconstruct_sobolev(
 
     ap = np.empty((n, m))
     iterations = 0
-    converged = False
-    if _takes_direct_path(graph, config, j):
+    direct = _takes_direct_path(graph, config, j)
+    if direct:
         x = _block_solve(b_matrix, gamma, j, rhs)
     else:
         threshold = _CG_TOLERANCE * rhs_norm
@@ -402,14 +400,13 @@ def reconstruct_sobolev(
                 # and keep iterating from it if convergence was premature.
                 np.subtract(rhs, apply_a(x, ap), out=r)
                 if np.linalg.norm(r) <= threshold:
-                    converged = True
                     break
                 np.copyto(p, r)
                 rr = float(np.vdot(r, r))
             apply_a(p, ap)
             pap = float(np.vdot(p, ap))
             if not np.isfinite(pap) or pap <= 0.0:
-                break  # operator not positive definite along p; give up flagged
+                break  # operator not positive definite along p; give up
             alpha = rr / pap
             x += np.multiply(alpha, p, out=step)
             r -= np.multiply(alpha, ap, out=step)
@@ -420,15 +417,17 @@ def reconstruct_sobolev(
             iterations += 1
 
     final_residual = float(np.linalg.norm(np.subtract(rhs, apply_a(x, ap), out=ap))) / rhs_norm
-    if final_residual <= _CG_TOLERANCE:
-        converged = True
+    if not (direct or final_residual <= _CG_TOLERANCE):
+        raise ConvergenceFailure(
+            f"solver did not converge within {iterations} iterations "
+            f"(relative residual {final_residual:.3e})"
+        )
     xbar = TimeVaryingSignal(values=x)
     return ReconstructionResult(
         xbar=xbar,
         iterations=iterations,
         final_relative_residual=final_residual,
         objective_value=sobolev_objective(xbar, y, mask, b_matrix, gamma),
-        converged=converged,
     )
 
 
@@ -486,5 +485,4 @@ def dense_oracle_solve(
         iterations=0,
         final_relative_residual=residual / rhs_norm if rhs_norm else 0.0,
         objective_value=sobolev_objective(xbar, y, mask, b_matrix, config.gamma),
-        converged=True,
     )

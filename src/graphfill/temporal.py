@@ -80,7 +80,7 @@ def sobolev_objective(
             + (gamma / 2) * tr((Xbar D)^T B (Xbar D)),
 
     with B = (L + eps*I)**beta as returned by graph.sobolev_operator.
-    Y must be zero wherever J is zero (as produced by apply_mask).
+    Y must be zero wherever J is zero (as harness.masked_problem makes it).
     """
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")

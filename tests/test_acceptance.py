@@ -22,7 +22,7 @@ import pytest
 import graphfill as gf
 from graphfill.harness import fit_observed_scale
 
-from conftest import random_positions
+from conftest import masked, random_positions
 
 DENSITIES = (0.1, 0.3, 0.5, 0.7)
 _ORACLE_SUITE: list = []
@@ -71,7 +71,7 @@ def _oracle_instances():
         if not _well_posed(graph, mask, config):
             continue
         produced += 1
-        yield graph, mask, gf.apply_mask(truth, mask), config
+        yield graph, mask, masked(truth, mask), config
 
 
 def _run_oracle_suite():
@@ -242,7 +242,7 @@ def test_criterion_6_invariant_suite():
     assert np.abs(graph_perm.weights - p @ graph.weights @ p.T).max() <= 1e-12
     truth = gf.TimeVaryingSignal(values=rng.normal(size=(6, 5)))
     mask = gf.random_mask(6, 5, 0.6, seed=2)
-    y = gf.apply_mask(truth, mask)
+    y = masked(truth, mask)
     config = gf.SobolevConfig(epsilon=0.4, beta=1.5, gamma=0.7)
     base = gf.reconstruct_sobolev(y, mask, graph, config)
     y_perm = gf.TimeVaryingSignal(values=p @ y.values)
@@ -270,7 +270,7 @@ def test_criterion_7_reduction_identity():
         b = gf.sobolev_operator(graph, 0.0, 1.0)
         mask = gf.random_mask(n, m, 0.6, seed=trial)
         truth = gf.TimeVaryingSignal(values=rng.normal(size=(n, m)))
-        y = gf.apply_mask(truth, mask)
+        y = masked(truth, mask)
         xbar = gf.TimeVaryingSignal(values=rng.normal(size=(n, m)))
         gamma = float(rng.uniform(0.1, 2.0))
         value = gf.sobolev_objective(xbar, y, mask, b, gamma)

@@ -178,8 +178,9 @@ def test_reconstruct_non_convergence_exits_3(tmp_path, fixture_files, capsys, mo
     cfg = gf.SobolevConfig(epsilon=0.5, beta=1.0, gamma=0.5)
     assert not solver._takes_direct_path(graph, cfg, mask.astype(float))
     monkeypatch.setattr(solver, "_CG_MAX_ITERATIONS", 1)
-    assert main(reconstruct_args(positions, readings, tmp_path / "x")) == 3
-    assert "converge" in capsys.readouterr().err
+    assert main(reconstruct_args(positions, readings, tmp_path / "out" / "x")) == 3
+    assert "graphfill: solver did not converge within 1 iterations" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("flag", ["--cg-tolerance", "--max-iterations"])
@@ -459,6 +460,23 @@ def test_graph_info_isolates_far_outlier(tmp_path, capsys):
     assert main(["graph-info", "--positions", str(positions), "--k", "5"]) == 0
     out = capsys.readouterr().out
     assert "components:        2\n" in out and "connected:         False\n" in out
+
+
+def test_graph_info_counts_components_from_edges(tmp_path, capsys):
+    # the far node's edges weigh about 1e-25: tiny, but in W, so it is linked,
+    # although the Laplacian has two eigenvalues below 1e-10
+    coords = np.random.default_rng(0).uniform(0.0, 1.0, size=(11, 2))
+    coords[-1] = (30.0, 30.0)
+    positions = tmp_path / "positions.csv"
+    positions.write_text("node_id,x,y\n" + "".join(
+        f"n{i},{x!r},{y!r}\n" for i, (x, y) in enumerate(coords.tolist())
+    ))
+    edges = tmp_path / "edges.csv"
+    assert main(["graph-info", "--positions", str(positions), "--k", "2", "--out", str(edges)]) == 0
+    out = capsys.readouterr().out
+    assert "components:        1\n" in out and "connected:         True\n" in out
+    far = [row for row in csv.reader(edges.read_text().splitlines()) if "n10" in row[:2]]
+    assert far and all(0 < float(weight) < 1e-20 for _, _, weight in far)
 
 
 def test_graph_info_overflowing_distance_exits_2(tmp_path, capsys):

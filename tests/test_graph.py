@@ -320,7 +320,7 @@ def test_sensor_graph_rejects_non_finite_weight(value):
         gf.SensorGraph(np.array([[0.0, value], [value, 0.0]]), sigma=1.0)
 
 
-@pytest.mark.parametrize("sigma", [0.0, -1.0])
+@pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan")])
 def test_sensor_graph_sigma_must_be_positive_with_edges(sigma):
     with pytest.raises(ValueError, match="sigma must be positive"):
         gf.SensorGraph(np.array([[0.0, 1.0], [1.0, 0.0]]), sigma=sigma)

@@ -2,11 +2,16 @@ import numpy as np
 import pytest
 
 import graphfill as gf
-from graphfill import harness
-from graphfill.errors import EmptyColumn, EmptyEvaluationSet, GraphfillError
+from graphfill import harness, solver
+from graphfill.errors import (
+    DimensionMismatch,
+    EmptyColumn,
+    EmptyEvaluationSet,
+    GraphfillError,
+)
 from graphfill.harness import fit_observed_scale, masked_problem
 
-from conftest import outlier_positions, unit_path_graph
+from conftest import masked, outlier_positions, unit_path_graph
 
 
 def small_dataset(seed=0, n=20, m=40):
@@ -49,7 +54,7 @@ def test_knn_impute_weighted_mean():
 def test_knn_impute_passes_observed_through(rng):
     graph = unit_path_graph(4)
     mask = gf.random_mask(4, 5, 0.5, seed=3)
-    y = gf.apply_mask(gf.TimeVaryingSignal(values=rng.normal(size=(4, 5))), mask)
+    y = masked(gf.TimeVaryingSignal(values=rng.normal(size=(4, 5))), mask)
     filled = gf.knn_baseline_impute(y, mask, graph)
     assert np.array_equal(filled.values[mask], y.values[mask])
 
@@ -70,6 +75,13 @@ def test_knn_impute_empty_column_raises():
     y = gf.TimeVaryingSignal(values=np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]))
     with pytest.raises(EmptyColumn):
         gf.knn_baseline_impute(y, bare, graph)
+
+
+def test_knn_impute_node_count_mismatch_raises():
+    y = gf.TimeVaryingSignal(values=np.ones((3, 2)))
+    mask = np.ones((3, 2), dtype=bool)
+    with pytest.raises(DimensionMismatch, match="signal has 3 nodes, graph has 4"):
+        gf.knn_baseline_impute(y, mask, unit_path_graph(4))
 
 
 def test_fit_observed_scale_ignores_hidden_entries():
@@ -157,6 +169,26 @@ def test_failed_repetitions_recorded_not_averaged():
     assert result.per_rep == ()
     assert not result.complete
     assert np.isnan(result.rmse_mean)
+
+
+def test_non_convergence_is_a_failed_repetition(monkeypatch):
+    monkeypatch.setattr(solver, "_takes_direct_path", lambda *args: False)
+    monkeypatch.setattr(solver, "_CG_MAX_ITERATIONS", 1)
+    cfg = quick_config(densities=(0.3,), repetitions=2)
+    (result,) = gf.run_experiment(small_dataset(), cfg)
+    assert [seed for seed, _ in result.failed] == [0, 1]
+    prefix = "ConvergenceFailure: solver did not converge within 1 iterations (relative residual "
+    assert all(message.startswith(prefix) for _, message in result.failed)
+    assert result.per_rep == ()
+
+
+def test_large_gamma_direct_solves_are_not_failures():
+    # the exact solve's residual, about 3e-10 relative at gamma = 1e7, is
+    # above CG's tolerance but is no convergence failure
+    cfg = quick_config(densities=(0.3,), repetitions=2,
+                       sobolev=gf.SobolevConfig(epsilon=0.5, beta=1.0, gamma=1e7))
+    (result,) = gf.run_experiment(small_dataset(), cfg)
+    assert result.failed == () and len(result.per_rep) == 2
 
 
 def test_masked_problem_seed_controls_mask():

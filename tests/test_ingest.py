@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphfill as gf
-from graphfill import ingest
+from graphfill import cli, ingest
 from graphfill.errors import (
     DuplicateReading,
     EmptyDataset,
@@ -22,8 +22,6 @@ from graphfill.errors import (
     MalformedCsv,
     UnknownNode,
 )
-from graphfill.harness import ExperimentResult
-from graphfill.ingest import result_paths
 
 
 def write(path, text):
@@ -482,65 +480,74 @@ def test_long_node_ids_take_the_checker(tmp_path, length):
     assert ds.signal.values[:, 0].tolist() == [1.5, 2.5]
 
 
-def _result(density=0.1, with_failure=False):
-    return ExperimentResult(
-        dataset_name="demo",
-        method="sobolev",
-        density=density,
-        rmse_mean=1.23456789,
-        rmse_std=0.1,
-        mae_mean=0.87654321,
-        mae_std=0.05,
-        per_rep=((0, 1.2, 0.9), (1, 1.3, 0.85)),
-        failed=((7, "SingularSystem: node 3 is never observed"),) if with_failure else (),
-        repetitions=2,
-    )
+# Result files are written by the CLI; these run `graphfill experiment`.
+def _experiment(tmp_path, out, **overrides) -> int:
+    doc = {"densities": [0.1], "repetitions": 2, "master_seed": 0,
+           "method": "knn_baseline", "k_graph": 5}
+    doc.update(overrides)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main(["experiment", "--synthetic", "--config", str(config), "--out", str(out)])
+
+
+STATS = ("rmse_mean", "rmse_std", "mae_mean", "mae_std")
 
 
 def test_write_results_csv_shape(tmp_path):
-    out = tmp_path / "results"
-    gf.write_results([_result()], out)
+    assert _experiment(tmp_path, tmp_path / "results") == 0
     lines = (tmp_path / "results.csv").read_text().splitlines()
+    (entry,) = json.loads((tmp_path / "results.json").read_text())["results"]
     assert len(lines) == 2
     assert lines[0] == "dataset,method,density,rmse_mean,rmse_std,mae_mean,mae_std,reps"
-    assert lines[1].startswith("demo,sobolev,0.1,1.23457,")
+    stats = [format(entry[name], ".6g") for name in STATS]
+    assert lines[1] == ",".join(["synthetic", "knn_baseline", "0.1", *stats, "2"])
 
 
 def test_write_results_four_density_rows(tmp_path):
-    results = [_result(density=d) for d in (0.1, 0.3, 0.5, 0.7)]
-    gf.write_results(results, tmp_path / "table")
+    assert _experiment(tmp_path, tmp_path / "table", densities=[0.1, 0.3, 0.5, 0.7]) == 0
     lines = (tmp_path / "table.csv").read_text().splitlines()
     assert len(lines) == 5
     assert [line.split(",")[2] for line in lines[1:]] == ["0.1", "0.3", "0.5", "0.7"]
 
 
 def test_write_results_byte_deterministic(tmp_path):
-    results = [_result(), _result(density=0.3)]
-    gf.write_results(results, tmp_path / "a", config={"master_seed": 1})
-    gf.write_results(results, tmp_path / "b", config={"master_seed": 1})
+    assert _experiment(tmp_path, tmp_path / "a", densities=[0.1, 0.3], master_seed=1) == 0
+    assert _experiment(tmp_path, tmp_path / "b", densities=[0.1, 0.3], master_seed=1) == 0
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
 def test_write_results_json_contents(tmp_path):
-    gf.write_results([_result(with_failure=True)], tmp_path / "out", config={"k": 5})
+    assert _experiment(tmp_path, tmp_path / "out", k_graph=4) == 0
     doc = json.loads((tmp_path / "out.json").read_text())
-    assert doc["config"] == {"k": 5}
-    entry = doc["results"][0]
-    assert entry["per_rep"] == [
-        {"seed": 0, "rmse": 1.2, "mae": 0.9},
-        {"seed": 1, "rmse": 1.3, "mae": 0.85},
-    ]
-    assert entry["failed_reps"][0]["seed"] == 7
-    assert entry["rmse_mean"] == 1.23456789
+    assert doc["config"] == {
+        "densities": [0.1], "repetitions": 2, "master_seed": 0, "method": "knn_baseline",
+        "sobolev": {"epsilon": 0.5, "beta": 1.0, "gamma": 0.5}, "k_graph": 4,
+        "dataset": "synthetic",
+    }
+    (entry,) = doc["results"]
+    assert [rep["seed"] for rep in entry["per_rep"]] == [0, 1]
+    assert set(entry["per_rep"][0]) == {"seed", "rmse", "mae"}
+    # the JSON keeps full precision; only the CSV rounds to 6 digits
+    assert entry["rmse_mean"] == np.mean([rep["rmse"] for rep in entry["per_rep"]])
+    assert entry["failed_reps"] == []
+
+    singular = {"epsilon": 0.5, "beta": 1.0, "gamma": 0.0}
+    assert _experiment(tmp_path, tmp_path / "failed", method="sobolev", sobolev=singular) == 3
+    (entry,) = json.loads((tmp_path / "failed.json").read_text())["results"]
+    assert [rep["seed"] for rep in entry["failed_reps"]] == [0, 1]
+    assert entry["failed_reps"][0]["error"].startswith("SingularSystem: gamma = 0")
+    assert entry["per_rep"] == [] and entry["rmse_mean"] is None
 
 
 def test_result_paths_strip_suffix(tmp_path):
-    csv_path, json_path = result_paths(tmp_path / "new" / "x.csv")
-    assert csv_path.name == "x.csv" and json_path.name == "x.json"
-    assert csv_path.parent.is_dir()  # a missing parent directory is created
+    assert _experiment(tmp_path, tmp_path / "new" / "x.csv") == 0
+    # a missing parent directory is created
+    assert sorted(p.name for p in (tmp_path / "new").iterdir()) == ["x.csv", "x.json"]
 
 
-def test_write_results_requires_nonempty(tmp_path):
-    with pytest.raises(ValueError):
-        gf.write_results([], tmp_path / "nothing")
+def test_write_results_requires_nonempty(tmp_path, capsys):
+    assert _experiment(tmp_path, tmp_path / "nothing", densities=[]) == 2
+    assert "densities must be nonempty" in capsys.readouterr().err
+    assert not (tmp_path / "nothing.csv").exists()

@@ -4,7 +4,7 @@ import pytest
 import graphfill as gf
 from graphfill.errors import HorizonTooShort
 
-from conftest import random_geometric_graph, unit_path_graph
+from conftest import masked, random_geometric_graph, unit_path_graph
 
 
 def objective_by_hand(xbar, y, j, b, gamma):
@@ -89,7 +89,7 @@ def test_objective_matches_entrywise_oracle(rng):
     b = gf.sobolev_operator(g, 0.2, 1.5)
     mask = gf.random_mask(3, 4, 0.5, seed=9)
     truth = gf.TimeVaryingSignal(values=rng.normal(size=(3, 4)))
-    y = gf.apply_mask(truth, mask)
+    y = masked(truth, mask)
     xbar = gf.TimeVaryingSignal(values=rng.normal(size=(3, 4)))
     expected = objective_by_hand(
         xbar.values, y.values, mask.astype(float), b, 0.8
@@ -104,7 +104,7 @@ def test_objective_reduces_to_plain_laplacian_form(rng):
         b = gf.sobolev_operator(g, 0.0, 1.0)
         mask = gf.random_mask(4, 5, 0.5, seed=trial)
         truth = gf.TimeVaryingSignal(values=rng.normal(size=(4, 5)))
-        y = gf.apply_mask(truth, mask)
+        y = masked(truth, mask)
         xbar = gf.TimeVaryingSignal(values=rng.normal(size=(4, 5)))
         expected = objective_by_hand(
             xbar.values, y.values, mask.astype(float), g.laplacian, 1.3
@@ -117,7 +117,7 @@ def test_objective_convex_in_xbar(rng):
     g = random_geometric_graph(4, 2, seed=6)
     b = gf.sobolev_operator(g, 0.5, 1.0)
     mask = gf.random_mask(4, 4, 0.5, seed=3)
-    y = gf.apply_mask(gf.TimeVaryingSignal(values=rng.normal(size=(4, 4))), mask)
+    y = masked(gf.TimeVaryingSignal(values=rng.normal(size=(4, 4))), mask)
     for _ in range(10):
         x1 = rng.normal(size=(4, 4))
         x2 = rng.normal(size=(4, 4))
