@@ -6,9 +6,10 @@ Four subcommands: ``reconstruct`` (one solve over a masked dataset),
 kNN graph built from a positions file).
 
 Exit codes are a stable contract: 0 success, 2 usage or validation
-problems, 3 runtime or solver failures. Diagnostics go to stderr; result
-tables go to stdout and to the ``<out>.csv``/``<out>.json`` files, which
-only this module writes (_write_results).
+problems (errors.InvalidInput or ValueError), 3 any other GraphfillError or
+an OSError. Diagnostics go to stderr; result tables go to stdout and to the
+``<out>.csv``/``<out>.json`` files, which only this module writes
+(_write_results).
 """
 
 from __future__ import annotations
@@ -25,40 +26,12 @@ from pathlib import Path
 import numpy as np
 
 from . import ingest
-from .errors import (
-    DegenerateRange,
-    DensityTooLow,
-    DimensionMismatch,
-    DuplicateCoordinates,
-    DuplicateReading,
-    EmptyDataset,
-    EmptyEvaluationSet,
-    GraphfillError,
-    HorizonTooShort,
-    KTooLarge,
-    MalformedCsv,
-    UnknownNode,
-)
+from .errors import GraphfillError, InvalidInput
 from .graph import _reachable, build_knn_graph, spectral_decomposition, write_edge_list
 from .harness import ExperimentConfig, grid_search, masked_problem, run_experiment
 from .metrics import error_report, inverse_scale
 from .solver import SobolevConfig, reconstruct_sobolev
 from .synthetic import synthetic_dataset
-
-_VALIDATION_ERRORS = (
-    MalformedCsv,
-    DuplicateReading,
-    UnknownNode,
-    EmptyDataset,
-    KTooLarge,
-    DuplicateCoordinates,
-    DensityTooLow,
-    HorizonTooShort,
-    DegenerateRange,
-    DimensionMismatch,
-    EmptyEvaluationSet,
-    ValueError,
-)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -106,8 +79,6 @@ def _add_dataset_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--synthetic", action="store_true",
                      help="use the bundled synthetic dataset instead of CSVs")
     sub.add_argument("--synthetic-seed", type=int, default=0)
-    sub.add_argument("--min-coverage", type=float, default=1.0,
-                     help="native coverage required to keep a node")
 
 
 def _load_experiment_dataset(args) -> "ingest.Dataset":
@@ -116,7 +87,7 @@ def _load_experiment_dataset(args) -> "ingest.Dataset":
     if not (args.positions and args.readings):
         raise ValueError("provide --positions and --readings, or --synthetic")
     dataset = ingest.load_dataset(args.positions, args.readings)
-    return ingest.filter_consistent_nodes(dataset, args.min_coverage)
+    return ingest.filter_consistent_nodes(dataset, 1.0)
 
 
 def _strict_keys(doc: dict, allowed: set[str], where: str) -> None:
@@ -178,6 +149,8 @@ def _print_table(results, stream=None) -> None:
 def _cmd_reconstruct(args) -> int:
     if not 0 < args.density <= 1:
         raise ValueError(f"--density must be in (0, 1], got {args.density}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     dataset = ingest.load_dataset(args.positions, args.readings)
     dataset = ingest.filter_consistent_nodes(dataset, args.min_coverage)
     graph = build_knn_graph(dataset.positions, args.k)
@@ -315,8 +288,6 @@ def _cmd_gridsearch(args) -> int:
             raise ValueError(f"config is missing required field {key!r}")
     for key in ("eps_grid", "beta_grid", "gamma_grid"):
         _require_type(doc, key, list)
-    if not (doc["eps_grid"] and doc["beta_grid"] and doc["gamma_grid"]):
-        raise ValueError("grids must be nonempty")
 
     dataset = _load_experiment_dataset(args)
     search = grid_search(
@@ -338,8 +309,8 @@ def _cmd_gridsearch(args) -> int:
         "config_echo": doc,
         "dataset": dataset.name,
         "best_config": asdict(search.best_config),
-        "best_rmse_mean": search.best_result.rmse_mean,
-        "best_mae_mean": search.best_result.mae_mean,
+        "best_rmse_mean": _finite_or_none(search.best_result.rmse_mean),
+        "best_mae_mean": _finite_or_none(search.best_result.mae_mean),
         "entries": [
             {
                 "config": asdict(config),
@@ -395,7 +366,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return _HANDLERS[args.command](args)
-    except _VALIDATION_ERRORS as exc:
+    except (InvalidInput, ValueError) as exc:
         print(f"graphfill: {exc}", file=sys.stderr)
         return 2
     except (GraphfillError, OSError) as exc:

@@ -2,7 +2,9 @@
 
 Everything derives from :class:`GraphfillError` so callers can catch the
 package's failures with a single except clause while still being able to
-distinguish individual conditions.
+distinguish individual conditions. Faults in the input (data, graph or
+evaluation set) derive from :class:`InvalidInput`; the CLI exits 2 on those
+and 3 on every other GraphfillError.
 """
 
 
@@ -10,15 +12,19 @@ class GraphfillError(Exception):
     """Base class for all graphfill errors."""
 
 
-class DimensionMismatch(GraphfillError):
+class InvalidInput(GraphfillError):
+    """Base class for faults in the input rather than in the computation."""
+
+
+class DimensionMismatch(InvalidInput):
     """Operands have incompatible shapes."""
 
 
-class KTooLarge(GraphfillError):
+class KTooLarge(InvalidInput):
     """Requested more neighbours than there are other nodes."""
 
 
-class DuplicateCoordinates(GraphfillError):
+class DuplicateCoordinates(InvalidInput):
     """Two nodes share identical coordinates (zero distance)."""
 
 
@@ -26,15 +32,11 @@ class ConvergenceFailure(GraphfillError):
     """The Laplacian eigensolver failed, or CG stopped above its tolerance."""
 
 
-class NegativeBase(GraphfillError):
-    """Fractional power requested of a matrix with a negative eigenvalue."""
-
-
-class HorizonTooShort(GraphfillError):
+class HorizonTooShort(InvalidInput):
     """Temporal differences need at least two time steps."""
 
 
-class DensityTooLow(GraphfillError):
+class DensityTooLow(InvalidInput):
     """Sampling density rounds to zero nodes per snapshot."""
 
 
@@ -50,27 +52,27 @@ class ProblemTooLarge(GraphfillError):
     """Instance exceeds the dense direct solver's size guard."""
 
 
-class EmptyEvaluationSet(GraphfillError):
+class EmptyEvaluationSet(InvalidInput):
     """No hidden entries to evaluate metrics over."""
 
 
-class DegenerateRange(GraphfillError):
+class DegenerateRange(InvalidInput):
     """Min-max scaling of a constant matrix is undefined."""
 
 
-class MalformedCsv(GraphfillError):
+class MalformedCsv(InvalidInput):
     """CSV input violates the documented header/field contract."""
 
 
-class DuplicateReading(GraphfillError):
+class DuplicateReading(InvalidInput):
     """Two readings for the same (node, time) pair."""
 
 
-class UnknownNode(GraphfillError):
+class UnknownNode(InvalidInput):
     """A reading references a node absent from the positions file."""
 
 
-class EmptyDataset(GraphfillError):
+class EmptyDataset(InvalidInput):
     """No usable nodes or readings remain."""
 
 

@@ -16,11 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DuplicateCoordinates, KTooLarge, NegativeBase
-
-# How far below zero a Laplacian eigenvalue may dip before the matrix is
-# treated as numerically broken rather than merely noisy.
-PSD_TOLERANCE = 1e-8
+from .errors import ConvergenceFailure, DuplicateCoordinates, KTooLarge
 
 
 def _frozen(values, dtype=float) -> np.ndarray:
@@ -204,14 +200,11 @@ def sobolev_operator(graph: SensorGraph, epsilon: float, beta: float) -> np.ndar
 
     Integer beta is evaluated by repeated symmetric multiplication; any other
     beta goes through the eigendecomposition, raising the shifted eigenvalues
-    to the given power. The product is symmetrized as (B + B^T) / 2. Results
+    to the given power. L = D - W is PSD because SensorGraph holds W
+    symmetric and nonnegative, so a negative shifted eigenvalue is rounding
+    and is clipped to 0. The product is symmetrized as (B + B^T) / 2. Results
     are cached per (epsilon, beta) on the graph so repeated solves share the
     matrix.
-
-    Raises:
-        NegativeBase: a shifted eigenvalue is below -1e-8 and beta is
-            fractional, so the real power does not exist. Shifted eigenvalues
-            in [-1e-8, 0) are treated as floating-point noise and clamped.
     """
     if epsilon < 0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
@@ -227,12 +220,7 @@ def sobolev_operator(graph: SensorGraph, epsilon: float, beta: float) -> np.ndar
         matrix = np.linalg.matrix_power(shifted, int(beta))
     else:
         lam, u = spectral_decomposition(graph)
-        lam = lam + epsilon
-        if lam.min() < -PSD_TOLERANCE:
-            raise NegativeBase(
-                f"cannot raise eigenvalue {lam.min():.3e} to fractional power {beta}"
-            )
-        lam = np.clip(lam, 0.0, None) ** beta
+        lam = np.clip(lam + epsilon, 0.0, None) ** beta
         matrix = (u * lam) @ u.T
     matrix = _frozen((matrix + matrix.T) / 2.0)
     graph._cache[key] = matrix

@@ -52,6 +52,8 @@ class ExperimentConfig:
             _check_number(name, getattr(self, name), numbers.Integral)
         if self.repetitions < 1:
             raise ValueError("repetitions must be positive")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.k_graph < 1:

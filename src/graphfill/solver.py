@@ -331,6 +331,8 @@ def reconstruct_sobolev(
     exactly by _block_solve. Elsewhere CG starts from Y and stops once the
     relative residual ||A(X) - Y||_F / ||Y||_F drops to _CG_TOLERANCE; the
     recursive CG residual is verified against the true one before it stops.
+    At gamma = 0 with a complete mask, Y itself solves the system and CG stops
+    at iteration 0.
 
     Raises:
         SingularSystem: some node is never observed, gamma = 0 with an
@@ -344,16 +346,8 @@ def reconstruct_sobolev(
     uncovered = np.nonzero(j.sum(axis=1) == 0)[0]
     if uncovered.size:
         raise SingularSystem(f"node {int(uncovered[0])} is never observed")
-    if config.gamma == 0.0:
-        if not j.all():
-            raise SingularSystem("gamma = 0 with an incomplete mask")
-        b_matrix = sobolev_operator(graph, config.epsilon, config.beta)
-        return ReconstructionResult(
-            xbar=y,
-            iterations=0,
-            final_relative_residual=0.0,
-            objective_value=sobolev_objective(y, y, mask, b_matrix, 0.0),
-        )
+    if config.gamma == 0.0 and not j.all():
+        raise SingularSystem("gamma = 0 with an incomplete mask")
     if config.epsilon == 0.0:
         _check_linked(graph, j)
 

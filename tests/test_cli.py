@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import graphfill as gf
-from graphfill import harness, solver
+from graphfill import cli, errors, harness, solver
 from graphfill.cli import main
 from graphfill.harness import fit_observed_scale
 
@@ -145,6 +145,13 @@ def test_reconstruct_bad_density_exits_2(tmp_path, fixture_files, capsys):
     argv = reconstruct_args(positions, readings, tmp_path / "x", **{"--density": "1.1"})
     assert main(argv) == 2
     assert "density" in capsys.readouterr().err
+
+
+def test_reconstruct_negative_seed_exits_2_before_reading(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    argv = reconstruct_args(missing, missing, tmp_path / "x", **{"--seed": "-1"})
+    assert main(argv) == 2
+    assert "--seed must be >= 0, got -1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["-1", "nan", "1.5"])
@@ -311,6 +318,15 @@ def test_experiment_failed_reps_exit_3_with_partial_results(tmp_path, capsys):
     assert "failed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["experiment", "gridsearch"])
+def test_min_coverage_is_reconstruct_only(tmp_path, capsys, command):
+    config = experiment_config(tmp_path)
+    argv = [command, "--synthetic", "--min-coverage", "1", "--config", str(config),
+            "--out", str(tmp_path / "x")]
+    assert main(argv) == 2
+    assert "unrecognized arguments: --min-coverage 1" in capsys.readouterr().err
+
+
 def test_experiment_requires_dataset_flags(tmp_path, capsys):
     config = experiment_config(tmp_path)
     assert main(["experiment", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
@@ -336,6 +352,7 @@ def test_experiment_non_finite_gamma_exits_2(tmp_path, capsys, gamma):
         ({"repetitions": "3"}, "repetitions must be an integer, got '3'"),
         ({"master_seed": False}, "master_seed must be an integer, got False"),
         ({"k_graph": 3.0}, "k_graph must be an integer, got 3.0"),
+        ({"master_seed": -1}, "master_seed must be >= 0, got -1"),
     ],
 )
 def test_experiment_non_numeric_config_exits_2(tmp_path, capsys, override, message):
@@ -396,6 +413,30 @@ def test_gridsearch_eight_point_grid(tmp_path):
 def test_gridsearch_empty_grid_exits_2(tmp_path, capsys):
     config = gridsearch_config(tmp_path, eps_grid=[])
     assert main(["gridsearch", "--synthetic", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
+    assert "all three grids must be nonempty" in capsys.readouterr().err
+
+
+def _reject_constant(name):
+    raise ValueError(f"not JSON: {name}")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_gridsearch_infinite_best_statistic_is_null(tmp_path, fixture_files):
+    positions, readings = fixture_files
+    # readings of +-1e200 overflow the squared errors, so rmse_mean is inf
+    signs = np.random.default_rng(1).choice([-1, 1], size=(8, 12))
+    readings.write_text(
+        "node_id,time_index,value\n"
+        + "".join(f"s{i},{t},{signs[i, t]}e200\n" for i in range(8) for t in range(12))
+    )
+    out = tmp_path / "grid"
+    argv = ["gridsearch", "--positions", str(positions), "--readings", str(readings),
+            "--config", str(gridsearch_config(tmp_path)), "--out", str(out)]
+    assert main(argv) == 0
+    report = json.loads(out.with_suffix(".json").read_text(), parse_constant=_reject_constant)
+    assert report["best_rmse_mean"] is None
+    assert report["entries"][0]["rmse_mean"] is None
 
 
 def test_gridsearch_non_finite_gamma_exits_2_before_solving(tmp_path, capsys, monkeypatch):
@@ -417,6 +458,7 @@ def test_gridsearch_non_finite_gamma_exits_2_before_solving(tmp_path, capsys, mo
         ({"density": "0.5"}, "density must be a real number, got '0.5'"),
         ({"repetitions": 2.5}, "repetitions must be an integer, got 2.5"),
         ({"k_graph": "3"}, "k_graph must be an integer, got '3'"),
+        ({"master_seed": -1}, "master_seed must be >= 0, got -1"),
     ],
 )
 def test_gridsearch_non_numeric_config_exits_2_before_solving(
@@ -587,3 +629,31 @@ def test_reconstruct_oversized_quoted_field_exits_2(tmp_path, fixture_files, cap
 def test_graph_info_k_too_large_exits_2(tmp_path, fixture_files, capsys):
     positions, _ = fixture_files
     assert main(["graph-info", "--positions", str(positions), "--k", "8"]) == 2
+
+
+# The GraphfillError classes that main reports as faults in the input, with
+# exit 2; every other GraphfillError exits 3.
+EXIT_2_ERRORS = {
+    "InvalidInput", "MalformedCsv", "DuplicateReading", "UnknownNode", "EmptyDataset",
+    "KTooLarge", "DuplicateCoordinates", "DensityTooLow", "HorizonTooShort",
+    "DegenerateRange", "DimensionMismatch", "EmptyEvaluationSet",
+}
+
+
+def test_exit_code_of_every_error_class(monkeypatch, capsys):
+    classes = [cls for cls in vars(errors).values()
+               if isinstance(cls, type) and issubclass(cls, errors.GraphfillError)]
+    names = {cls.__name__ for cls in classes}
+    assert EXIT_2_ERRORS - {"InvalidInput"} <= names
+    raised = [cls("boom") for cls in classes] + [ValueError("boom"), OSError("boom")]
+    got, want = {}, {}
+    for exc in raised:
+        def handler(args, exc=exc):
+            raise exc
+
+        monkeypatch.setitem(cli._HANDLERS, "graph-info", handler)
+        name = type(exc).__name__
+        got[name] = main(["graph-info", "--positions", "p.csv", "--k", "1"])
+        want[name] = 2 if name in EXIT_2_ERRORS | {"ValueError"} else 3
+        assert capsys.readouterr().err == "graphfill: boom\n"
+    assert got == want

@@ -252,6 +252,17 @@ def test_sobolev_fractional_beta_with_zero_epsilon():
     assert np.linalg.eigvalsh(b).min() >= -1e-8
 
 
+def test_sobolev_fractional_beta_clips_rounding_below_zero():
+    # scaling W by 1e8 leaves lambda_1 at about -6.6e-8: rounding, as L is PSD
+    base = gf.build_knn_graph(gf.synthetic_dataset(seed=0).positions, 5)
+    g = gf.SensorGraph(base.weights * 1e8, base.sigma)
+    lam, u = gf.spectral_decomposition(g)
+    assert lam[0] < -1e-8
+    b = gf.sobolev_operator(g, 0.0, 1.5)
+    want = u @ np.diag(np.clip(lam, 0.0, None) ** 1.5) @ u.T
+    assert np.abs(b - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_sobolev_operator_is_cached():
     g = random_geometric_graph(5, 2, seed=1)
     b = gf.sobolev_operator(g, 0.5, 2.0)

@@ -511,9 +511,12 @@ def test_gamma_zero_full_mask_identity(rng):
     y = gf.TimeVaryingSignal(values=rng.normal(size=(3, 3)))
     full = np.ones((3, 3), dtype=bool)
     cfg = gf.SobolevConfig(epsilon=0.5, beta=1.0, gamma=0.0)
-    for solve in (gf.reconstruct_sobolev, gf.dense_oracle_solve):
-        result = solve(y, full, graph, cfg)
-        assert np.abs(result.xbar.values - y.values).max() <= 1e-12
+    result = gf.reconstruct_sobolev(y, full, graph, cfg)
+    assert np.array_equal(result.xbar.values, y.values)
+    assert result.iterations == 0
+    assert result.final_relative_residual == 0.0
+    oracle = gf.dense_oracle_solve(y, full, graph, cfg)
+    assert np.abs(oracle.xbar.values - y.values).max() <= 1e-12
 
 
 def test_gamma_zero_incomplete_mask_singular(rng):
