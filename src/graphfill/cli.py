@@ -172,12 +172,12 @@ def _cmd_reconstruct(args) -> int:
         "mae": None,
     }
     if hidden.any():
-        report = error_report(dataset.signal, recon, hidden)
+        report = error_report(dataset.signal.values, recon, hidden)
         metrics_doc["rmse"] = report.rmse
         metrics_doc["mae"] = report.mae
 
     def write_csv(fh):
-        _write_reconstruction(fh, dataset.positions.node_ids, dataset.time_indices, recon.values)
+        _write_reconstruction(fh, dataset.positions.node_ids, dataset.time_indices, recon)
 
     csv_path, json_path = _write_results(args.out, write_csv, metrics_doc)
     print(f"wrote {csv_path} and {json_path}")

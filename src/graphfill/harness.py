@@ -24,7 +24,7 @@ from .ingest import Dataset
 from .metrics import ScaleParams, error_report, inverse_scale
 from .sampling import random_mask, samples_per_column
 from .solver import SobolevConfig, _check_number, reconstruct_sobolev
-from .temporal import TimeVaryingSignal, check_mask
+from .temporal import check_mask, check_signal
 
 METHODS = ("sobolev", "tikhonov", "knn_baseline")
 
@@ -96,9 +96,7 @@ class GridSearchResult:
     entries: tuple[tuple[SobolevConfig, ExperimentResult], ...]
 
 
-def knn_baseline_impute(
-    y: TimeVaryingSignal, mask: np.ndarray, graph: SensorGraph
-) -> TimeVaryingSignal:
+def knn_baseline_impute(y: np.ndarray, mask: np.ndarray, graph: SensorGraph) -> np.ndarray:
     """Fill hidden entries with the weighted mean of observed graph neighbours.
 
     For hidden entry (i, t) the estimate is the W(i, .)-weighted average of
@@ -106,21 +104,22 @@ def knn_baseline_impute(
     is observed the column mean of the observed entries stands in. Observed
     entries pass through unchanged.
     """
-    j = check_mask(mask, y.values.shape)
-    if y.n_nodes != graph.n_nodes:
-        raise DimensionMismatch(f"signal has {y.n_nodes} nodes, graph has {graph.n_nodes}")
+    y = check_signal(y)
+    j = check_mask(mask, y.shape)
+    if y.shape[0] != graph.n_nodes:
+        raise DimensionMismatch(f"signal has {y.shape[0]} nodes, graph has {graph.n_nodes}")
     col_counts = j.sum(axis=0)
     if np.any(col_counts == 0):
         t = int(np.nonzero(col_counts == 0)[0][0])
         raise EmptyColumn(f"time step {t} has no observed nodes")
     w = graph.weights
-    neighbour_sum = w @ (y.values * j)
+    neighbour_sum = w @ (y * j)
     neighbour_weight = w @ j
-    column_mean = (y.values * j).sum(axis=0) / col_counts
-    fallback = np.broadcast_to(column_mean, y.values.shape)
+    column_mean = (y * j).sum(axis=0) / col_counts
+    fallback = np.broadcast_to(column_mean, y.shape)
     safe_weight = np.where(neighbour_weight > 0, neighbour_weight, 1.0)
     averaged = np.where(neighbour_weight > 0, neighbour_sum / safe_weight, fallback)
-    return TimeVaryingSignal(values=np.where(j, y.values, averaged))
+    return check_signal(np.where(j, y, averaged))
 
 
 def fit_observed_scale(truth_values: np.ndarray, mask: np.ndarray):
@@ -156,12 +155,12 @@ def masked_problem(dataset: Dataset, density: float, seed: int):
     with ground truth to score. scale and y come from fit_observed_scale on
     the observed entries alone.
     """
-    n, m = dataset.signal.values.shape
+    n, m = dataset.n_nodes, dataset.n_steps
     drawn = random_mask(n, m, density, seed)
     observed = _frozen(drawn & dataset.native_mask, bool)
     hidden = _frozen(~drawn & dataset.native_mask, bool)
     scale, y_values = fit_observed_scale(dataset.signal.values, observed)
-    return observed, hidden, scale, TimeVaryingSignal(values=y_values)
+    return observed, hidden, scale, check_signal(y_values)
 
 
 def _aggregate(dataset_name, method, density, per_rep, failed, repetitions):
@@ -221,7 +220,8 @@ def _run_cells(dataset: Dataset, graph, density, seeds, cells) -> list[Experimen
         for (method, sobolev_cfg), cell_reps, cell_failed in zip(cells, per_rep, failed):
             try:
                 estimate = _solve(method, y, observed, graph, sobolev_cfg)
-                report = error_report(dataset.signal, inverse_scale(estimate, scale), hidden)
+                recon = inverse_scale(estimate, scale)
+                report = error_report(dataset.signal.values, recon, hidden)
                 cell_reps.append((seed, report.rmse, report.mae))
             except GraphfillError as exc:
                 cell_failed.append((seed, f"{type(exc).__name__}: {exc}"))

@@ -68,9 +68,9 @@ class Dataset:
 
     def __post_init__(self):
         native = _frozen(check_mask(self.native_mask, self.signal.values.shape), bool)
-        if self.positions.n_nodes != self.signal.n_nodes:
+        if self.positions.n_nodes != self.n_nodes:
             raise ValueError("positions and signal node counts differ")
-        if len(self.time_indices) != self.signal.n_steps:
+        if len(self.time_indices) != self.n_steps:
             raise ValueError("time_indices and signal column counts differ")
         if np.any(self.signal.values[~native] != 0.0):
             raise ValueError("signal must be zero where the reading is missing")
@@ -79,11 +79,11 @@ class Dataset:
 
     @property
     def n_nodes(self) -> int:
-        return self.signal.n_nodes
+        return self.signal.values.shape[0]
 
     @property
     def n_steps(self) -> int:
-        return self.signal.n_steps
+        return self.signal.values.shape[1]
 
     @property
     def fully_covered(self) -> bool:
@@ -227,9 +227,9 @@ def load_dataset(positions_path, readings_path, name: str | None = None) -> Data
     """Load positions + long-format readings and pivot into an N x M matrix.
 
     Node order follows the positions file; time columns are the distinct
-    time_index values sorted ascending. Nodes with no readings at all are
-    dropped with a warning. A missing (node, time) row, or an empty or
-    non-finite value, marks that entry natively missing.
+    time_index values sorted ascending. A missing (node, time) row, or an
+    empty or non-finite value, marks that entry natively missing, and nodes
+    with no finite reading at all are dropped with a warning.
 
     Raises the first fault in file order, naming ``file:line``:
         MalformedCsv, DuplicateReading, UnknownNode, EmptyDataset.
@@ -244,7 +244,8 @@ def load_dataset(positions_path, readings_path, name: str | None = None) -> Data
         parsed = _parse_readings_checked(readings_path, text, node_index)
     rows, time_order, cols, values = parsed
 
-    present = np.bincount(rows, minlength=positions.n_nodes) > 0
+    finite = np.isfinite(values)
+    present = np.bincount(rows[finite], minlength=positions.n_nodes) > 0
     dropped = [positions.node_ids[i] for i in np.flatnonzero(~present)]
     if dropped:
         warnings.warn(f"dropping nodes with no readings: {', '.join(dropped)}", stacklevel=2)
@@ -252,7 +253,6 @@ def load_dataset(positions_path, readings_path, name: str | None = None) -> Data
     if len(keep) < 2:
         raise EmptyDataset(f"{readings_path}: fewer than 2 nodes have readings")
 
-    finite = np.isfinite(values)
     cells = ((np.cumsum(present) - 1)[rows[finite]], cols[finite])
     signal = np.zeros((len(keep), len(time_order)))
     signal[cells] = values[finite]

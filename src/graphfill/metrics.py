@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateRange, DimensionMismatch, EmptyEvaluationSet
-from .temporal import TimeVaryingSignal, check_mask
+from .temporal import check_mask, check_signal
 
 
 @dataclass(frozen=True)
@@ -43,25 +44,25 @@ class MetricReport:
             raise ValueError(f"mae {self.mae} exceeds rmse {self.rmse}")
 
 
-def error_report(
-    truth: TimeVaryingSignal, recon: TimeVaryingSignal, hidden: np.ndarray
-) -> MetricReport:
+def error_report(truth: np.ndarray, recon: np.ndarray, hidden: np.ndarray) -> MetricReport:
     """RMSE and MAE of recon against truth over the True entries of hidden."""
-    if truth.values.shape != recon.values.shape:
-        raise DimensionMismatch(
-            f"truth {truth.values.shape} vs recon {recon.values.shape}"
-        )
-    check_mask(hidden, truth.values.shape)
-    dev = truth.values[hidden] - recon.values[hidden]
+    truth, recon = check_signal(truth), check_signal(recon)
+    if truth.shape != recon.shape:
+        raise DimensionMismatch(f"truth {truth.shape} vs recon {recon.shape}")
+    check_mask(hidden, truth.shape)
+    dev = truth[hidden] - recon[hidden]
     if dev.size == 0:
         raise EmptyEvaluationSet("no entries to evaluate")
-    return MetricReport(
-        rmse=float(np.sqrt(np.mean(dev**2))),
-        mae=float(np.mean(np.abs(dev))),
-        n_evaluated=dev.size,
-    )
+    with np.errstate(over="ignore"):
+        rmse, mae = float(np.sqrt(np.mean(dev**2))), float(np.mean(np.abs(dev)))
+    if not math.isfinite(rmse):  # a sum overflowed: redo it on dev / max|dev|
+        top = float(np.abs(dev).max())
+        rmse = top * float(np.sqrt(np.mean((dev / top) ** 2)))
+        if not math.isfinite(mae):  # needs |dev| near 1e308 / n, so dev**2 overflowed too
+            mae = top * float(np.mean(np.abs(dev / top)))
+    return MetricReport(rmse=rmse, mae=mae, n_evaluated=dev.size)
 
 
-def inverse_scale(x: TimeVaryingSignal, params: ScaleParams) -> TimeVaryingSignal:
+def inverse_scale(x: np.ndarray, params: ScaleParams) -> np.ndarray:
     """Map [0, 1]-scaled values back to data units: x * span + min."""
-    return TimeVaryingSignal(values=x.values * params.span + params.min_value)
+    return check_signal(check_signal(x) * params.span + params.min_value)

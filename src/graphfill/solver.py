@@ -59,8 +59,8 @@ from .errors import (
 )
 from .graph import SensorGraph, _reachable, sobolev_operator, spectral_decomposition
 from .temporal import (
-    TimeVaryingSignal,
     check_mask,
+    check_signal,
     sobolev_objective,
     temporal_difference_operator,
 )
@@ -126,7 +126,7 @@ class ReconstructionResult:
     path; after CG it is at most _CG_TOLERANCE.
     """
 
-    xbar: TimeVaryingSignal
+    xbar: np.ndarray
     iterations: int
     final_relative_residual: float
     objective_value: float
@@ -217,7 +217,7 @@ def _block_solve(b: np.ndarray, gamma: float, j: np.ndarray, y: np.ndarray) -> n
     packed = np.flatnonzero(np.triu(np.ones((n, n), dtype=bool)))
     on_diagonal = np.flatnonzero(packed % (n + 1) == 0)
     factors = np.empty((m, packed.size))
-    h = np.ascontiguousarray(y.T)
+    h = np.array(y.T, order="C")  # a copy even of a read-only Fortran-order y
     wt = np.empty((n, n), order="F")
     buffers = [np.empty((n, n), order="F") for _ in range(2)]
     for t in range(m):
@@ -286,11 +286,7 @@ def _check_pivots(factors, on_diagonal, diagonal, failed_at=None) -> None:
 
 
 def objective_gradient(
-    xbar: TimeVaryingSignal,
-    y: TimeVaryingSignal,
-    mask: np.ndarray,
-    b: np.ndarray,
-    gamma: float,
+    xbar: np.ndarray, y: np.ndarray, mask: np.ndarray, b: np.ndarray, gamma: float
 ) -> np.ndarray:
     """Gradient of the reconstruction objective at xbar.
 
@@ -298,28 +294,29 @@ def objective_gradient(
     graph.sobolev_operator; zero exactly at the minimizer. Assumes Y is zero
     off-mask.
     """
-    if xbar.values.shape != y.values.shape:
+    x, y = check_signal(xbar), check_signal(y)
+    if x.shape != y.shape:
         raise DimensionMismatch("xbar and y shapes must agree")
-    j = check_mask(mask, y.values.shape)
-    x = xbar.values
+    j = check_mask(mask, y.shape)
     reg = b @ _apply_second_difference(x, np.empty(x.size + 1), np.empty(x.shape))
-    return j * x - y.values + gamma * reg
+    return check_signal(j * x - y + gamma * reg)
 
 
-def _check_inputs(y: TimeVaryingSignal, mask, graph: SensorGraph) -> np.ndarray:
-    """Validate the solve inputs; returns the mask as 0/1 float weights."""
-    j = check_mask(mask, y.values.shape).astype(float)
-    if y.n_nodes != graph.n_nodes:
+def _check_inputs(y, mask, graph: SensorGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Validate the solve inputs; returns the signal and the mask as 0/1 weights."""
+    y = check_signal(y)
+    j = check_mask(mask, y.shape).astype(float)
+    if y.shape[0] != graph.n_nodes:
         raise DimensionMismatch(
-            f"signal has {y.n_nodes} nodes, graph has {graph.n_nodes}"
+            f"signal has {y.shape[0]} nodes, graph has {graph.n_nodes}"
         )
-    if y.n_steps < 2:
+    if y.shape[1] < 2:
         raise HorizonTooShort("reconstruction needs at least 2 snapshots")
-    return j
+    return y, j
 
 
 def reconstruct_sobolev(
-    y: TimeVaryingSignal,
+    y: np.ndarray,
     mask: np.ndarray,
     graph: SensorGraph,
     config: SobolevConfig,
@@ -342,7 +339,7 @@ def reconstruct_sobolev(
             (p.Ap <= 0) above _CG_TOLERANCE. A direct solve is exact up to
             rounding and not held to it (at gamma = 1e6 it reads ~3e-10).
     """
-    j = _check_inputs(y, mask, graph)
+    y, j = _check_inputs(y, mask, graph)
     uncovered = np.nonzero(j.sum(axis=1) == 0)[0]
     if uncovered.size:
         raise SingularSystem(f"node {int(uncovered[0])} is never observed")
@@ -353,17 +350,15 @@ def reconstruct_sobolev(
 
     b_matrix = sobolev_operator(graph, config.epsilon, config.beta)
     gamma = config.gamma
-    rhs = y.values
-    rhs_norm = float(np.linalg.norm(rhs))
-    if rhs_norm == 0.0:
-        zero = TimeVaryingSignal(values=np.zeros_like(rhs))
+    y_norm = float(np.linalg.norm(y))
+    if y_norm == 0.0:
         return ReconstructionResult(
-            xbar=zero,
+            xbar=check_signal(np.zeros_like(y)),
             iterations=0,
             final_relative_residual=0.0,
             objective_value=0.0,
         )
-    n, m = rhs.shape
+    n, m = y.shape
     diff = np.empty(n * m + 1)
     xt = np.empty((n, m))
     reg = np.empty((n, m))
@@ -379,12 +374,12 @@ def reconstruct_sobolev(
     iterations = 0
     direct = _takes_direct_path(graph, config, j)
     if direct:
-        x = _block_solve(b_matrix, gamma, j, rhs)
+        x = _block_solve(b_matrix, gamma, j, y)
     else:
-        threshold = _CG_TOLERANCE * rhs_norm
-        x = rhs.copy()
+        threshold = _CG_TOLERANCE * y_norm
+        x = y.copy()
         step = np.empty((n, m))
-        r = np.subtract(rhs, apply_a(x, ap))
+        r = np.subtract(y, apply_a(x, ap))
         p = r.copy()
         rr = float(np.vdot(r, r))
         while iterations < _CG_MAX_ITERATIONS:
@@ -392,7 +387,7 @@ def reconstruct_sobolev(
             if math.sqrt(rr) <= threshold:
                 # Recursive residual can drift; confirm with the true residual
                 # and keep iterating from it if convergence was premature.
-                np.subtract(rhs, apply_a(x, ap), out=r)
+                np.subtract(y, apply_a(x, ap), out=r)
                 if np.linalg.norm(r) <= threshold:
                     break
                 np.copyto(p, r)
@@ -410,13 +405,13 @@ def reconstruct_sobolev(
             rr = rr_next
             iterations += 1
 
-    final_residual = float(np.linalg.norm(np.subtract(rhs, apply_a(x, ap), out=ap))) / rhs_norm
+    final_residual = float(np.linalg.norm(np.subtract(y, apply_a(x, ap), out=ap))) / y_norm
     if not (direct or final_residual <= _CG_TOLERANCE):
         raise ConvergenceFailure(
             f"solver did not converge within {iterations} iterations "
             f"(relative residual {final_residual:.3e})"
         )
-    xbar = TimeVaryingSignal(values=x)
+    xbar = check_signal(x)
     return ReconstructionResult(
         xbar=xbar,
         iterations=iterations,
@@ -426,7 +421,7 @@ def reconstruct_sobolev(
 
 
 def dense_oracle_solve(
-    y: TimeVaryingSignal,
+    y: np.ndarray,
     mask: np.ndarray,
     graph: SensorGraph,
     config: SobolevConfig,
@@ -446,8 +441,8 @@ def dense_oracle_solve(
     """
     import scipy.linalg
 
-    j = _check_inputs(y, mask, graph)
-    n, m = y.values.shape
+    y, j = _check_inputs(y, mask, graph)
+    n, m = y.shape
     if n * m > _DENSE_LIMIT:
         raise ProblemTooLarge(f"dense oracle limited to N*M <= {_DENSE_LIMIT}, got {n * m}")
 
@@ -461,7 +456,7 @@ def dense_oracle_solve(
             f"dense system is singular: smallest eigenvalue {eigenvalues[0]:.3e}, "
             f"largest {eigenvalues[-1]:.3e}"
         )
-    rhs = y.values.flatten(order="F")
+    rhs = y.flatten(order="F")
     try:
         factor = scipy.linalg.cho_factor(a)
         solution = scipy.linalg.cho_solve(factor, rhs)
@@ -473,7 +468,7 @@ def dense_oracle_solve(
         raise SingularSystem(
             f"direct solve residual {residual:.3e} indicates a singular system"
         )
-    xbar = TimeVaryingSignal(values=solution.reshape((n, m), order="F"))
+    xbar = check_signal(solution.reshape((n, m), order="F"))
     return ReconstructionResult(
         xbar=xbar,
         iterations=0,

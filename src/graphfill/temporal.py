@@ -1,10 +1,10 @@
 """Time-varying signals, masks, the temporal difference and the objective.
 
-A time-varying graph signal is an N x M matrix: row i is node i's time
-series, column t is the graph signal at snapshot t. The first-difference
-operator D maps it to the N x (M-1) matrix of consecutive column
-differences; the reconstruction objective penalizes the Sobolev quadratic
-form of that difference signal.
+A time-varying graph signal is a read-only float N x M ndarray: row i is
+node i's time series, column t is the graph signal at snapshot t. The
+first-difference operator D maps it to the N x (M-1) matrix of consecutive
+column differences; the reconstruction objective penalizes the Sobolev
+quadratic form of that difference signal.
 """
 
 from __future__ import annotations
@@ -17,29 +17,34 @@ from .errors import DimensionMismatch, HorizonTooShort
 from .graph import _frozen
 
 
+def check_signal(values) -> np.ndarray:
+    """Return values as a signal: a finite, read-only float N x M ndarray, N >= 2, M >= 1.
+
+    A writeable array is copied before it is frozen; a read-only one passes through.
+    """
+    v = np.asarray(values, dtype=float)
+    if v.ndim != 2:
+        raise ValueError(f"signal must be a 2-D matrix, got shape {v.shape}")
+    if v.shape[0] < 2 or v.shape[1] < 1:
+        raise ValueError(f"signal needs >= 2 nodes and >= 1 snapshot, got {v.shape}")
+    if not np.isfinite(v).all():
+        raise ValueError("signal entries must be finite")
+    return _frozen(v) if v.flags.writeable else v
+
+
 @dataclass(frozen=True, eq=False)
 class TimeVaryingSignal:
-    """N x M matrix of sensor readings (rows = nodes, columns = snapshots)."""
+    """A Dataset's readings as values, a signal checked by check_signal.
+
+    Functions take and return plain signal arrays. This wrapper stays only as
+    the type of Dataset.signal, because the benchmark reads ds.signal.values,
+    and goes once the benchmark reads the array itself.
+    """
 
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2:
-            raise ValueError(f"signal must be a 2-D matrix, got shape {v.shape}")
-        if v.shape[0] < 2 or v.shape[1] < 1:
-            raise ValueError(f"signal needs >= 2 nodes and >= 1 snapshot, got {v.shape}")
-        if not np.isfinite(v).all():
-            raise ValueError("signal entries must be finite")
-        object.__setattr__(self, "values", _frozen(v))
-
-    @property
-    def n_nodes(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_steps(self) -> int:
-        return self.values.shape[1]
+        object.__setattr__(self, "values", check_signal(self.values))
 
 
 def check_mask(mask, shape: tuple[int, int]) -> np.ndarray:
@@ -68,11 +73,7 @@ def temporal_difference_operator(m: int) -> np.ndarray:
 
 
 def sobolev_objective(
-    xbar: TimeVaryingSignal,
-    y: TimeVaryingSignal,
-    mask: np.ndarray,
-    b: np.ndarray,
-    gamma: float,
+    xbar: np.ndarray, y: np.ndarray, mask: np.ndarray, b: np.ndarray, gamma: float
 ) -> float:
     """Reconstruction objective: data misfit plus temporal Sobolev penalty.
 
@@ -82,16 +83,17 @@ def sobolev_objective(
     with B = (L + eps*I)**beta as returned by graph.sobolev_operator.
     Y must be zero wherever J is zero (as harness.masked_problem makes it).
     """
+    xbar, y = check_signal(xbar), check_signal(y)
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
-    if xbar.values.shape != y.values.shape:
-        raise DimensionMismatch(f"shapes differ: xbar {xbar.values.shape}, y {y.values.shape}")
-    j = check_mask(mask, y.values.shape)
-    if xbar.n_nodes != b.shape[0]:
+    if xbar.shape != y.shape:
+        raise DimensionMismatch(f"shapes differ: xbar {xbar.shape}, y {y.shape}")
+    j = check_mask(mask, y.shape)
+    if xbar.shape[0] != b.shape[0]:
         raise DimensionMismatch(
-            f"signal has {xbar.n_nodes} nodes, operator has {b.shape[0]}"
+            f"signal has {xbar.shape[0]} nodes, operator has {b.shape[0]}"
         )
-    data = 0.5 * float(np.sum((j * xbar.values - y.values) ** 2))
-    z = np.diff(xbar.values, axis=1)
+    data = 0.5 * float(np.sum((j * xbar - y) ** 2))
+    z = np.diff(xbar, axis=1)
     reg = 0.5 * gamma * float(np.sum(z * (b @ z)))
     return data + reg

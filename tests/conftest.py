@@ -39,17 +39,15 @@ def random_geometric_graph(n: int, k: int, seed: int) -> gf.SensorGraph:
     return gf.build_knn_graph(random_positions(n, seed), k)
 
 
-def masked(x: gf.TimeVaryingSignal, mask: np.ndarray) -> gf.TimeVaryingSignal:
+def masked(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Y = J o X: observed entries kept, the rest zeroed."""
-    return gf.TimeVaryingSignal(values=x.values * check_mask(mask, x.values.shape))
+    return x * check_mask(mask, x.shape)
 
 
 def random_instance(seed: int, n: int = 5, m: int = 4, density: float = 0.5, k: int = 2):
     """A (graph, truth, mask, y) quadruple for solver tests."""
     graph = random_geometric_graph(n, k, seed)
-    truth = gf.TimeVaryingSignal(
-        values=np.random.default_rng(seed + 1).normal(0.0, 1.0, size=(n, m))
-    )
+    truth = np.random.default_rng(seed + 1).normal(0.0, 1.0, size=(n, m))
     mask = gf.random_mask(n, m, density, seed=seed + 2)
     y = masked(truth, mask)
     return graph, truth, mask, y

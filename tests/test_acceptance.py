@@ -63,7 +63,7 @@ def _oracle_instances():
             node_ids=tuple(f"n{i}" for i in range(n)),
         )
         graph = gf.build_knn_graph(positions, k)
-        truth = gf.TimeVaryingSignal(values=rng.normal(0.0, 1.0, size=(n, m)))
+        truth = rng.normal(0.0, 1.0, size=(n, m))
         mask = gf.random_mask(n, m, density, seed=1000 + attempt)
         config = gf.SobolevConfig(
             epsilon=next(eps_cycle), beta=next(beta_cycle), gamma=next(gamma_cycle)
@@ -81,9 +81,7 @@ def _run_oracle_suite():
         for graph, mask, y, config in _oracle_instances():
             cg = gf.reconstruct_sobolev(y, mask, graph, config)
             oracle = gf.dense_oracle_solve(y, mask, graph, config)
-            rel = np.linalg.norm(cg.xbar.values - oracle.xbar.values) / np.linalg.norm(
-                oracle.xbar.values
-            )
+            rel = np.linalg.norm(cg.xbar - oracle.xbar) / np.linalg.norm(oracle.xbar)
             outcomes.append((rel, cg, y, mask, graph, config))
         _ORACLE_SUITE.extend(outcomes)  # cache only a complete run
     return _ORACLE_SUITE
@@ -107,7 +105,7 @@ def test_criterion_2_gradient_optimality():
     for _, cg, y, mask, graph, config in _run_oracle_suite():
         b = gf.sobolev_operator(graph, config.epsilon, config.beta)
         grad = gf.objective_gradient(cg.xbar, y, mask, b, config.gamma)
-        bound = 1e-8 * (1.0 + np.linalg.norm(y.values))
+        bound = 1e-8 * (1.0 + np.linalg.norm(y))
         worst_ratio = max(worst_ratio, np.linalg.norm(grad) / bound)
     _report(
         "criterion 2 (gradient optimality)",
@@ -209,8 +207,8 @@ def test_criterion_6_invariant_suite():
 
     # RMSE dominates MAE on 100 random evaluation sets.
     for _ in range(100):
-        truth = gf.TimeVaryingSignal(values=rng.normal(size=(4, 5)))
-        recon = gf.TimeVaryingSignal(values=rng.normal(size=(4, 5)))
+        truth = rng.normal(size=(4, 5))
+        recon = rng.normal(size=(4, 5))
         count = int(rng.integers(1, 21))
         hidden = np.zeros(20, dtype=bool)
         hidden[rng.choice(20, size=count, replace=False)] = True
@@ -240,21 +238,21 @@ def test_criterion_6_invariant_suite():
     )
     graph_perm = gf.build_knn_graph(permuted, 2)
     assert np.abs(graph_perm.weights - p @ graph.weights @ p.T).max() <= 1e-12
-    truth = gf.TimeVaryingSignal(values=rng.normal(size=(6, 5)))
+    truth = rng.normal(size=(6, 5))
     mask = gf.random_mask(6, 5, 0.6, seed=2)
     y = masked(truth, mask)
     config = gf.SobolevConfig(epsilon=0.4, beta=1.5, gamma=0.7)
     base = gf.reconstruct_sobolev(y, mask, graph, config)
-    y_perm = gf.TimeVaryingSignal(values=p @ y.values)
+    y_perm = p @ y
     mask_perm = mask[perm]
     solved_perm = gf.reconstruct_sobolev(y_perm, mask_perm, graph_perm, config)
-    assert np.abs(solved_perm.xbar.values - p @ base.xbar.values).max() <= 1e-8
+    assert np.abs(solved_perm.xbar - p @ base.xbar).max() <= 1e-8
 
     # Scale round trip.
-    x = gf.TimeVaryingSignal(values=rng.normal(size=(6, 7)) * 30 + 4)
-    params, scaled = fit_observed_scale(x.values, np.ones((6, 7), dtype=bool))
-    back = gf.inverse_scale(gf.TimeVaryingSignal(values=scaled), params)
-    assert np.abs(back.values - x.values).max() <= 1e-12
+    x = rng.normal(size=(6, 7)) * 30 + 4
+    params, scaled = fit_observed_scale(x, np.ones((6, 7), dtype=bool))
+    back = gf.inverse_scale(scaled, params)
+    assert np.abs(back - x).max() <= 1e-12
 
     elapsed = time.monotonic() - start
     _report("criterion 6 (invariant suite)", elapsed < 30.0, f"{elapsed:.1f}s")
@@ -269,16 +267,16 @@ def test_criterion_7_reduction_identity():
         graph = gf.build_knn_graph(random_positions(n, seed=200 + trial), min(2, n - 1))
         b = gf.sobolev_operator(graph, 0.0, 1.0)
         mask = gf.random_mask(n, m, 0.6, seed=trial)
-        truth = gf.TimeVaryingSignal(values=rng.normal(size=(n, m)))
+        truth = rng.normal(size=(n, m))
         y = masked(truth, mask)
-        xbar = gf.TimeVaryingSignal(values=rng.normal(size=(n, m)))
+        xbar = rng.normal(size=(n, m))
         gamma = float(rng.uniform(0.1, 2.0))
         value = gf.sobolev_objective(xbar, y, mask, b, gamma)
 
         # plain-Laplacian objective evaluated independently
         j = mask.astype(float)
-        data = 0.5 * np.sum((j * xbar.values - y.values) ** 2)
-        z = xbar.values[:, 1:] - xbar.values[:, :-1]
+        data = 0.5 * np.sum((j * xbar - y) ** 2)
+        z = xbar[:, 1:] - xbar[:, :-1]
         reg = 0.5 * gamma * np.trace(z.T @ graph.laplacian @ z)
         reference = data + reg
         worst = max(worst, abs(value - reference) / abs(reference))

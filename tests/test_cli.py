@@ -102,10 +102,9 @@ def test_reconstruct_csv_bytes_match_csv_writer(tmp_path):
     effective = gf.random_mask(ds.n_nodes, ds.n_steps, 0.5, seed=0) & ds.native_mask
     params, y = fit_observed_scale(ds.signal.values, effective)
     result = gf.reconstruct_sobolev(
-        gf.TimeVaryingSignal(values=y), effective, graph,
-        gf.SobolevConfig(epsilon=0.5, beta=1.0, gamma=0.5),
+        y, effective, graph, gf.SobolevConfig(epsilon=0.5, beta=1.0, gamma=0.5)
     )
-    recon = gf.inverse_scale(result.xbar, params).values
+    recon = gf.inverse_scale(result.xbar, params)
     expected = io.StringIO()
     writer = csv.writer(expected, lineterminator="\n")
     writer.writerow(["node_id", "time_index", "value"])
@@ -129,6 +128,26 @@ def test_reconstruct_writes_quoted_line_break_back(tmp_path):
     written = tmp_path / "recon.csv"
     assert written.read_bytes().startswith(b'node_id,time_index,value\n"a\nb",0,')
     assert gf.load_dataset(positions, written).positions.node_ids == ("a\nb", "c", "d")
+
+
+@pytest.mark.parametrize("seed", ["0", "1", "2"])
+def test_reconstruct_drops_node_whose_readings_are_all_empty(tmp_path, seed):
+    # every row of d has an empty value: d is dropped, not left to be
+    # "never observed" by every mask
+    positions = tmp_path / "p.csv"
+    readings = tmp_path / "r.csv"
+    positions.write_text("node_id,x,y\na,0,0\nb,1,0\nc,0,1\nd,1,1\n")
+    values = np.random.default_rng(0).normal(10.0, 2.0, size=(3, 6))
+    readings.write_text(
+        "node_id,time_index,value\n"
+        + "".join(f"{n},{t},{values[i, t]:.4f}\n" for i, n in enumerate("abc") for t in range(6))
+        + "".join(f"d,{t},\n" for t in range(6))
+    )
+    out = tmp_path / "recon"
+    with pytest.warns(UserWarning, match="^dropping nodes with no readings: d$"):
+        assert main(reconstruct_args(positions, readings, out, **{"--k": "1", "--seed": seed})) == 0
+    rows = (tmp_path / "recon.csv").read_text().splitlines()
+    assert len(rows) == 1 + 3 * 6 and not any(row.startswith("d,") for row in rows)
 
 
 def test_reconstruct_missing_gamma_exits_2(tmp_path, fixture_files, capsys):
@@ -424,15 +443,17 @@ def _reject_constant(name):
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_gridsearch_infinite_best_statistic_is_null(tmp_path, fixture_files):
     positions, readings = fixture_files
-    # readings of +-1e200 overflow the squared errors, so rmse_mean is inf
+    # readings of +-5e307 give each repetition a finite RMSE near 6e307, and
+    # the mean over four repetitions overflows, so rmse_mean is inf
     signs = np.random.default_rng(1).choice([-1, 1], size=(8, 12))
     readings.write_text(
         "node_id,time_index,value\n"
-        + "".join(f"s{i},{t},{signs[i, t]}e200\n" for i in range(8) for t in range(12))
+        + "".join(f"s{i},{t},{signs[i, t] * 5}e307\n" for i in range(8) for t in range(12))
     )
     out = tmp_path / "grid"
+    config = gridsearch_config(tmp_path, repetitions=4)
     argv = ["gridsearch", "--positions", str(positions), "--readings", str(readings),
-            "--config", str(gridsearch_config(tmp_path)), "--out", str(out)]
+            "--config", str(config), "--out", str(out)]
     assert main(argv) == 0
     report = json.loads(out.with_suffix(".json").read_text(), parse_constant=_reject_constant)
     assert report["best_rmse_mean"] is None

@@ -35,9 +35,9 @@ def test_knn_impute_constant_neighbours():
     graph = unit_path_graph(3)
     # node 1 hidden at t=0; both neighbours observed at 5
     mask = np.array([[1, 0], [0, 1], [1, 1]], dtype=bool)
-    y = gf.TimeVaryingSignal(values=np.array([[5.0, 0.0], [0.0, 1.0], [5.0, 2.0]]))
+    y = np.array([[5.0, 0.0], [0.0, 1.0], [5.0, 2.0]])
     filled = gf.knn_baseline_impute(y, mask, graph)
-    assert filled.values[1, 0] == pytest.approx(5.0)
+    assert filled[1, 0] == pytest.approx(5.0)
 
 
 def test_knn_impute_weighted_mean():
@@ -46,17 +46,17 @@ def test_knn_impute_weighted_mean():
     )
     graph = gf.build_knn_graph(pos, 1)  # equal weights on (a,b) and (b,c)
     mask = np.array([[1, 0], [0, 1], [1, 1]], dtype=bool)
-    y = gf.TimeVaryingSignal(values=np.array([[2.0, 0.0], [0.0, 1.0], [4.0, 2.0]]))
+    y = np.array([[2.0, 0.0], [0.0, 1.0], [4.0, 2.0]])
     filled = gf.knn_baseline_impute(y, mask, graph)
-    assert filled.values[1, 0] == pytest.approx(3.0)
+    assert filled[1, 0] == pytest.approx(3.0)
 
 
 def test_knn_impute_passes_observed_through(rng):
     graph = unit_path_graph(4)
     mask = gf.random_mask(4, 5, 0.5, seed=3)
-    y = masked(gf.TimeVaryingSignal(values=rng.normal(size=(4, 5))), mask)
+    y = masked(rng.normal(size=(4, 5)), mask)
     filled = gf.knn_baseline_impute(y, mask, graph)
-    assert np.array_equal(filled.values[mask], y.values[mask])
+    assert np.array_equal(filled[mask], y[mask])
 
 
 def test_knn_impute_column_mean_fallback():
@@ -64,21 +64,21 @@ def test_knn_impute_column_mean_fallback():
     # mean of the observed entries in that column (column counts may differ)
     graph = unit_path_graph(3)
     bare = np.array([[0, 1], [0, 1], [1, 0]], dtype=bool)
-    y = gf.TimeVaryingSignal(values=np.array([[0.0, 1.0], [0.0, 2.0], [7.0, 0.0]]))
+    y = np.array([[0.0, 1.0], [0.0, 2.0], [7.0, 0.0]])
     filled = gf.knn_baseline_impute(y, bare, graph)
-    assert filled.values[0, 0] == pytest.approx(7.0)
+    assert filled[0, 0] == pytest.approx(7.0)
 
 
 def test_knn_impute_empty_column_raises():
     graph = unit_path_graph(3)
     bare = np.array([[1, 0], [1, 0], [1, 0]], dtype=bool)
-    y = gf.TimeVaryingSignal(values=np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]))
+    y = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
     with pytest.raises(EmptyColumn):
         gf.knn_baseline_impute(y, bare, graph)
 
 
 def test_knn_impute_node_count_mismatch_raises():
-    y = gf.TimeVaryingSignal(values=np.ones((3, 2)))
+    y = np.ones((3, 2))
     mask = np.ones((3, 2), dtype=bool)
     with pytest.raises(DimensionMismatch, match="signal has 3 nodes, graph has 4"):
         gf.knn_baseline_impute(y, mask, unit_path_graph(4))
@@ -104,9 +104,9 @@ def test_no_ground_truth_leakage():
     assert np.array_equal(y_values, clean_y)
     graph = gf.build_knn_graph(ds.positions, 3)
     result = gf.reconstruct_sobolev(
-        gf.TimeVaryingSignal(values=y_values), mask, graph, gf.SobolevConfig()
+        y_values, mask, graph, gf.SobolevConfig()
     )
-    assert np.isfinite(result.xbar.values).all()
+    assert np.isfinite(result.xbar).all()
 
 
 def test_run_experiment_deterministic():
@@ -207,7 +207,8 @@ def test_masked_problem_seed_controls_mask():
     assert np.array_equal(observed, drawn & native)
     assert np.array_equal(hidden, ~drawn & native)  # only entries with ground truth
     params, y_values = fit_observed_scale(partial.signal.values, observed)
-    assert scale == params and np.array_equal(y.values, y_values)
+    assert scale == params and np.array_equal(y, y_values)
+    assert y.dtype == float and not y.flags.writeable  # a signal, as check_signal returns
     assert not np.array_equal(observed, masked_problem(partial, 0.5, 4)[0])
 
 

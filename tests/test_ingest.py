@@ -161,12 +161,14 @@ def test_quoting_padding_and_blank_lines(tmp_path):
         '"a,1",1,  -0.25\n'
         "\n",
     )
-    ds = gf.load_dataset(positions, readings)
-    assert ds.positions.node_ids == ("a,1", "b", 'say "hi"')
-    assert ds.positions.coords.tolist() == [[0, 0], [1, 0], [0, 1]]
+    # 'say "hi"' has one reading, and its value is empty, so it is dropped
+    with pytest.warns(UserWarning, match='^dropping nodes with no readings: say "hi"$'):
+        ds = gf.load_dataset(positions, readings)
+    assert ds.positions.node_ids == ("a,1", "b")
+    assert ds.positions.coords.tolist() == [[0, 0], [1, 0]]
     assert ds.time_indices == (0, 1)
-    assert ds.signal.values.tolist() == [[1.5, -0.25], [2.5, 0.0], [0.0, 0.0]]
-    assert ds.native_mask.tolist() == [[True, True], [True, False], [False, False]]
+    assert ds.signal.values.tolist() == [[1.5, -0.25], [2.5, 0.0]]
+    assert ds.native_mask.tolist() == [[True, True], [True, False]]
 
 
 def test_quoted_line_break_kept_in_node_id(tmp_path):
@@ -190,6 +192,18 @@ def test_node_without_readings_dropped_with_warning(tmp_path, positions_csv):
     with pytest.warns(UserWarning, match="c"):
         ds = gf.load_dataset(positions_csv, readings)
     assert ds.positions.node_ids == ("a", "b")
+
+
+@pytest.mark.parametrize("token", ["", "nan", "inf"])
+def test_node_without_finite_readings_dropped_with_warning(tmp_path, positions_csv, token):
+    # rows of c exist, but none holds a finite value
+    rows = [(n, t, "1.0" if n != "c" else token) for n in "abc" for t in range(2)]
+    readings = write(tmp_path / "r.csv", readings_text(rows))
+    with pytest.warns(UserWarning, match="^dropping nodes with no readings: c$"):
+        ds = gf.load_dataset(positions_csv, readings)
+    assert ds.positions.node_ids == ("a", "b")
+    assert ds.time_indices == (0, 1)
+    assert ds.native_mask.all()
 
 
 def test_empty_readings_rejected(tmp_path, positions_csv):
@@ -301,7 +315,8 @@ def test_load_matches_dict_pivot(data, ids):
         for n, t, v in rows:
             value = float(v) if v.strip() else math.nan
             pivot[n.strip(), t] = value if math.isfinite(value) else None
-        kept = [n.strip() for n in ids if any(key[0] == n.strip() for key in pivot)]
+        kept = [n.strip() for n in ids
+                if any(key[0] == n.strip() and v is not None for key, v in pivot.items())]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             if len(kept) < 2:

@@ -8,10 +8,6 @@ from graphfill.errors import DegenerateRange, DimensionMismatch, EmptyEvaluation
 from graphfill.harness import fit_observed_scale
 
 
-def _signal(values):
-    return gf.TimeVaryingSignal(values=np.asarray(values, dtype=float))
-
-
 def _hidden(shape, cells):
     hidden = np.zeros(shape, dtype=bool)
     for i, t in cells:
@@ -20,48 +16,44 @@ def _hidden(shape, cells):
 
 
 def test_rmse_zero_when_equal(rng):
-    x = _signal(rng.normal(size=(3, 4)))
+    x = rng.normal(size=(3, 4))
     report = gf.error_report(x, x, _hidden((3, 4), [(0, 0), (2, 3), (1, 1)]))
     assert report.rmse == 0.0
     assert report.mae == 0.0
 
 
 def test_rmse_and_mae_by_hand():
-    truth = _signal([[1.0], [3.0]])
-    recon = _signal([[2.0], [5.0]])
+    truth = np.array([[1.0], [3.0]])
+    recon = np.array([[2.0], [5.0]])
     report = gf.error_report(truth, recon, np.ones((2, 1), dtype=bool))
     assert report.rmse == pytest.approx(np.sqrt(2.5))
     assert report.mae == pytest.approx(1.5)
 
 
 def test_rmse_scales_homogeneously(rng):
-    truth = _signal(rng.normal(size=(4, 5)))
-    recon = _signal(rng.normal(size=(4, 5)))
+    truth = rng.normal(size=(4, 5))
+    recon = rng.normal(size=(4, 5))
     hidden = np.ones((4, 5), dtype=bool)
     base = gf.error_report(truth, recon, hidden).rmse
     for c in (3.0, -2.0):
-        scaled = gf.error_report(
-            _signal(c * truth.values), _signal(c * recon.values), hidden
-        ).rmse
+        scaled = gf.error_report(c * truth, c * recon, hidden).rmse
         assert scaled == pytest.approx(abs(c) * base, rel=1e-12)
 
 
 def test_rmse_invariant_under_common_shift(rng):
-    truth = _signal(rng.normal(size=(3, 3)))
-    recon = _signal(rng.normal(size=(3, 3)))
+    truth = rng.normal(size=(3, 3))
+    recon = rng.normal(size=(3, 3))
     hidden = _hidden((3, 3), [(0, 1), (2, 2), (1, 0)])
     base = gf.error_report(truth, recon, hidden).rmse
-    shifted = gf.error_report(
-        _signal(truth.values + 7.5), _signal(recon.values + 7.5), hidden
-    ).rmse
+    shifted = gf.error_report(truth + 7.5, recon + 7.5, hidden).rmse
     assert shifted == pytest.approx(base, rel=1e-12)
 
 
 def test_metrics_invariant_under_eval_order(rng):
     # a hidden mask has no order; building it from a shuffled cell list
     # must not change either metric
-    truth = _signal(rng.normal(size=(4, 4)))
-    recon = _signal(rng.normal(size=(4, 4)))
+    truth = rng.normal(size=(4, 4))
+    recon = rng.normal(size=(4, 4))
     cells = [(0, 0), (1, 2), (3, 3), (2, 1)]
     shuffled = [cells[2], cells[0], cells[3], cells[1]]
     a = gf.error_report(truth, recon, _hidden((4, 4), cells))
@@ -77,8 +69,8 @@ def test_metrics_invariant_under_eval_order(rng):
 )
 def test_rmse_dominates_mae(seed, n, m):
     rng = np.random.default_rng(seed)
-    truth = _signal(rng.normal(size=(n, m)))
-    recon = _signal(rng.normal(size=(n, m)))
+    truth = rng.normal(size=(n, m))
+    recon = rng.normal(size=(n, m))
     count = int(rng.integers(1, n * m + 1))
     hidden = np.zeros(n * m, dtype=bool)
     hidden[rng.choice(n * m, size=count, replace=False)] = True
@@ -87,7 +79,7 @@ def test_rmse_dominates_mae(seed, n, m):
 
 
 def test_empty_eval_set_rejected(rng):
-    x = _signal(rng.normal(size=(2, 2)))
+    x = rng.normal(size=(2, 2))
     with pytest.raises(EmptyEvaluationSet):
         gf.error_report(x, x, np.zeros((2, 2), dtype=bool))
 
@@ -95,18 +87,18 @@ def test_empty_eval_set_rejected(rng):
 def test_out_of_range_indices_rejected(rng):
     # a hidden mask that reaches past the matrix (extra row or column) is
     # the mask form of an out-of-range index
-    x = _signal(rng.normal(size=(2, 2)))
+    x = rng.normal(size=(2, 2))
     with pytest.raises(DimensionMismatch):
         gf.error_report(x, x, _hidden((3, 2), [(2, 0)]))
     with pytest.raises(DimensionMismatch):
         gf.error_report(x, x, _hidden((2, 3), [(0, 2)]))
     with pytest.raises(DimensionMismatch):
-        gf.error_report(x, _signal(rng.normal(size=(2, 3))), _hidden((2, 2), [(0, 0)]))
+        gf.error_report(x, rng.normal(size=(2, 3)), _hidden((2, 2), [(0, 0)]))
 
 
 def test_error_report_fields(rng):
-    truth = _signal(rng.normal(size=(3, 3)))
-    recon = _signal(rng.normal(size=(3, 3)))
+    truth = rng.normal(size=(3, 3))
+    recon = rng.normal(size=(3, 3))
     report = gf.error_report(truth, recon, _hidden((3, 3), [(0, 0), (1, 1)]))
     assert report.n_evaluated == 2
     assert report.rmse >= report.mae
@@ -128,21 +120,21 @@ def test_minmax_scale_three_levels():
 
 
 def test_scale_round_trip(rng):
-    x = _signal(rng.normal(size=(5, 7)) * 40.0 - 3.0)
-    params, scaled = fit_observed_scale(x.values, np.ones((5, 7), dtype=bool))
+    x = rng.normal(size=(5, 7)) * 40.0 - 3.0
+    params, scaled = fit_observed_scale(x, np.ones((5, 7), dtype=bool))
     assert scaled.min() == 0.0 and scaled.max() == 1.0
-    back = gf.inverse_scale(_signal(scaled), params)
-    assert np.abs(back.values - x.values).max() <= 1e-12
+    back = gf.inverse_scale(scaled, params)
+    assert np.abs(back - x).max() <= 1e-12
 
 
 def test_inverse_scale_examples():
     params = gf.ScaleParams(min_value=0.0, max_value=10.0)
-    assert gf.inverse_scale(_signal([[0.5, 0.5], [0.5, 0.5]]), params).values[0, 0] == 5.0
+    assert gf.inverse_scale(np.array([[0.5, 0.5], [0.5, 0.5]]), params)[0, 0] == 5.0
     identity = gf.ScaleParams(min_value=0.0, max_value=1.0)
-    x = _signal([[0.25, 0.75], [0.1, 0.9]])
-    assert np.array_equal(gf.inverse_scale(x, identity).values, x.values)
+    x = np.array([[0.25, 0.75], [0.1, 0.9]])
+    assert np.array_equal(gf.inverse_scale(x, identity), x)
     wide = gf.ScaleParams(min_value=-5.0, max_value=5.0)
-    assert gf.inverse_scale(_signal([[1.0, 1.0], [1.0, 1.0]]), wide).values[0, 0] == 5.0
+    assert gf.inverse_scale(np.array([[1.0, 1.0], [1.0, 1.0]]), wide)[0, 0] == 5.0
 
 
 def test_degenerate_range_rejected():
@@ -155,3 +147,24 @@ def test_degenerate_range_rejected():
 def test_metric_report_orders_rmse_mae():
     with pytest.raises(ValueError):
         gf.MetricReport(rmse=1.0, mae=2.0, n_evaluated=3)
+
+
+def test_rmse_of_huge_deviations_is_finite():
+    # squaring deviations of 1e200 overflows; the RMSE itself is a double
+    signs = np.random.default_rng(0).choice([-1.0, 1.0], size=(4, 6))
+    truth, recon = 1e200 * signs, np.zeros((4, 6))
+    report = gf.error_report(truth, recon, np.ones((4, 6), dtype=bool))
+    assert report.rmse == pytest.approx(1e200, rel=1e-12)
+    assert report.mae == pytest.approx(1e200, rel=1e-12)
+    # MAE's sum overflows too once |deviation| nears 1e308 / n
+    report = gf.error_report(5e307 * signs, recon, np.ones((4, 6), dtype=bool))
+    assert (report.rmse, report.mae) == (pytest.approx(5e307), pytest.approx(5e307))
+
+
+def test_finite_metrics_keep_their_bits(rng):
+    truth, recon = rng.normal(size=(5, 6)), rng.normal(size=(5, 6))
+    hidden = rng.random((5, 6)) < 0.5
+    dev = truth[hidden] - recon[hidden]
+    report = gf.error_report(truth, recon, hidden)
+    assert report.rmse == float(np.sqrt(np.mean(dev**2)))
+    assert report.mae == float(np.mean(np.abs(dev)))

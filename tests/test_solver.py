@@ -15,6 +15,7 @@ from graphfill.errors import (
     SingularSystem,
 )
 from graphfill.harness import fit_observed_scale
+from graphfill.temporal import check_signal
 
 from conftest import (
     masked,
@@ -48,7 +49,7 @@ def sparse_synthetic():
     graph = gf.build_knn_graph(dataset.positions, 5)
     mask = gf.random_mask(*dataset.signal.values.shape, 0.1, 0)
     _, y_values = fit_observed_scale(dataset.signal.values, mask)
-    return graph, mask, gf.TimeVaryingSignal(values=y_values)
+    return graph, mask, y_values
 
 
 def _reference_cg(y, mask, graph, config):
@@ -67,7 +68,7 @@ def _reference_cg(y, mask, graph, config):
         xt[:, 1:] += z
         return j * x + config.gamma * (b_matrix @ xt)
 
-    rhs = y.values
+    rhs = y
     threshold = solver._CG_TOLERANCE * float(np.linalg.norm(rhs))
     x = rhs.copy()
     r = rhs - apply_a(x)
@@ -101,7 +102,7 @@ def test_plain_cg_matches_reference_loop_bit_for_bit(sparse_synthetic, epsilon, 
     result = gf.reconstruct_sobolev(y, mask, graph, cfg)
     x, iterations = _reference_cg(y, mask, graph, cfg)
     assert result.iterations == iterations
-    assert result.xbar.values.tobytes() == x.tobytes()
+    assert result.xbar.tobytes() == x.tobytes()
 
 
 def test_preconditioner_decision_on_criterion_4_grid(sparse_synthetic):
@@ -128,10 +129,20 @@ def test_direct_path_matches_dense_oracle(m, beta, epsilon):
     direct = gf.reconstruct_sobolev(y, mask, graph, cfg)
     oracle = gf.dense_oracle_solve(y, mask, graph, cfg)
     assert direct.iterations == 0
-    rel = np.linalg.norm(direct.xbar.values - oracle.xbar.values) / np.linalg.norm(
-        oracle.xbar.values
-    )
+    rel = np.linalg.norm(direct.xbar - oracle.xbar) / np.linalg.norm(oracle.xbar)
     assert rel <= 1e-12
+
+
+@pytest.mark.parametrize("gamma", [1e-2, 50.0])
+def test_fortran_order_signal_solves_like_c_order(gamma):
+    # check_signal passes a read-only array through as it is, Fortran order included
+    graph, _, mask, y = random_instance(seed=81, n=6, m=3, density=0.6)
+    cfg = gf.SobolevConfig(epsilon=0.3, beta=1.0, gamma=gamma)
+    fortran = np.asfortranarray(y)
+    fortran.setflags(write=False)
+    assert check_signal(fortran) is fortran
+    expected = gf.reconstruct_sobolev(y, mask, graph, cfg).xbar
+    assert np.array_equal(gf.reconstruct_sobolev(fortran, mask, graph, cfg).xbar, expected)
 
 
 def test_direct_path_gradient_vanishes(sparse_synthetic):
@@ -142,9 +153,9 @@ def test_direct_path_gradient_vanishes(sparse_synthetic):
     b = gf.sobolev_operator(graph, cfg.epsilon, cfg.beta)
     grad = gf.objective_gradient(result.xbar, y, mask, b, cfg.gamma)
     assert result.iterations == 0
-    assert np.linalg.norm(grad) <= 1e-12 * np.linalg.norm(y.values)
+    assert np.linalg.norm(grad) <= 1e-12 * np.linalg.norm(y)
     assert result.final_relative_residual == pytest.approx(
-        np.linalg.norm(grad) / np.linalg.norm(y.values), rel=1e-6
+        np.linalg.norm(grad) / np.linalg.norm(y), rel=1e-6
     )
 
 
@@ -169,9 +180,9 @@ direct_instances = dict(
 @given(**direct_instances)
 def test_direct_path_time_reversal(seed, n, m, epsilon, beta):
     graph, mask, y, cfg = _direct_instance(seed, n, m, epsilon, beta)
-    x = gf.reconstruct_sobolev(y, mask, graph, cfg).xbar.values
-    reversed_y = gf.TimeVaryingSignal(values=y.values[:, ::-1])
-    x_reversed = gf.reconstruct_sobolev(reversed_y, mask[:, ::-1], graph, cfg).xbar.values
+    x = gf.reconstruct_sobolev(y, mask, graph, cfg).xbar
+    reversed_y = y[:, ::-1]
+    x_reversed = gf.reconstruct_sobolev(reversed_y, mask[:, ::-1], graph, cfg).xbar
     assert np.linalg.norm(x_reversed[:, ::-1] - x) <= 1e-12 * np.linalg.norm(x)
 
 
@@ -180,9 +191,9 @@ def test_direct_path_time_reversal(seed, n, m, epsilon, beta):
 def test_direct_path_observed_shift(seed, n, m, epsilon, beta, shift):
     # B X T is unchanged by a constant, since T annihilates constants
     graph, mask, y, cfg = _direct_instance(seed, n, m, epsilon, beta)
-    x = gf.reconstruct_sobolev(y, mask, graph, cfg).xbar.values
-    shifted_y = gf.TimeVaryingSignal(values=y.values + shift * mask)
-    x_shifted = gf.reconstruct_sobolev(shifted_y, mask, graph, cfg).xbar.values
+    x = gf.reconstruct_sobolev(y, mask, graph, cfg).xbar
+    shifted_y = y + shift * mask
+    x_shifted = gf.reconstruct_sobolev(shifted_y, mask, graph, cfg).xbar
     assert np.linalg.norm(x_shifted - (x + shift)) <= 1e-12 * np.linalg.norm(x + shift)
 
 
@@ -191,9 +202,9 @@ def test_direct_path_observed_shift(seed, n, m, epsilon, beta, shift):
 def test_direct_path_scaling_of_y(seed, n, m, epsilon, beta, scale):
     # the minimizer is linear in Y
     graph, mask, y, cfg = _direct_instance(seed, n, m, epsilon, beta)
-    x = gf.reconstruct_sobolev(y, mask, graph, cfg).xbar.values
-    scaled_y = gf.TimeVaryingSignal(values=scale * y.values)
-    x_scaled = gf.reconstruct_sobolev(scaled_y, mask, graph, cfg).xbar.values
+    x = gf.reconstruct_sobolev(y, mask, graph, cfg).xbar
+    scaled_y = scale * y
+    x_scaled = gf.reconstruct_sobolev(scaled_y, mask, graph, cfg).xbar
     assert np.linalg.norm(x_scaled - scale * x) <= 1e-12 * np.linalg.norm(scale * x)
 
 
@@ -206,8 +217,8 @@ def test_direct_path_depends_on_gamma_times_b(seed, n, m, epsilon, beta, s):
     scaled_graph = gf.SensorGraph(s * graph.weights, sigma=graph.sigma)
     scaled_cfg = gf.SobolevConfig(s * epsilon, beta, cfg.gamma / s**beta)
     assert solver._takes_direct_path(scaled_graph, scaled_cfg, mask.astype(float))
-    x = gf.reconstruct_sobolev(y, mask, graph, cfg).xbar.values
-    x_scaled = gf.reconstruct_sobolev(y, mask, scaled_graph, scaled_cfg).xbar.values
+    x = gf.reconstruct_sobolev(y, mask, graph, cfg).xbar
+    x_scaled = gf.reconstruct_sobolev(y, mask, scaled_graph, scaled_cfg).xbar
     assert np.linalg.norm(x_scaled - x) <= 1e-12 * np.linalg.norm(x)
 
 
@@ -226,9 +237,9 @@ def test_direct_path_permutation_equivariance(seed, n, m, epsilon, beta):
         2,
     )
     assert solver._takes_direct_path(permuted_graph, cfg, mask[perm].astype(float))
-    x = gf.reconstruct_sobolev(y, mask, graph, cfg).xbar.values
-    permuted_y = gf.TimeVaryingSignal(values=y.values[perm])
-    x_permuted = gf.reconstruct_sobolev(permuted_y, mask[perm], permuted_graph, cfg).xbar.values
+    x = gf.reconstruct_sobolev(y, mask, graph, cfg).xbar
+    permuted_y = y[perm]
+    x_permuted = gf.reconstruct_sobolev(permuted_y, mask[perm], permuted_graph, cfg).xbar
     assert np.linalg.norm(x_permuted - x[perm]) <= 1e-12 * np.linalg.norm(x)
 
 
@@ -238,13 +249,13 @@ def test_large_gamma_tends_to_observed_node_means(seed):
     # node's row tends to the mean of its observed values, and the relative
     # deviation from that limit falls tenfold per decade of gamma
     graph, _, mask, y = random_instance(seed=seed, n=6, m=8, density=0.5)
-    means = (y.values * mask).sum(axis=1) / mask.sum(axis=1)
+    means = (y * mask).sum(axis=1) / mask.sum(axis=1)
     limit = np.repeat(means[:, None], 8, axis=1)
     deviations = []
     for gamma in (1e4, 1e5, 1e6, 1e7):
         cfg = gf.SobolevConfig(epsilon=0.5, beta=1.0, gamma=gamma)
         assert solver._takes_direct_path(graph, cfg, mask.astype(float))
-        x = gf.reconstruct_sobolev(y, mask, graph, cfg).xbar.values
+        x = gf.reconstruct_sobolev(y, mask, graph, cfg).xbar
         deviations.append(np.linalg.norm(x - limit) / np.linalg.norm(limit))
     ratios = np.array(deviations[:-1]) / np.array(deviations[1:])
     assert np.all((9.5 <= ratios) & (ratios <= 10.5)), ratios
@@ -263,14 +274,14 @@ def test_direct_path_singular_system_raises_deterministically(graph_kind, gamma)
     graph = unit_path_graph(4) if graph_kind == "path" else random_geometric_graph(4, 2, seed=3)
     mask = np.zeros((4, 4), dtype=bool)
     mask[:2, :2] = mask[2:, 2:] = True
-    y = gf.TimeVaryingSignal(values=np.where(mask, np.arange(16.0).reshape(4, 4), 0.0))
+    y = np.where(mask, np.arange(16.0).reshape(4, 4), 0.0)
     cfg = gf.SobolevConfig(epsilon=0.0, beta=1.0, gamma=gamma)
     assert solver._takes_direct_path(graph, cfg, mask.astype(float))
     b = gf.sobolev_operator(graph, cfg.epsilon, cfg.beta)
     for solve, expected in [
         (lambda: gf.reconstruct_sobolev(y, mask, graph, cfg),
          "no observed entries link node 0 to time step 2"),
-        (lambda: solver._block_solve(b, gamma, mask.astype(float), y.values), "time block"),
+        (lambda: solver._block_solve(b, gamma, mask.astype(float), y), "time block"),
     ]:
         messages = []
         for _ in range(2):
@@ -300,7 +311,7 @@ def test_singular_exactly_when_dense_oracle_is(seed, n, m, k, density, epsilon, 
     rng = np.random.default_rng(seed)
     graph = random_geometric_graph(n, k, seed)
     mask = rng.random((n, m)) < density
-    y = gf.TimeVaryingSignal(values=np.where(mask, rng.normal(size=(n, m)), 0.0))
+    y = np.where(mask, rng.normal(size=(n, m)), 0.0)
     cfg = gf.SobolevConfig(epsilon=epsilon, beta=beta, gamma=gamma)
 
     def raises(solve):
@@ -323,7 +334,7 @@ def test_isolated_node_tikhonov_raises_on_both_paths(seed, gamma):
     graph = gf.build_knn_graph(outlier_positions(), 5)
     mask = gf.random_mask(60, 12, 0.5, seed=seed)
     truth = np.random.default_rng(seed).normal(size=(60, 12))
-    y = gf.TimeVaryingSignal(values=np.where(mask, truth, 0.0))
+    y = np.where(mask, truth, 0.0)
     cfg = gf.SobolevConfig(epsilon=0.0, beta=1.0, gamma=gamma)
     first_gap = int(np.flatnonzero(~mask[59])[0])
     with pytest.raises(SingularSystem, match=f"node 59 to time step {first_gap} "):
@@ -352,22 +363,22 @@ def test_dense_oracle_rejects_exactly_singular_system():
 
 def test_full_mask_tiny_gamma_returns_data(rng):
     graph = random_geometric_graph(5, 2, seed=0)
-    y = gf.TimeVaryingSignal(values=rng.normal(size=(5, 6)))
+    y = rng.normal(size=(5, 6))
     full = np.ones((5, 6), dtype=bool)
     cfg = gf.SobolevConfig(epsilon=0.3, beta=1.5, gamma=1e-12)
     result = gf.reconstruct_sobolev(y, full, graph, cfg)
-    assert np.abs(result.xbar.values - y.values).max() <= 1e-6
+    assert np.abs(result.xbar - y).max() <= 1e-6
 
 
 def test_constant_signal_reproduced_exactly(rng):
     graph = random_geometric_graph(6, 2, seed=1)
     constant = 3.25
-    truth = gf.TimeVaryingSignal(values=np.full((6, 5), constant))
+    truth = np.full((6, 5), constant)
     mask = gf.random_mask(6, 5, 0.5, seed=4)
     y = masked(truth, mask)
     cfg = gf.SobolevConfig(epsilon=0.5, beta=1.0, gamma=1.0)
     result = gf.reconstruct_sobolev(y, mask, graph, cfg)
-    assert np.abs(result.xbar.values - constant).max() <= 1e-6
+    assert np.abs(result.xbar - constant).max() <= 1e-6
 
 
 def test_matches_dense_oracle_single_instance():
@@ -375,9 +386,7 @@ def test_matches_dense_oracle_single_instance():
     cfg = gf.SobolevConfig(epsilon=0.1, beta=1.5, gamma=0.8)
     cg = gf.reconstruct_sobolev(y, mask, graph, cfg)
     oracle = gf.dense_oracle_solve(y, mask, graph, cfg)
-    rel = np.linalg.norm(cg.xbar.values - oracle.xbar.values) / np.linalg.norm(
-        oracle.xbar.values
-    )
+    rel = np.linalg.norm(cg.xbar - oracle.xbar) / np.linalg.norm(oracle.xbar)
     assert rel <= 1e-6
     assert cg.final_relative_residual <= solver._CG_TOLERANCE
 
@@ -397,9 +406,7 @@ def test_matches_dense_oracle_randomized(seed):
     )
     cg = gf.reconstruct_sobolev(y, mask, graph, cfg)
     oracle = gf.dense_oracle_solve(y, mask, graph, cfg)
-    rel = np.linalg.norm(cg.xbar.values - oracle.xbar.values) / np.linalg.norm(
-        oracle.xbar.values
-    )
+    rel = np.linalg.norm(cg.xbar - oracle.xbar) / np.linalg.norm(oracle.xbar)
     assert rel <= 1e-6
 
 
@@ -410,7 +417,7 @@ def test_gradient_optimality(rng):
         result = gf.reconstruct_sobolev(y, mask, graph, cfg)
         b = gf.sobolev_operator(graph, cfg.epsilon, cfg.beta)
         grad = gf.objective_gradient(result.xbar, y, mask, b, cfg.gamma)
-        bound = 10 * solver._CG_TOLERANCE * np.linalg.norm(y.values)
+        bound = 10 * solver._CG_TOLERANCE * np.linalg.norm(y)
         assert np.linalg.norm(grad) <= bound
 
 
@@ -422,7 +429,7 @@ def test_tikhonov_is_sobolev_special_case():
     sob = gf.reconstruct_sobolev(
         y, mask, graph, gf.SobolevConfig(epsilon=0.0, beta=1.0, gamma=0.6)
     )
-    assert np.array_equal(tik.values, sob.xbar.values)
+    assert np.array_equal(tik, sob.xbar)
 
 
 def test_tikhonov_matches_oracle_with_plain_laplacian():
@@ -430,29 +437,25 @@ def test_tikhonov_matches_oracle_with_plain_laplacian():
     tikhonov = gf.SobolevConfig(epsilon=0.0, beta=1.0, gamma=0.4)
     tik = gf.reconstruct_sobolev(y, mask, graph, tikhonov)
     oracle = gf.dense_oracle_solve(y, mask, graph, tikhonov)
-    rel = np.linalg.norm(tik.xbar.values - oracle.xbar.values) / np.linalg.norm(
-        oracle.xbar.values
-    )
+    rel = np.linalg.norm(tik.xbar - oracle.xbar) / np.linalg.norm(oracle.xbar)
     assert rel <= 1e-6
 
 
 def test_tikhonov_full_mask_small_gamma(rng):
     graph = random_geometric_graph(4, 2, seed=5)
-    y = gf.TimeVaryingSignal(values=rng.normal(size=(4, 5)))
+    y = rng.normal(size=(4, 5))
     full = np.ones((4, 5), dtype=bool)
     result = gf.reconstruct_sobolev(y, full, graph, gf.SobolevConfig(0.0, 1.0, 1e-12))
-    assert np.abs(result.xbar.values - y.values).max() <= 1e-6
+    assert np.abs(result.xbar - y).max() <= 1e-6
 
 
 def test_operator_symmetry_and_positivity(rng):
     graph, _, mask, _ = random_instance(seed=40, n=5, m=4, density=0.6)
     b = gf.sobolev_operator(graph, 0.4, 1.5)
-    zero = gf.TimeVaryingSignal(values=np.zeros((5, 4)))
+    zero = np.zeros((5, 4))
 
     def apply_a(values):
-        return gf.objective_gradient(
-            gf.TimeVaryingSignal(values=values), zero, mask, b, 0.9
-        )
+        return gf.objective_gradient(values, zero, mask, b, 0.9)
 
     for _ in range(10):
         x1 = rng.normal(size=(5, 4))
@@ -465,14 +468,14 @@ def test_operator_symmetry_and_positivity(rng):
 
 def test_monotone_data_fit_in_gamma(rng):
     graph = random_geometric_graph(6, 2, seed=6)
-    y = gf.TimeVaryingSignal(values=rng.normal(size=(6, 8)))
+    y = rng.normal(size=(6, 8))
     full = np.ones((6, 8), dtype=bool)
     fits = []
     for gamma in (1.0, 1e-2, 1e-4):
         result = gf.reconstruct_sobolev(
             y, full, graph, gf.SobolevConfig(epsilon=0.5, beta=1.0, gamma=gamma)
         )
-        fits.append(float(np.sqrt(np.mean((result.xbar.values - y.values) ** 2))))
+        fits.append(float(np.sqrt(np.mean((result.xbar - y) ** 2))))
     assert fits[0] >= fits[1] >= fits[2]
 
 
@@ -481,7 +484,7 @@ def test_solver_permutation_equivariance(rng):
     ids = tuple(f"n{i}" for i in range(6))
     pos = gf.NodePositions(coords=pos_coords, node_ids=ids)
     graph = gf.build_knn_graph(pos, 2)
-    truth = gf.TimeVaryingSignal(values=rng.normal(size=(6, 5)))
+    truth = rng.normal(size=(6, 5))
     mask = gf.random_mask(6, 5, 0.6, seed=8)
     y = masked(truth, mask)
     cfg = gf.SobolevConfig(epsilon=0.3, beta=2.0, gamma=0.5)
@@ -491,16 +494,16 @@ def test_solver_permutation_equivariance(rng):
     p = np.eye(6)[perm]
     pos_perm = gf.NodePositions(coords=pos_coords[perm], node_ids=tuple(ids[i] for i in perm))
     graph_perm = gf.build_knn_graph(pos_perm, 2)
-    y_perm = gf.TimeVaryingSignal(values=p @ y.values)
+    y_perm = p @ y
     mask_perm = mask[perm]
     permuted = gf.reconstruct_sobolev(y_perm, mask_perm, graph_perm, cfg)
-    assert np.abs(permuted.xbar.values - p @ base.xbar.values).max() <= 1e-8
+    assert np.abs(permuted.xbar - p @ base.xbar).max() <= 1e-8
 
 
 def test_uncovered_node_raises_singular():
     graph = unit_path_graph(3)
     mask = np.array([[1, 1], [1, 1], [0, 0]], dtype=bool)
-    y = gf.TimeVaryingSignal(values=np.array([[1.0, 2.0], [0.5, 0.3], [0.0, 0.0]]))
+    y = np.array([[1.0, 2.0], [0.5, 0.3], [0.0, 0.0]])
     cfg = gf.SobolevConfig(epsilon=0.5, beta=1.0, gamma=1.0)
     with pytest.raises(SingularSystem):
         gf.reconstruct_sobolev(y, mask, graph, cfg)
@@ -508,21 +511,21 @@ def test_uncovered_node_raises_singular():
 
 def test_gamma_zero_full_mask_identity(rng):
     graph = unit_path_graph(3)
-    y = gf.TimeVaryingSignal(values=rng.normal(size=(3, 3)))
+    y = rng.normal(size=(3, 3))
     full = np.ones((3, 3), dtype=bool)
     cfg = gf.SobolevConfig(epsilon=0.5, beta=1.0, gamma=0.0)
     result = gf.reconstruct_sobolev(y, full, graph, cfg)
-    assert np.array_equal(result.xbar.values, y.values)
+    assert np.array_equal(result.xbar, y)
     assert result.iterations == 0
     assert result.final_relative_residual == 0.0
     oracle = gf.dense_oracle_solve(y, full, graph, cfg)
-    assert np.abs(oracle.xbar.values - y.values).max() <= 1e-12
+    assert np.abs(oracle.xbar - y).max() <= 1e-12
 
 
 def test_gamma_zero_incomplete_mask_singular(rng):
     graph = unit_path_graph(4)
     mask = gf.random_mask(4, 4, 0.5, seed=0)
-    y = masked(gf.TimeVaryingSignal(values=rng.normal(size=(4, 4))), mask)
+    y = masked(rng.normal(size=(4, 4)), mask)
     cfg = gf.SobolevConfig(epsilon=0.5, beta=1.0, gamma=0.0)
     with pytest.raises(SingularSystem):
         gf.reconstruct_sobolev(y, mask, graph, cfg)
@@ -536,7 +539,7 @@ def test_oracle_solution_beats_trivial_candidates():
     )
     graph = gf.build_knn_graph(pos, 1)
     rng = np.random.default_rng(3)
-    truth = gf.TimeVaryingSignal(values=rng.normal(size=(3, 3)))
+    truth = rng.normal(size=(3, 3))
     mask = gf.random_mask(3, 3, 2 / 3, seed=2)
     y = masked(truth, mask)
     cfg = gf.SobolevConfig(epsilon=0.2, beta=2.0, gamma=0.5)
@@ -544,9 +547,7 @@ def test_oracle_solution_beats_trivial_candidates():
     b = gf.sobolev_operator(graph, cfg.epsilon, cfg.beta)
     at_solution = gf.sobolev_objective(oracle.xbar, y, mask, b, cfg.gamma)
     at_y = gf.sobolev_objective(y, y, mask, b, cfg.gamma)
-    at_zero = gf.sobolev_objective(
-        gf.TimeVaryingSignal(values=np.zeros((3, 3))), y, mask, b, cfg.gamma
-    )
+    at_zero = gf.sobolev_objective(np.zeros((3, 3)), y, mask, b, cfg.gamma)
     assert at_solution <= at_y
     assert at_solution <= at_zero
     assert at_solution == pytest.approx(oracle.objective_value)
@@ -554,7 +555,7 @@ def test_oracle_solution_beats_trivial_candidates():
 
 def test_oracle_size_guard():
     graph = random_geometric_graph(50, 3, seed=9)
-    y = gf.TimeVaryingSignal(values=np.zeros((50, 50)))
+    y = np.zeros((50, 50))
     full = np.ones((50, 50), dtype=bool)
     with pytest.raises(ProblemTooLarge):
         gf.dense_oracle_solve(y, full, graph, gf.SobolevConfig())
@@ -573,15 +574,15 @@ def test_max_iterations_raises_convergence_failure(monkeypatch):
 def test_zero_rhs_short_circuits():
     graph = unit_path_graph(3)
     mask = gf.random_mask(3, 4, 2 / 3, seed=1)
-    y = gf.TimeVaryingSignal(values=np.zeros((3, 4)))
+    y = np.zeros((3, 4))
     result = gf.reconstruct_sobolev(y, mask, graph, gf.SobolevConfig())
     assert result.iterations == 0
-    assert np.abs(result.xbar.values).max() == 0.0
+    assert np.abs(result.xbar).max() == 0.0
 
 
 def test_single_snapshot_rejected():
     graph = unit_path_graph(3)
-    y = gf.TimeVaryingSignal(values=np.ones((3, 1)))
+    y = np.ones((3, 1))
     mask = np.ones((3, 1), dtype=bool)
     with pytest.raises(HorizonTooShort):
         gf.reconstruct_sobolev(y, mask, graph, gf.SobolevConfig())
