@@ -6,7 +6,6 @@ from .graph import (
     SensorGraph,
     build_knn_graph,
     sobolev_operator,
-    spectral_decomposition,
     write_edge_list,
 )
 from .harness import (
@@ -59,7 +58,6 @@ __all__ = [
     "run_experiment",
     "sobolev_objective",
     "sobolev_operator",
-    "spectral_decomposition",
     "synthetic_dataset",
     "temporal_difference_operator",
     "write_edge_list",

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import ingest
 from .errors import GraphfillError, InvalidInput
-from .graph import _reachable, build_knn_graph, spectral_decomposition, write_edge_list
+from .graph import _reachable, build_knn_graph, write_edge_list
 from .harness import ExperimentConfig, grid_search, masked_problem, run_experiment
 from .metrics import error_report, inverse_scale
 from .solver import SobolevConfig, reconstruct_sobolev
@@ -334,15 +334,14 @@ def _cmd_gridsearch(args) -> int:
 def _cmd_graph_info(args) -> int:
     positions = ingest.load_positions(args.positions)
     graph = build_knn_graph(positions, args.k)
-    lam, _ = spectral_decomposition(graph)
     # one distinct row of the reachability matrix per connected component
     n_components = len(np.unique(_reachable(graph.weights > 0), axis=0))
     print(f"nodes:             {graph.n_nodes}")
     print(f"edges:             {graph.n_edges}")
     print(f"sigma:             {graph.sigma:.6g}")
     print(f"mean degree:       {2 * graph.n_edges / graph.n_nodes:.3f}")
-    print(f"lambda_2:          {lam[1]:.6g}")
-    print(f"lambda_max:        {lam[-1]:.6g}")
+    print(f"lambda_2:          {graph.eigenvalues[1]:.6g}")
+    print(f"lambda_max:        {graph.eigenvalues[-1]:.6g}")
     print(f"components:        {n_components}")
     print(f"connected:         {n_components == 1}")
     if args.out:

@@ -3,8 +3,9 @@
 Connects sensor nodes with a k-nearest-neighbour rule over Euclidean
 distance and weights each edge with a Gaussian kernel whose scale is the mean
 edge length. A graph is its weight matrix W; the combinatorial Laplacian
-L = D - W, its eigendecomposition and the shifted powers (L + eps*I)**beta
-that act as the smoothness operator for reconstruction all derive from it.
+L = D - W and its eigendecomposition are computed from it when the graph is
+built, and the shifted powers (L + eps*I)**beta that act as the smoothness
+operator for reconstruction are computed from those on each call.
 """
 
 from __future__ import annotations
@@ -61,11 +62,18 @@ class NodePositions:
 class SensorGraph:
     """Undirected weighted sensor graph, given by its weight matrix W.
 
-    W must be square, finite, symmetric, zero on the diagonal and
-    nonnegative, and sigma (the Gaussian kernel scale) positive when W has
-    an edge. The edge list (the support of W, i < j, in row-major order) and
-    the Laplacian L = D - W are derived from W. Instances are immutable;
-    spectral data and smoothness operators are cached on first use.
+    W must be square, finite, symmetric (to 1e-10 of its largest entry),
+    zero on the diagonal and nonnegative, with node degrees small enough
+    that L's spectrum is finite, and sigma (the Gaussian kernel scale)
+    positive when W has an edge. The edge list (the support of W, i < j, in
+    row-major order), the Laplacian L = D - W and L's eigendecomposition are
+    derived from W when the graph is built; every array is read-only.
+    eigenvalues are ascending and eigenvectors are columns, each with its
+    first nonzero entry made positive, so equal W give bit-identical pairs.
+
+    Raises:
+        ValueError: W or sigma breaks a rule above.
+        ConvergenceFailure: the eigendecomposition does not converge.
     """
 
     weights: np.ndarray
@@ -73,7 +81,8 @@ class SensorGraph:
     n_nodes: int = field(init=False)
     edges: tuple[tuple[int, int], ...] = field(init=False)
     laplacian: np.ndarray = field(init=False, repr=False)
-    _cache: dict = field(default_factory=dict, init=False, repr=False)
+    eigenvalues: np.ndarray = field(init=False, repr=False)
+    eigenvectors: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -81,19 +90,34 @@ class SensorGraph:
             raise ValueError(f"weights must be N x N, got shape {w.shape}")
         if not np.isfinite(w).all():
             raise ValueError("weights must be finite")
-        if np.abs(w - w.T).max() > 1e-10:
-            raise ValueError("weight matrix is not symmetric")
-        if np.abs(np.diag(w)).max() > 0:
-            raise ValueError("weight matrix has nonzero diagonal")
+        # nonnegative first: then w - w.T cannot overflow
         if w.min() < 0:
             raise ValueError("weights must be nonnegative")
+        if np.abs(w - w.T).max() > 1e-10 * w.max():
+            raise ValueError("weight matrix is not symmetric")
+        if np.diag(w).max() > 0:
+            raise ValueError("weight matrix has nonzero diagonal")
         rows, cols = np.nonzero(np.triu(w, 1))
         if not self.sigma > 0 and rows.size:
             raise ValueError("sigma must be positive for a graph with edges")
+        # L's eigenvalues lie in [0, 2 * largest degree]
+        with np.errstate(over="ignore"):
+            degree = w.sum(axis=1)
+            if not np.isfinite(2.0 * degree).all():
+                raise ValueError("node degrees of W overflow; scale the weights down")
+        laplacian = np.diag(degree) - w
+        try:
+            lam, vecs = np.linalg.eigh(laplacian)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceFailure(f"eigendecomposition failed: {exc}") from exc
+        first = np.argmax(np.abs(vecs) > 1e-12, axis=0)
+        vecs = vecs * np.where(vecs[first, np.arange(vecs.shape[1])] < 0, -1.0, 1.0)
         object.__setattr__(self, "weights", _frozen(w))
         object.__setattr__(self, "n_nodes", w.shape[0])
         object.__setattr__(self, "edges", tuple(zip(rows.tolist(), cols.tolist())))
-        object.__setattr__(self, "laplacian", _frozen(np.diag(w.sum(axis=1)) - w))
+        object.__setattr__(self, "laplacian", _frozen(laplacian))
+        object.__setattr__(self, "eigenvalues", _frozen(lam))
+        object.__setattr__(self, "eigenvectors", _frozen(vecs))
 
     @property
     def n_edges(self) -> int:
@@ -173,58 +197,26 @@ def build_knn_graph(positions: NodePositions, k: int) -> SensorGraph:
     return SensorGraph(weights, sigma)
 
 
-def spectral_decomposition(graph: SensorGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Full symmetric eigendecomposition of the graph Laplacian.
-
-    Returns the read-only pair (eigenvalues, eigenvectors), eigenvalues
-    ascending and eigenvectors as columns. Deterministic for a fixed graph:
-    each eigenvector's first nonzero entry is made positive. The result is
-    cached on the graph.
-    """
-    cached = graph._cache.get("spectral")
-    if cached is not None:
-        return cached
-    try:
-        lam, vecs = np.linalg.eigh(graph.laplacian)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"eigendecomposition failed: {exc}") from exc
-    first = np.argmax(np.abs(vecs) > 1e-12, axis=0)
-    vecs = vecs * np.where(vecs[first, np.arange(vecs.shape[1])] < 0, -1.0, 1.0)
-    decomp = (_frozen(lam), _frozen(vecs))
-    graph._cache["spectral"] = decomp
-    return decomp
-
-
 def sobolev_operator(graph: SensorGraph, epsilon: float, beta: float) -> np.ndarray:
     """Compute B = (L + epsilon*I)**beta as a read-only symmetric matrix.
 
     Integer beta is evaluated by repeated symmetric multiplication; any other
-    beta goes through the eigendecomposition, raising the shifted eigenvalues
-    to the given power. L = D - W is PSD because SensorGraph holds W
-    symmetric and nonnegative, so a negative shifted eigenvalue is rounding
-    and is clipped to 0. The product is symmetrized as (B + B^T) / 2. Results
-    are cached per (epsilon, beta) on the graph so repeated solves share the
-    matrix.
+    beta raises the graph's shifted eigenvalues to the given power. L = D - W
+    is PSD because SensorGraph holds W symmetric and nonnegative, so a
+    negative shifted eigenvalue is rounding and is clipped to 0. The product
+    is symmetrized as (B + B^T) / 2.
     """
     if epsilon < 0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     if beta <= 0:
         raise ValueError(f"beta must be > 0, got {beta}")
-    key = ("sobolev", float(epsilon), float(beta))
-    cached = graph._cache.get(key)
-    if cached is not None:
-        return cached
-
-    shifted = graph.laplacian + epsilon * np.eye(graph.n_nodes)
     if float(beta).is_integer():
+        shifted = graph.laplacian + epsilon * np.eye(graph.n_nodes)
         matrix = np.linalg.matrix_power(shifted, int(beta))
     else:
-        lam, u = spectral_decomposition(graph)
-        lam = np.clip(lam + epsilon, 0.0, None) ** beta
-        matrix = (u * lam) @ u.T
-    matrix = _frozen((matrix + matrix.T) / 2.0)
-    graph._cache[key] = matrix
-    return matrix
+        u = graph.eigenvectors
+        matrix = (u * np.clip(graph.eigenvalues + epsilon, 0.0, None) ** beta) @ u.T
+    return _frozen((matrix + matrix.T) / 2.0)
 
 
 def write_edge_list(graph: SensorGraph, node_ids: tuple[str, ...], path) -> None:

@@ -57,7 +57,7 @@ from .errors import (
     ProblemTooLarge,
     SingularSystem,
 )
-from .graph import SensorGraph, _reachable, sobolev_operator, spectral_decomposition
+from .graph import SensorGraph, _reachable, sobolev_operator
 from .temporal import (
     check_mask,
     check_signal,
@@ -178,8 +178,7 @@ _PIVOT_FACTOR = 1e4
 
 def _takes_direct_path(graph: SensorGraph, config: SobolevConfig, j: np.ndarray) -> bool:
     """Whether reconstruct_sobolev solves by _block_solve rather than CG."""
-    lam_g, _ = spectral_decomposition(graph)
-    lam_b = np.clip(lam_g + config.epsilon, 0.0, None) ** config.beta
+    lam_b = np.clip(graph.eigenvalues + config.epsilon, 0.0, None) ** config.beta
     m = j.shape[1]
     # Eigenvalues of T; only the largest enters the rule.
     lam_t = 2.0 - 2.0 * np.cos(np.pi * np.arange(m) / m)

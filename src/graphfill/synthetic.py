@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import NodePositions, build_knn_graph, spectral_decomposition
+from .graph import NodePositions, build_knn_graph
 from .ingest import Dataset
 from .temporal import TimeVaryingSignal
 
@@ -40,8 +40,7 @@ def synthetic_dataset(
     node_ids = tuple(f"s{i:03d}" for i in range(n_nodes))
     positions = NodePositions(coords=coords, node_ids=node_ids)
 
-    graph = build_knn_graph(positions, k)
-    _, modes = spectral_decomposition(graph)
+    modes = build_knn_graph(positions, k).eigenvectors
     t = np.arange(n_steps)
 
     values = np.zeros((n_nodes, n_steps))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -155,13 +156,12 @@ def test_node_positions_validation():
 
 def test_p2_eigenvalues():
     g = unit_path_graph(2)
-    lam, _ = gf.spectral_decomposition(g)
-    assert lam == pytest.approx([0.0, 2.0], abs=1e-12)
+    assert g.eigenvalues == pytest.approx([0.0, 2.0], abs=1e-12)
 
 
 def test_zero_eigenvalue_has_constant_eigenvector():
     g = random_geometric_graph(6, 2, seed=3)
-    lam, u = gf.spectral_decomposition(g)
+    lam, u = g.eigenvalues, g.eigenvectors
     assert abs(lam[0]) <= 1e-8
     v = u[:, 0]
     assert np.abs(v - v[0]).max() <= 1e-8  # proportional to the all-ones vector
@@ -171,7 +171,7 @@ def test_disconnected_graph_zero_multiplicity():
     # two distant pairs, k=1: each pair only links internally
     coords = np.array([[0.0, 0.0], [1.0, 0.0], [100.0, 100.0], [101.0, 100.0]])
     g = gf.build_knn_graph(gf.NodePositions(coords=coords, node_ids=tuple("abcd")), 1)
-    lam, _ = gf.spectral_decomposition(g)
+    lam = g.eigenvalues
     assert int(np.sum(np.abs(lam) < 1e-10)) == 2
 
 
@@ -184,13 +184,13 @@ def test_far_outlier_is_isolated_not_rejected():
     assert not g.laplacian[59].any() and not g.laplacian[:, 59].any()
     assert np.array_equal(g.laplacian, np.diag(g.weights.sum(axis=1)) - g.weights)
     assert g.sigma > 1.0  # the outlier's dropped edges still count towards sigma
-    lam, _ = gf.spectral_decomposition(g)
+    lam = g.eigenvalues
     assert int(np.sum(np.abs(lam) < 1e-10)) == 2
 
 
 def test_spectral_reconstruction_and_orthonormality():
     g = random_geometric_graph(9, 3, seed=11)
-    lam, u = gf.spectral_decomposition(g)
+    lam, u = g.eigenvalues, g.eigenvectors
     assert np.abs(u.T @ u - np.eye(9)).max() <= 1e-8
     assert np.abs((u * lam) @ u.T - g.laplacian).max() <= 1e-8
     assert np.all(np.diff(lam) >= -1e-12)
@@ -198,22 +198,19 @@ def test_spectral_reconstruction_and_orthonormality():
 
 def test_eigenvector_sign_convention():
     g = random_geometric_graph(7, 2, seed=4)
-    _, u = gf.spectral_decomposition(g)
+    u = g.eigenvectors
     for col in range(7):
         v = u[:, col]
         first = v[np.abs(v) > 1e-12][0]
         assert first > 0
 
 
-def test_spectral_decomposition_is_cached_and_deterministic():
+def test_spectrum_is_read_only_and_deterministic():
     g = random_geometric_graph(6, 2, seed=8)
-    d1 = gf.spectral_decomposition(g)
-    d2 = gf.spectral_decomposition(g)
-    assert d1 is d2
-    assert not any(part.flags.writeable for part in d1)
+    assert not g.eigenvalues.flags.writeable and not g.eigenvectors.flags.writeable
     g_again = random_geometric_graph(6, 2, seed=8)
-    d3 = gf.spectral_decomposition(g_again)
-    assert np.array_equal(d1[1], d3[1])
+    assert g.eigenvalues.tobytes() == g_again.eigenvalues.tobytes()
+    assert g.eigenvectors.tobytes() == g_again.eigenvectors.tobytes()
 
 
 def test_sobolev_beta_one_is_shifted_laplacian():
@@ -239,7 +236,7 @@ def test_sobolev_smallest_eigenvalue_bound(beta):
 def test_integer_and_spectral_paths_agree(beta):
     g = random_geometric_graph(7, 3, seed=10)
     integer_path = gf.sobolev_operator(g, 0.3, float(beta))
-    lam, u = gf.spectral_decomposition(g)
+    lam, u = g.eigenvalues, g.eigenvectors
     spectral_path = (u * np.clip(lam + 0.3, 0.0, None) ** beta) @ u.T
     assert np.abs(integer_path - spectral_path).max() <= 1e-8
 
@@ -256,18 +253,19 @@ def test_sobolev_fractional_beta_clips_rounding_below_zero():
     # scaling W by 1e8 leaves lambda_1 at about -6.6e-8: rounding, as L is PSD
     base = gf.build_knn_graph(gf.synthetic_dataset(seed=0).positions, 5)
     g = gf.SensorGraph(base.weights * 1e8, base.sigma)
-    lam, u = gf.spectral_decomposition(g)
+    lam, u = g.eigenvalues, g.eigenvectors
     assert lam[0] < -1e-8
     b = gf.sobolev_operator(g, 0.0, 1.5)
     want = u @ np.diag(np.clip(lam, 0.0, None) ** 1.5) @ u.T
     assert np.abs(b - want).max() <= 1e-12 * np.abs(want).max()
 
 
-def test_sobolev_operator_is_cached():
+def test_sobolev_operator_is_symmetric_and_read_only():
     g = random_geometric_graph(5, 2, seed=1)
-    b = gf.sobolev_operator(g, 0.5, 2.0)
-    assert b is gf.sobolev_operator(g, 0.5, 2.0)
-    assert np.array_equal(b, b.T) and not b.flags.writeable
+    for beta in (1.5, 2.0):  # spectral and integer paths
+        b = gf.sobolev_operator(g, 0.5, beta)
+        assert np.array_equal(b, gf.sobolev_operator(g, 0.5, beta))
+        assert np.array_equal(b, b.T) and not b.flags.writeable
 
 
 def test_sobolev_parameter_validation():
@@ -280,7 +278,7 @@ def test_sobolev_parameter_validation():
 
 def test_shift_makes_laplacian_invertible():
     g = random_geometric_graph(6, 2, seed=12)
-    lam, _ = gf.spectral_decomposition(g)
+    lam = g.eigenvalues
     assert abs(lam[0]) <= 1e-8  # L itself is singular
     shifted = np.linalg.eigvalsh(g.laplacian + 0.25 * np.eye(6))
     assert shifted.min() >= 0.25 - 1e-8
@@ -305,6 +303,23 @@ def test_permutation_equivariance():
 def test_sensor_graph_invariant_validation():
     with pytest.raises(ValueError, match="not symmetric"):
         gf.SensorGraph(np.array([[0.0, 1.0], [0.5, 0.0]]), sigma=1.0)
+    # the tolerance is relative to the largest weight, so a one-sided edge
+    # is asymmetric however small it is
+    with pytest.raises(ValueError, match="not symmetric"):
+        gf.SensorGraph(np.array([[0.0, 1e-11], [0.0, 0.0]]), sigma=1.0)
+    w = np.array([[0.0, 1e-11], [1e-11 * (1 + 1e-12), 0.0]])
+    assert gf.SensorGraph(w, sigma=1.0).edges == ((0, 1),)
+
+
+@pytest.mark.parametrize("n", [3, 2])
+def test_sensor_graph_rejects_overflowing_degrees(n):
+    # three nodes: the degree sum overflows; two: the degree is finite, but
+    # L's largest eigenvalue, twice the degree, is not
+    w = np.full((n, n), 1e308) - np.diag(np.full(n, 1e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="node degrees of W overflow"):
+            gf.SensorGraph(w, sigma=1.0)
 
 
 def test_sensor_graph_rejects_nonzero_diagonal():
@@ -315,6 +330,11 @@ def test_sensor_graph_rejects_nonzero_diagonal():
 def test_sensor_graph_rejects_negative_weight():
     with pytest.raises(ValueError, match="nonnegative"):
         gf.SensorGraph(np.array([[0.0, -1.0], [-1.0, 0.0]]), sigma=1.0)
+    # checked before symmetry, whose W - W^T would overflow here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="nonnegative"):
+            gf.SensorGraph(np.array([[0.0, 1e308], [-1e308, 0.0]]), sigma=1.0)
 
 
 @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])

@@ -1,5 +1,11 @@
+import dataclasses
+import functools
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphfill as gf
 from graphfill import harness, solver
@@ -189,6 +195,59 @@ def test_large_gamma_direct_solves_are_not_failures():
                        sobolev=gf.SobolevConfig(epsilon=0.5, beta=1.0, gamma=1e7))
     (result,) = gf.run_experiment(small_dataset(), cfg)
     assert result.failed == () and len(result.per_rep) == 2
+
+
+# Methods whose every repetition on affine_dataset() takes the exact solve
+# (or none): CG's own error, up to about 1e-6, would swamp the property.
+AFFINE_CELLS = {
+    "sobolev": gf.SobolevConfig(epsilon=0.5, beta=1.5, gamma=0.5),
+    "tikhonov": gf.SobolevConfig(gamma=1.0),
+    "knn_baseline": gf.SobolevConfig(),
+}
+AFFINE_DENSITIES = (0.1, 0.3, 0.7)
+
+
+@functools.cache
+def affine_dataset():
+    return small_dataset(n=20, m=30)
+
+
+@functools.cache
+def affine_base_errors(method):
+    cfg = quick_config(densities=AFFINE_DENSITIES, method=method,
+                       sobolev=AFFINE_CELLS[method], k_graph=5)
+    takes_direct_path = solver._takes_direct_path
+    direct = []
+
+    def spy(*args):
+        direct.append(takes_direct_path(*args))
+        return direct[-1]
+
+    with mock.patch.object(solver, "_takes_direct_path", spy):
+        results = gf.run_experiment(affine_dataset(), cfg)
+    assert all(direct) and all(r.complete for r in results)
+    return cfg, np.array([r.per_rep for r in results])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    method=st.sampled_from(sorted(AFFINE_CELLS)),
+    magnitude=st.floats(1e-2, 1e2),
+    sign=st.sampled_from([-1.0, 1.0]),
+    offset=st.floats(-100.0, 100.0),
+)
+def test_errors_scale_with_affine_maps_of_the_readings(method, magnitude, sign, offset):
+    # min-max scaling maps a * truth + c onto the scaled truth (or one minus
+    # it, for a < 0), and each method commutes with that map, so the
+    # per-repetition RMSE and MAE are |a| times those on the truth
+    cfg, base = affine_base_errors(method)
+    ds = affine_dataset()
+    mapped = dataclasses.replace(
+        ds, signal=gf.TimeVaryingSignal(values=sign * magnitude * ds.signal.values + offset)
+    )
+    got = np.array([r.per_rep for r in gf.run_experiment(mapped, cfg)])
+    assert np.array_equal(got[..., 0], base[..., 0])  # seeds
+    assert np.allclose(got[..., 1:], magnitude * base[..., 1:], rtol=1e-10, atol=0.0)
 
 
 def test_masked_problem_seed_controls_mask():
