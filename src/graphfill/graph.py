@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DuplicateCoordinates, KTooLarge
+from .errors import ConvergenceFailure, InvalidInput
 
 
 def _frozen(values, dtype=float) -> np.ndarray:
@@ -155,13 +155,12 @@ def build_knn_graph(positions: NodePositions, k: int) -> SensorGraph:
         The SensorGraph of the weight matrix W.
 
     Raises:
-        KTooLarge: k >= N.
-        DuplicateCoordinates: two nodes at distance zero.
+        InvalidInput: k >= N, or two nodes at distance zero.
         ValueError: the distance between two neighbours overflows.
     """
     n = positions.n_nodes
     if k >= n:
-        raise KTooLarge(f"k={k} but the graph has only {n} nodes")
+        raise InvalidInput(f"k={k} but the graph has only {n} nodes")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
 
@@ -172,7 +171,7 @@ def build_knn_graph(positions: NodePositions, k: int) -> SensorGraph:
     duplicates = np.argwhere(np.triu(dist == 0.0, 1))
     if duplicates.size:
         i, j = duplicates[0]
-        raise DuplicateCoordinates(
+        raise InvalidInput(
             f"nodes {positions.node_ids[i]!r} and {positions.node_ids[j]!r} coincide"
         )
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyColumn, EmptyEvaluationSet, GraphfillError
+from .errors import EmptyColumn, GraphfillError, InvalidInput
 from .graph import SensorGraph, _frozen, build_knn_graph
 from .ingest import Dataset
 from .metrics import ScaleParams, error_report, inverse_scale
@@ -107,7 +107,7 @@ def knn_baseline_impute(y: np.ndarray, mask: np.ndarray, graph: SensorGraph) -> 
     y = check_signal(y)
     j = check_mask(mask, y.shape)
     if y.shape[0] != graph.n_nodes:
-        raise DimensionMismatch(f"signal has {y.shape[0]} nodes, graph has {graph.n_nodes}")
+        raise InvalidInput(f"signal has {y.shape[0]} nodes, graph has {graph.n_nodes}")
     col_counts = j.sum(axis=0)
     if np.any(col_counts == 0):
         t = int(np.nonzero(col_counts == 0)[0][0])
@@ -204,7 +204,7 @@ def _run_cells(dataset: Dataset, graph, density, seeds, cells) -> list[Experimen
     """
     n = dataset.n_nodes
     if samples_per_column(n, density) >= n:
-        raise EmptyEvaluationSet(
+        raise InvalidInput(
             f"density {density} samples all {n} nodes per snapshot; "
             "nothing is hidden, so there is nothing to evaluate"
         )
@@ -287,8 +287,14 @@ def grid_search(
     entries = list(zip(configs, results))
 
     eligible = [(c, r) for c, r in entries if r.complete]
-    if not eligible:
-        raise GraphfillError("every grid configuration had failed repetitions")
+    if not eligible:  # then every configuration, the first too, has a failed repetition
+        config, result = entries[0]
+        seed, message = result.failed[0]
+        raise GraphfillError(
+            "every grid configuration had failed repetitions; the first was "
+            f"epsilon={config.epsilon:g} beta={config.beta:g} gamma={config.gamma:g} "
+            f"seed {seed}: {message}"
+        )
     best_config, best_result = min(
         eligible, key=lambda cr: (cr[1].rmse_mean, cr[0].gamma, cr[0].epsilon, cr[0].beta)
     )

@@ -33,12 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    DuplicateReading,
-    EmptyDataset,
-    MalformedCsv,
-    UnknownNode,
-)
+from .errors import InvalidInput
 from .graph import NodePositions, _frozen
 from .temporal import TimeVaryingSignal, check_mask
 
@@ -94,7 +89,7 @@ def _read_text(path: Path) -> str:
     try:
         return path.read_text(encoding="utf-8-sig")
     except OSError as exc:
-        raise MalformedCsv(f"{path}: {exc}") from exc
+        raise InvalidInput(f"{path}: {exc}") from exc
 
 
 def _records(path: Path, text: str, header: list[str]):
@@ -104,7 +99,7 @@ def _records(path: Path, text: str, header: list[str]):
     breaks. line is the physical line, from 1, on which the row starts. The
     first row must match header. Blank and whitespace-only lines are skipped;
     an empty file, a row with the wrong number of fields, or one csv.reader
-    rejects (a field longer than csv.field_size_limit()) raises MalformedCsv.
+    rejects (a field longer than csv.field_size_limit()) raises InvalidInput.
     """
     reader = csv.reader(text.splitlines(keepends=True))
     start = 1
@@ -114,18 +109,18 @@ def _records(path: Path, text: str, header: list[str]):
             if start == 1:
                 if fields != header:
                     got = ",".join(fields)
-                    raise MalformedCsv(f"{path}: expected header {','.join(header)}, got {got}")
+                    raise InvalidInput(f"{path}: expected header {','.join(header)}, got {got}")
             elif len(fields) == len(header):
                 yield start, fields
             elif len(fields) > 1 or any(fields):  # one blank field is a blank line
-                raise MalformedCsv(
+                raise InvalidInput(
                     f"{path}:{start}: expected {len(header)} fields, got {len(fields)}"
                 )
             start = reader.line_num + 1
     except csv.Error as exc:
-        raise MalformedCsv(f"{path}:{reader.line_num}: {exc}") from exc
+        raise InvalidInput(f"{path}:{reader.line_num}: {exc}") from exc
     if start == 1:
-        raise MalformedCsv(f"{path}: empty file")
+        raise InvalidInput(f"{path}: empty file")
 
 
 def load_positions(path) -> NodePositions:
@@ -134,16 +129,16 @@ def load_positions(path) -> NodePositions:
     coords: dict[str, tuple[float, float]] = {}
     for line, (node_id, x, y) in _records(path, _read_text(path), _POSITIONS_HEADER):
         if node_id in coords:
-            raise MalformedCsv(f"{path}:{line}: duplicate node_id {node_id!r}")
+            raise InvalidInput(f"{path}:{line}: duplicate node_id {node_id!r}")
         try:
             xy = (float(x), float(y))
         except ValueError as exc:
-            raise MalformedCsv(f"{path}:{line}: bad coordinate for {node_id!r}: {exc}") from exc
+            raise InvalidInput(f"{path}:{line}: bad coordinate for {node_id!r}: {exc}") from exc
         if not all(math.isfinite(v) for v in xy):
-            raise MalformedCsv(f"{path}:{line}: non-finite coordinate for {node_id!r}")
+            raise InvalidInput(f"{path}:{line}: non-finite coordinate for {node_id!r}")
         coords[node_id] = xy
     if len(coords) < 2:
-        raise EmptyDataset(f"{path}: need at least 2 nodes, got {len(coords)}")
+        raise InvalidInput(f"{path}: need at least 2 nodes, got {len(coords)}")
     return NodePositions(coords=np.array(list(coords.values())), node_ids=tuple(coords))
 
 
@@ -197,24 +192,24 @@ def _parse_readings_checked(path: Path, text: str, node_index: dict[str, int]):
     for line, (node_id, time_token, value_token) in _records(path, text, _READINGS_HEADER):
         row = node_index.get(node_id)
         if row is None:
-            raise UnknownNode(f"{path}:{line}: node {node_id!r} not in positions file")
+            raise InvalidInput(f"{path}:{line}: node {node_id!r} not in positions file")
         try:
             time = int(time_token)
         except ValueError as exc:
-            raise MalformedCsv(f"{path}:{line}: bad time_index {time_token!r}") from exc
+            raise InvalidInput(f"{path}:{line}: bad time_index {time_token!r}") from exc
         if time < 0:
-            raise MalformedCsv(f"{path}:{line}: negative time_index {time}")
+            raise InvalidInput(f"{path}:{line}: negative time_index {time}")
         if (row, time) in seen:
-            raise DuplicateReading(f"{path}:{line}: duplicate reading for ({node_id!r}, {time})")
+            raise InvalidInput(f"{path}:{line}: duplicate reading for ({node_id!r}, {time})")
         seen.add((row, time))
         try:
             values.append(float(value_token or "nan"))
         except ValueError as exc:
-            raise MalformedCsv(f"{path}:{line}: bad value {value_token!r}") from exc
+            raise InvalidInput(f"{path}:{line}: bad value {value_token!r}") from exc
         rows.append(row)
         times.append(time)
     if not rows:
-        raise EmptyDataset(f"{path}: no readings")
+        raise InvalidInput(f"{path}: no readings")
     try:
         times = np.array(times, dtype=np.int64)
     except OverflowError:  # keep huge indices exact
@@ -231,8 +226,7 @@ def load_dataset(positions_path, readings_path, name: str | None = None) -> Data
     empty or non-finite value, marks that entry natively missing, and nodes
     with no finite reading at all are dropped with a warning.
 
-    Raises the first fault in file order, naming ``file:line``:
-        MalformedCsv, DuplicateReading, UnknownNode, EmptyDataset.
+    Raises InvalidInput at the first fault in file order, naming ``file:line``.
     """
     positions_path = Path(positions_path)
     readings_path = Path(readings_path)
@@ -251,7 +245,7 @@ def load_dataset(positions_path, readings_path, name: str | None = None) -> Data
         warnings.warn(f"dropping nodes with no readings: {', '.join(dropped)}", stacklevel=2)
     keep = np.flatnonzero(present)
     if len(keep) < 2:
-        raise EmptyDataset(f"{readings_path}: fewer than 2 nodes have readings")
+        raise InvalidInput(f"{readings_path}: fewer than 2 nodes have readings")
 
     cells = ((np.cumsum(present) - 1)[rows[finite]], cols[finite])
     signal = np.zeros((len(keep), len(time_order)))
@@ -283,7 +277,7 @@ def filter_consistent_nodes(dataset: Dataset, min_coverage: float) -> Dataset:
     coverage = dataset.native_mask.mean(axis=1)
     keep = np.nonzero(coverage >= min_coverage)[0]
     if keep.size < 2:
-        raise EmptyDataset(
+        raise InvalidInput(
             f"only {keep.size} nodes reach coverage {min_coverage}; need at least 2"
         )
     if keep.size == dataset.n_nodes:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateRange, DimensionMismatch, EmptyEvaluationSet
+from .errors import InvalidInput
 from .temporal import check_mask, check_signal
 
 
@@ -20,7 +20,7 @@ class ScaleParams:
 
     def __post_init__(self):
         if not self.max_value > self.min_value:
-            raise DegenerateRange(
+            raise InvalidInput(
                 f"max_value {self.max_value} must exceed min_value {self.min_value}"
             )
 
@@ -48,11 +48,11 @@ def error_report(truth: np.ndarray, recon: np.ndarray, hidden: np.ndarray) -> Me
     """RMSE and MAE of recon against truth over the True entries of hidden."""
     truth, recon = check_signal(truth), check_signal(recon)
     if truth.shape != recon.shape:
-        raise DimensionMismatch(f"truth {truth.shape} vs recon {recon.shape}")
+        raise InvalidInput(f"truth {truth.shape} vs recon {recon.shape}")
     check_mask(hidden, truth.shape)
     dev = truth[hidden] - recon[hidden]
     if dev.size == 0:
-        raise EmptyEvaluationSet("no entries to evaluate")
+        raise InvalidInput("no entries to evaluate")
     with np.errstate(over="ignore"):
         rmse, mae = float(np.sqrt(np.mean(dev**2))), float(np.mean(np.abs(dev)))
     if not math.isfinite(rmse):  # a sum overflowed: redo it on dev / max|dev|

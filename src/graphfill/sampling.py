@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DensityTooLow, UnsatisfiableCoverage
+from .errors import InvalidInput, UnsatisfiableCoverage
 
 _MAX_REDRAWS = 1000
 
@@ -29,7 +29,7 @@ def random_mask(n: int, m: int, density: float, seed: int) -> np.ndarray:
     (same generator stream), up to 1000 attempts.
 
     Raises:
-        DensityTooLow: the per-column count rounds to zero.
+        InvalidInput: the per-column count rounds to zero.
         UnsatisfiableCoverage: count * m < n makes covering every row
             impossible, or 1000 redraws never covered every row.
     """
@@ -39,7 +39,7 @@ def random_mask(n: int, m: int, density: float, seed: int) -> np.ndarray:
         raise ValueError(f"density must be in (0, 1], got {density}")
     count = samples_per_column(n, density)
     if count < 1:
-        raise DensityTooLow(f"density {density} rounds to 0 of {n} nodes per snapshot")
+        raise InvalidInput(f"density {density} rounds to 0 of {n} nodes per snapshot")
     if count * m < n:
         raise UnsatisfiableCoverage(
             f"{count} samples x {m} snapshots = {count * m} observations "

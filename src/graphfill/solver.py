@@ -50,13 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConvergenceFailure,
-    DimensionMismatch,
-    HorizonTooShort,
-    ProblemTooLarge,
-    SingularSystem,
-)
+from .errors import ConvergenceFailure, InvalidInput, ProblemTooLarge, SingularSystem
 from .graph import SensorGraph, _reachable, sobolev_operator
 from .temporal import (
     check_mask,
@@ -135,13 +129,16 @@ class ReconstructionResult:
 def _apply_second_difference(x: np.ndarray, diff: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write x @ (D D^T) into out, using the tridiagonal structure of D D^T.
 
-    diff is an N*M + 1 work vector. It receives the row-major differences
+    It serves the CG loop alone and goes with it: objective_gradient, which
+    tests use to verify solves, forms X T by its own np.diff. diff is an
+    N*M + 1 work vector. It receives the row-major differences
     x.flat[i + 1] - x.flat[i] at diff[1 + i], framed by zeros at every row
     end, so that out.flat[i] = (0 - diff[1 + i]) + diff[i] runs on
     contiguous arrays. These are the operations of subtracting the column
     differences from zeros and adding them shifted by one column: in the
     first column the added +0 leaves 0 - z unchanged, and in the last
-    0 - 0 is the zero it starts from, so the bits are the same.
+    0 - 0 is the zero it starts from, so the bits are those of
+    objective_gradient's X T.
     """
     m = x.shape[1]
     flat = x.reshape(-1)
@@ -295,10 +292,13 @@ def objective_gradient(
     """
     x, y = check_signal(xbar), check_signal(y)
     if x.shape != y.shape:
-        raise DimensionMismatch("xbar and y shapes must agree")
+        raise InvalidInput("xbar and y shapes must agree")
     j = check_mask(mask, y.shape)
-    reg = b @ _apply_second_difference(x, np.empty(x.size + 1), np.empty(x.shape))
-    return check_signal(j * x - y + gamma * reg)
+    z = np.diff(x, axis=1)  # X D
+    xt = np.zeros(x.shape)  # X D D^T = X T
+    xt[:, :-1] -= z
+    xt[:, 1:] += z
+    return check_signal(j * x - y + gamma * (b @ xt))
 
 
 def _check_inputs(y, mask, graph: SensorGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -306,11 +306,9 @@ def _check_inputs(y, mask, graph: SensorGraph) -> tuple[np.ndarray, np.ndarray]:
     y = check_signal(y)
     j = check_mask(mask, y.shape).astype(float)
     if y.shape[0] != graph.n_nodes:
-        raise DimensionMismatch(
-            f"signal has {y.shape[0]} nodes, graph has {graph.n_nodes}"
-        )
+        raise InvalidInput(f"signal has {y.shape[0]} nodes, graph has {graph.n_nodes}")
     if y.shape[1] < 2:
-        raise HorizonTooShort("reconstruction needs at least 2 snapshots")
+        raise InvalidInput("reconstruction needs at least 2 snapshots")
     return y, j
 
 

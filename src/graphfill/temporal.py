@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, HorizonTooShort
+from .errors import InvalidInput
 from .graph import _frozen
 
 
@@ -57,14 +57,14 @@ def check_mask(mask, shape: tuple[int, int]) -> np.ndarray:
         kind = getattr(mask, "dtype", type(mask).__name__)
         raise TypeError(f"mask must be a boolean ndarray, got {kind}")
     if mask.shape != shape:
-        raise DimensionMismatch(f"mask {mask.shape} vs signal {shape}")
+        raise InvalidInput(f"mask {mask.shape} vs signal {shape}")
     return mask
 
 
 def temporal_difference_operator(m: int) -> np.ndarray:
     """The m x (m-1) first-difference matrix: column t is e_{t+1} - e_t."""
     if m < 2:
-        raise HorizonTooShort(f"need at least 2 snapshots, got {m}")
+        raise InvalidInput(f"need at least 2 snapshots, got {m}")
     d = np.zeros((m, m - 1))
     idx = np.arange(m - 1)
     d[idx, idx] = -1.0
@@ -87,10 +87,10 @@ def sobolev_objective(
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     if xbar.shape != y.shape:
-        raise DimensionMismatch(f"shapes differ: xbar {xbar.shape}, y {y.shape}")
+        raise InvalidInput(f"shapes differ: xbar {xbar.shape}, y {y.shape}")
     j = check_mask(mask, y.shape)
     if xbar.shape[0] != b.shape[0]:
-        raise DimensionMismatch(
+        raise InvalidInput(
             f"signal has {xbar.shape[0]} nodes, operator has {b.shape[0]}"
         )
     data = 0.5 * float(np.sum((j * xbar - y) ** 2))

@@ -1,7 +1,9 @@
 import csv
+import importlib
 import io
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -435,6 +437,25 @@ def test_gridsearch_empty_grid_exits_2(tmp_path, capsys):
     assert "all three grids must be nonempty" in capsys.readouterr().err
 
 
+def test_gridsearch_all_failed_names_the_first_failure(tmp_path, fixture_files, capsys):
+    positions, readings = fixture_files
+    readings.write_text(
+        "node_id,time_index,value\n"
+        + "".join(f"s{i},{t},1.0\n" for i in range(8) for t in range(12))
+    )
+    out = tmp_path / "result"
+    config = gridsearch_config(tmp_path, gamma_grid=[0.3, 1.0])
+    argv = ["gridsearch", "--positions", str(positions), "--readings", str(readings),
+            "--config", str(config), "--out", str(out)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == (
+        "graphfill: every grid configuration had failed repetitions; the first was "
+        "epsilon=0.5 beta=1 gamma=0.3 seed 0: "
+        "InvalidInput: max_value 1.0 must exceed min_value 1.0\n"
+    )
+    assert not out.with_suffix(".csv").exists() and not out.with_suffix(".json").exists()
+
+
 def _reject_constant(name):
     raise ValueError(f"not JSON: {name}")
 
@@ -652,20 +673,21 @@ def test_graph_info_k_too_large_exits_2(tmp_path, fixture_files, capsys):
     assert main(["graph-info", "--positions", str(positions), "--k", "8"]) == 2
 
 
-# The GraphfillError classes that main reports as faults in the input, with
-# exit 2; every other GraphfillError exits 3.
-EXIT_2_ERRORS = {
-    "InvalidInput", "MalformedCsv", "DuplicateReading", "UnknownNode", "EmptyDataset",
-    "KTooLarge", "DuplicateCoordinates", "DensityTooLow", "HorizonTooShort",
-    "DegenerateRange", "DimensionMismatch", "EmptyEvaluationSet",
-}
-
-
 def test_exit_code_of_every_error_class(monkeypatch, capsys):
+    # errors has one class per outcome the program acts on, and no other
+    # module of the package defines an exception class
     classes = [cls for cls in vars(errors).values()
                if isinstance(cls, type) and issubclass(cls, errors.GraphfillError)]
-    names = {cls.__name__ for cls in classes}
-    assert EXIT_2_ERRORS - {"InvalidInput"} <= names
+    assert {cls.__name__ for cls in classes} == {
+        "GraphfillError", "InvalidInput", "ConvergenceFailure", "SingularSystem",
+        "UnsatisfiableCoverage", "ProblemTooLarge", "EmptyColumn",
+    }
+    for info in pkgutil.iter_modules(gf.__path__, "graphfill."):
+        if info.name not in {"graphfill.errors", "graphfill.__main__"}:  # __main__ exits
+            module = importlib.import_module(info.name)
+            assert not [value for value in vars(module).values() if isinstance(value, type)
+                        and issubclass(value, BaseException)
+                        and value.__module__ == module.__name__], info.name
     raised = [cls("boom") for cls in classes] + [ValueError("boom"), OSError("boom")]
     got, want = {}, {}
     for exc in raised:
@@ -675,6 +697,6 @@ def test_exit_code_of_every_error_class(monkeypatch, capsys):
         monkeypatch.setitem(cli._HANDLERS, "graph-info", handler)
         name = type(exc).__name__
         got[name] = main(["graph-info", "--positions", "p.csv", "--k", "1"])
-        want[name] = 2 if name in EXIT_2_ERRORS | {"ValueError"} else 3
+        want[name] = 2 if name in {"InvalidInput", "ValueError"} else 3
         assert capsys.readouterr().err == "graphfill: boom\n"
     assert got == want

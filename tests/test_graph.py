@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import graphfill as gf
-from graphfill.errors import DuplicateCoordinates, KTooLarge
+from graphfill.errors import InvalidInput
 
 from conftest import (
     outlier_positions,
@@ -116,7 +116,7 @@ def test_sigma_is_mean_edge_length():
 
 def test_k_too_large():
     pos = random_positions(4, seed=0)
-    with pytest.raises(KTooLarge):
+    with pytest.raises(InvalidInput, match="^k=4 but the graph has only 4 nodes$"):
         gf.build_knn_graph(pos, 4)
     with pytest.raises(ValueError):
         gf.build_knn_graph(pos, 0)
@@ -125,7 +125,7 @@ def test_k_too_large():
 def test_duplicate_coordinates_rejected():
     coords = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
     pos = gf.NodePositions(coords=coords, node_ids=("a", "b", "c"))
-    with pytest.raises(DuplicateCoordinates):
+    with pytest.raises(InvalidInput, match="^nodes 'a' and 'c' coincide$"):
         gf.build_knn_graph(pos, 1)
 
 

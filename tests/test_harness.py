@@ -9,12 +9,7 @@ from hypothesis import strategies as st
 
 import graphfill as gf
 from graphfill import harness, solver
-from graphfill.errors import (
-    DimensionMismatch,
-    EmptyColumn,
-    EmptyEvaluationSet,
-    GraphfillError,
-)
+from graphfill.errors import EmptyColumn, GraphfillError, InvalidInput
 from graphfill.harness import fit_observed_scale, masked_problem
 
 from conftest import masked, outlier_positions, unit_path_graph
@@ -86,7 +81,7 @@ def test_knn_impute_empty_column_raises():
 def test_knn_impute_node_count_mismatch_raises():
     y = np.ones((3, 2))
     mask = np.ones((3, 2), dtype=bool)
-    with pytest.raises(DimensionMismatch, match="signal has 3 nodes, graph has 4"):
+    with pytest.raises(InvalidInput, match="signal has 3 nodes, graph has 4"):
         gf.knn_baseline_impute(y, mask, unit_path_graph(4))
 
 
@@ -143,7 +138,11 @@ def test_error_declines_with_density():
 
 def test_full_density_rejected():
     ds = small_dataset()
-    with pytest.raises(EmptyEvaluationSet):
+    message = (
+        "^density 1.0 samples all 20 nodes per snapshot; "
+        "nothing is hidden, so there is nothing to evaluate$"
+    )
+    with pytest.raises(InvalidInput, match=message):
         gf.run_experiment(ds, quick_config(densities=(1.0,)))
 
 
@@ -310,7 +309,7 @@ def test_unposable_mask_fails_every_cell():
     graph = gf.build_knn_graph(ds.positions, 3)
     cells = [("sobolev", gf.SobolevConfig()), ("knn_baseline", gf.SobolevConfig())]
     results = harness._run_cells(flat, graph, 0.5, range(2), cells)
-    message = "DegenerateRange: max_value 1.0 must exceed min_value 1.0"
+    message = "InvalidInput: max_value 1.0 must exceed min_value 1.0"
     assert [r.failed for r in results] == [((0, message), (1, message))] * 2
     assert all(r.per_rep == () and r.repetitions == 2 for r in results)
 

@@ -15,13 +15,7 @@ from hypothesis import strategies as st
 
 import graphfill as gf
 from graphfill import cli, ingest
-from graphfill.errors import (
-    DuplicateReading,
-    EmptyDataset,
-    GraphfillError,
-    MalformedCsv,
-    UnknownNode,
-)
+from graphfill.errors import GraphfillError, InvalidInput
 
 
 def write(path, text):
@@ -86,35 +80,43 @@ def test_many_time_steps(tmp_path):
 
 def test_duplicate_reading_rejected(tmp_path, positions_csv):
     rows = [("a", 0, "1.0"), ("a", 0, "2.0"), ("b", 0, "1.0"), ("c", 0, "1.0")]
-    with pytest.raises(DuplicateReading):
-        gf.load_dataset(positions_csv, write(tmp_path / "r.csv", readings_text(rows)))
+    readings = write(tmp_path / "r.csv", readings_text(rows))
+    with pytest.raises(InvalidInput) as info:
+        gf.load_dataset(positions_csv, readings)
+    assert str(info.value) == f"{readings}:3: duplicate reading for ('a', 0)"
     # the first repeat in file order is reported, not the smallest key
     rows = [("a", 0, "1.0"), ("c", 5, "1.0"), ("c", 5, "2.0"), ("a", 0, "3.0")]
     readings = write(tmp_path / "r2.csv", readings_text(rows))
-    with pytest.raises(DuplicateReading) as info:
+    with pytest.raises(InvalidInput) as info:
         gf.load_dataset(positions_csv, readings)
     assert str(info.value) == f"{readings}:4: duplicate reading for ('c', 5)"
 
 
 def test_unknown_node_rejected(tmp_path, positions_csv):
     rows = [("a", 0, "1.0"), ("z", 0, "1.0")]
-    with pytest.raises(UnknownNode):
-        gf.load_dataset(positions_csv, write(tmp_path / "r.csv", readings_text(rows)))
+    readings = write(tmp_path / "r.csv", readings_text(rows))
+    with pytest.raises(InvalidInput) as info:
+        gf.load_dataset(positions_csv, readings)
+    assert str(info.value) == f"{readings}:3: node 'z' not in positions file"
     # the first unknown id in file order is reported
     rows = [("a", 0, "1.0"), ("z", 0, "1.0"), ("y", 0, "1.0")]
     readings = write(tmp_path / "r2.csv", readings_text(rows))
-    with pytest.raises(UnknownNode) as info:
+    with pytest.raises(InvalidInput) as info:
         gf.load_dataset(positions_csv, readings)
     assert str(info.value) == f"{readings}:3: node 'z' not in positions file"
 
 
 def test_malformed_headers_rejected(tmp_path, positions_csv):
     bad_positions = write(tmp_path / "bad_p.csv", "id,x,y\na,0,0\nb,1,1\n")
-    with pytest.raises(MalformedCsv):
+    with pytest.raises(InvalidInput) as info:
         gf.load_positions(bad_positions)
+    assert str(info.value) == f"{bad_positions}: expected header node_id,x,y, got id,x,y"
     bad_readings = write(tmp_path / "bad_r.csv", "node_id,time,value\na,0,1.0\n")
-    with pytest.raises(MalformedCsv):
+    with pytest.raises(InvalidInput) as info:
         gf.load_dataset(positions_csv, bad_readings)
+    assert str(info.value) == (
+        f"{bad_readings}: expected header node_id,time_index,value, got node_id,time,value"
+    )
 
 
 def test_malformed_values_rejected(tmp_path, positions_csv):
@@ -136,11 +138,11 @@ def test_malformed_values_rejected(tmp_path, positions_csv):
     ]
     for k, (body, message) in enumerate(cases):
         readings = write(tmp_path / f"r{k}.csv", header + body)
-        with pytest.raises((MalformedCsv, UnknownNode)) as info:
+        with pytest.raises(InvalidInput) as info:
             gf.load_dataset(positions_csv, readings)
         assert str(info.value) == message.format(readings)
     positions = write(tmp_path / "p.csv", "node_id,x,y\na,0,0\na,1,1\nb,2\n")
-    with pytest.raises(MalformedCsv) as info:
+    with pytest.raises(InvalidInput) as info:
         gf.load_positions(positions)
     assert str(info.value) == f"{positions}:3: duplicate node_id 'a'"
 
@@ -182,7 +184,7 @@ def test_quoted_line_break_kept_in_node_id(tmp_path):
     assert ds.signal.values.tolist() == [[1.5, 0.5], [2.5, 0.0]]
     # a later fault still names its physical line
     write(readings, readings.read_text() + "c,x,1.0\n")
-    with pytest.raises(MalformedCsv, match=f"^{readings}:8: bad time_index 'x'$"):
+    with pytest.raises(InvalidInput, match=f"^{readings}:8: bad time_index 'x'$"):
         gf.load_dataset(positions, readings)
 
 
@@ -207,16 +209,17 @@ def test_node_without_finite_readings_dropped_with_warning(tmp_path, positions_c
 
 
 def test_empty_readings_rejected(tmp_path, positions_csv):
-    with pytest.raises(EmptyDataset):
-        gf.load_dataset(
-            positions_csv, write(tmp_path / "r.csv", "node_id,time_index,value\n")
-        )
+    readings = write(tmp_path / "r.csv", "node_id,time_index,value\n")
+    with pytest.raises(InvalidInput) as info:
+        gf.load_dataset(positions_csv, readings)
+    assert str(info.value) == f"{readings}: no readings"
 
 
 def test_duplicate_position_ids_rejected(tmp_path):
     bad = write(tmp_path / "p.csv", "node_id,x,y\na,0,0\na,1,1\n")
-    with pytest.raises(MalformedCsv):
+    with pytest.raises(InvalidInput) as info:
         gf.load_positions(bad)
+    assert str(info.value) == f"{bad}:3: duplicate node_id 'a'"
 
 
 def test_filter_consistent_nodes(tmp_path, positions_csv):
@@ -229,8 +232,8 @@ def test_filter_consistent_nodes(tmp_path, positions_csv):
     kept = gf.filter_consistent_nodes(ds, 0.9)
     assert kept.positions.node_ids == ("a", "b")
     assert gf.filter_consistent_nodes(ds, 0.0) is ds
-    with pytest.raises(EmptyDataset):  # only "a" is fully covered
-        gf.filter_consistent_nodes(ds, 1.0)
+    with pytest.raises(InvalidInput, match="^only 1 nodes reach coverage 1.0; need at least 2$"):
+        gf.filter_consistent_nodes(ds, 1.0)  # only "a" is fully covered
 
 
 def test_filter_full_coverage_drops_incomplete_node(tmp_path, positions_csv):
@@ -246,7 +249,7 @@ def test_filter_drops_below_two_nodes(tmp_path, positions_csv):
     rows = [("a", t, "1.0") for t in range(4)]
     rows += [("b", 0, "1.0"), ("c", 0, "1.0")]
     ds = gf.load_dataset(positions_csv, write(tmp_path / "r.csv", readings_text(rows)))
-    with pytest.raises(EmptyDataset):
+    with pytest.raises(InvalidInput, match="^only 1 nodes reach coverage 1.0; need at least 2$"):
         gf.filter_consistent_nodes(ds, 1.0)
 
 
@@ -320,8 +323,10 @@ def test_load_matches_dict_pivot(data, ids):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             if len(kept) < 2:
-                with pytest.raises(EmptyDataset):
+                with pytest.raises(InvalidInput) as info:
                     gf.load_dataset(positions, readings)
+                fault = "fewer than 2 nodes have readings" if rows else "no readings"
+                assert str(info.value) == f"{readings}: {fault}"
                 return
             ds = gf.load_dataset(positions, readings)
 
@@ -430,29 +435,26 @@ def test_fast_path_taken_on_clean_files(tmp_path, positions_csv):
 
 
 FAULTS = {
-    "unknown node": ("a,0,1\nz,0,1\n", UnknownNode, "{}:3: node 'z' not in positions file"),
-    "bad time_index": ("a,0,1\n\nb,1e3,1\n", MalformedCsv, "{}:4: bad time_index '1e3'"),
-    "negative time_index": ("a,0,1\nb,-2,1\n", MalformedCsv, "{}:3: negative time_index -2"),
-    "duplicate reading": ("a,0,1\nb,0,1\n \na,0,2\n", DuplicateReading,
-                          "{}:5: duplicate reading for ('a', 0)"),
-    "bad value": ("a,0,1\nb,0,1\nc,0,1.2.3\n", MalformedCsv, "{}:4: bad value '1.2.3'"),
-    "field count": ("a,0,1\nb,0\n", MalformedCsv, "{}:3: expected 3 fields, got 2"),
-    "fault after a quoted field over two lines": ('a,0,"1\n"\nb,0,x\n', MalformedCsv,
-                                                  "{}:4: bad value 'x'"),
-    "header": ("", MalformedCsv, "{}: expected header node_id,time_index,value, got node_id,t,v"),
-    "no readings": ("\n\n", EmptyDataset, "{}: no readings"),
-    "one node with readings": ("a,0,1\na,1,2\n", EmptyDataset,
-                               "{}: fewer than 2 nodes have readings"),
+    "unknown node": ("a,0,1\nz,0,1\n", "{}:3: node 'z' not in positions file"),
+    "bad time_index": ("a,0,1\n\nb,1e3,1\n", "{}:4: bad time_index '1e3'"),
+    "negative time_index": ("a,0,1\nb,-2,1\n", "{}:3: negative time_index -2"),
+    "duplicate reading": ("a,0,1\nb,0,1\n \na,0,2\n", "{}:5: duplicate reading for ('a', 0)"),
+    "bad value": ("a,0,1\nb,0,1\nc,0,1.2.3\n", "{}:4: bad value '1.2.3'"),
+    "field count": ("a,0,1\nb,0\n", "{}:3: expected 3 fields, got 2"),
+    "fault after a quoted field over two lines": ('a,0,"1\n"\nb,0,x\n', "{}:4: bad value 'x'"),
+    "header": ("", "{}: expected header node_id,time_index,value, got node_id,t,v"),
+    "no readings": ("\n\n", "{}: no readings"),
+    "one node with readings": ("a,0,1\na,1,2\n", "{}: fewer than 2 nodes have readings"),
 }
 
 
 @pytest.mark.parametrize("fault", sorted(FAULTS))
 def test_fault_same_through_both_paths(tmp_path, positions_csv, fault):
-    body, kind, message = FAULTS[fault]
+    body, message = FAULTS[fault]
     header = "node_id,t,v\n" if fault == "header" else "node_id,time_index,value\n"
     readings = write(tmp_path / "r.csv", header + body)
     outcome = load_outcome(positions_csv, readings)
-    assert outcome == (kind, message.format(readings))
+    assert outcome == (InvalidInput, message.format(readings))
     assert outcome == load_outcome(positions_csv, readings, checker_only=True)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import graphfill as gf
-from graphfill.errors import DensityTooLow, DimensionMismatch, UnsatisfiableCoverage
+from graphfill.errors import InvalidInput, UnsatisfiableCoverage
 from graphfill.sampling import samples_per_column
 from graphfill.temporal import check_mask
 
@@ -42,7 +42,7 @@ def test_determinism_and_seed_sensitivity():
 
 
 def test_density_too_low():
-    with pytest.raises(DensityTooLow):
+    with pytest.raises(InvalidInput, match="^density 0.01 rounds to 0 of 10 nodes per snapshot$"):
         gf.random_mask(10, 5, 0.01, seed=0)
 
 
@@ -77,5 +77,5 @@ def test_mask_invariant_validation():
         check_mask(mask.astype(int), (4, 6))  # 0/1 integers are not a mask
     with pytest.raises(TypeError):
         check_mask(mask.tolist(), (4, 6))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(InvalidInput, match=r"^mask \(4, 6\) vs signal \(6, 4\)$"):
         check_mask(mask, (6, 4))

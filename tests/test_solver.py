@@ -10,7 +10,7 @@ import graphfill as gf
 from graphfill import harness, solver
 from graphfill.errors import (
     ConvergenceFailure,
-    HorizonTooShort,
+    InvalidInput,
     ProblemTooLarge,
     SingularSystem,
 )
@@ -466,6 +466,27 @@ def test_operator_symmetry_and_positivity(rng):
         assert float(np.vdot(apply_a(x1), x1)) > 0.0
 
 
+@pytest.mark.parametrize("beta", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_objective_gradient_matches_dense_form(beta, order):
+    # the verifier itself, at an X that no solve produced:
+    # diag(vec J) vec X - vec Y + gamma (T kron B) vec X, column-major vec
+    graph, _, mask, y = random_instance(seed=41, n=6, m=7, density=0.5)
+    b = gf.sobolev_operator(graph, 0.3, beta)
+    d = gf.temporal_difference_operator(7)
+    gamma = 0.7
+    x = np.asarray(np.random.default_rng(42).normal(size=(6, 7)), order=order)
+    assert x.flags.c_contiguous == (order == "C")
+
+    def vec(a):
+        return a.flatten(order="F")
+
+    dense = vec(mask) * vec(x) - vec(y) + gamma * np.kron(d @ d.T, b) @ vec(x)
+    assert np.linalg.norm(dense) > 1.0  # far from the minimizer
+    grad = gf.objective_gradient(x, y, mask, b, gamma)
+    assert np.linalg.norm(vec(grad) - dense) <= 1e-12 * np.linalg.norm(dense)
+
+
 def test_monotone_data_fit_in_gamma(rng):
     graph = random_geometric_graph(6, 2, seed=6)
     y = rng.normal(size=(6, 8))
@@ -584,7 +605,7 @@ def test_single_snapshot_rejected():
     graph = unit_path_graph(3)
     y = np.ones((3, 1))
     mask = np.ones((3, 1), dtype=bool)
-    with pytest.raises(HorizonTooShort):
+    with pytest.raises(InvalidInput, match="^reconstruction needs at least 2 snapshots$"):
         gf.reconstruct_sobolev(y, mask, graph, gf.SobolevConfig())
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import graphfill as gf
-from graphfill.errors import HorizonTooShort
+from graphfill.errors import InvalidInput
 from graphfill.temporal import check_signal
 
 from conftest import masked, random_geometric_graph, unit_path_graph
@@ -48,7 +48,7 @@ def test_difference_operator_column_structure(m):
 
 
 def test_difference_operator_too_short():
-    with pytest.raises(HorizonTooShort):
+    with pytest.raises(InvalidInput, match="^need at least 2 snapshots, got 1$"):
         gf.temporal_difference_operator(1)
 
 
