@@ -8,12 +8,21 @@ undo the scaling and (v) score RMSE/MAE against the ground truth over the
 hidden entries. Each seed's mask is posed once and shared by every
 configuration of a grid search. Aggregates are the mean and population
 standard deviation over repetitions.
+
+_run_cells splits the seeds into contiguous runs, one per usable CPU, and
+_score_seeds scores a run. Several runs go to a pool of worker processes
+that are forked at the first such call and live until the interpreter
+exits; each keeps the module state of that moment. The outcomes are put
+back in seed order, so results are identical to scoring in one process.
 """
 
 from __future__ import annotations
 
+import atexit
+import functools
 import itertools
 import numbers
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,10 +32,14 @@ from .graph import SensorGraph, _frozen, build_knn_graph
 from .ingest import Dataset
 from .metrics import ScaleParams, error_report, inverse_scale
 from .sampling import random_mask, samples_per_column
-from .solver import SobolevConfig, _check_number, reconstruct_sobolev
+from .solver import SobolevConfig, _check_number, _check_snapshots, reconstruct_sobolev
 from .temporal import check_mask, check_signal
 
 METHODS = ("sobolev", "tikhonov", "knn_baseline")
+
+# one worker per usable CPU, forked at the first call with two or more seed runs
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+_pool = None  # (pid of the process that started it, its ProcessPoolExecutor)
 
 
 @dataclass(frozen=True)
@@ -156,6 +169,7 @@ def masked_problem(dataset: Dataset, density: float, seed: int):
     the observed entries alone.
     """
     n, m = dataset.n_nodes, dataset.n_steps
+    _check_snapshots(m)  # before the draw, so that no density turns it into a coverage fault
     drawn = random_mask(n, m, density, seed)
     observed = _frozen(drawn & dataset.native_mask, bool)
     hidden = _frozen(~drawn & dataset.native_mask, bool)
@@ -197,37 +211,68 @@ def _require_full_coverage(dataset: Dataset) -> None:
         )
 
 
-def _run_cells(dataset: Dataset, graph, density, seeds, cells) -> list[ExperimentResult]:
-    """Score every (method, SobolevConfig) cell on each seed's mask, posed once.
+def _score_seeds(dataset: Dataset, graph, density, seeds, cells) -> list[list[tuple]]:
+    """For each seed, every cell's (seed, rmse, mae) or (seed, failure message);
+    a seed whose mask cannot be posed is a failed repetition of every cell."""
+    rows = []
+    for seed in seeds:
+        try:
+            observed, hidden, scale, y = masked_problem(dataset, density, seed)
+        except GraphfillError as exc:
+            rows.append([(seed, f"{type(exc).__name__}: {exc}")] * len(cells))
+            continue
+        row = []
+        for method, sobolev_cfg in cells:
+            try:
+                recon = inverse_scale(_solve(method, y, observed, graph, sobolev_cfg), scale)
+                report = error_report(dataset.signal.values, recon, hidden)
+                row.append((seed, report.rmse, report.mae))
+            except GraphfillError as exc:
+                row.append((seed, f"{type(exc).__name__}: {exc}"))
+        rows.append(row)
+    return rows
 
-    A seed whose mask cannot be posed is a failed repetition of every cell.
-    """
+
+def _worker_pool():
+    """This process's worker pool, started on first use; None in a process that
+    multiprocessing started, whose exit would wait on workers of its own."""
+    global _pool
+    if _pool is None or _pool[0] != os.getpid():  # a forked child owns no pool
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if multiprocessing.parent_process() is not None:
+            return None
+        # fork: the workers start before the executor's manager thread, and
+        # they exit with the interpreter, leaving no server process behind
+        pool = ProcessPoolExecutor(_WORKERS, mp_context=multiprocessing.get_context("fork"))
+        atexit.register(pool.shutdown)  # at module teardown, collecting it fails
+        _pool = (os.getpid(), pool)
+    return _pool[1]
+
+
+def _run_cells(dataset: Dataset, graph, density, seeds, cells) -> list[ExperimentResult]:
+    """Score every (method, SobolevConfig) cell on each seed's mask, posed once."""
     n = dataset.n_nodes
     if samples_per_column(n, density) >= n:
         raise InvalidInput(
             f"density {density} samples all {n} nodes per snapshot; "
             "nothing is hidden, so there is nothing to evaluate"
         )
-    per_rep = [[] for _ in cells]
-    failed = [[] for _ in cells]
-    for seed in seeds:
-        try:
-            observed, hidden, scale, y = masked_problem(dataset, density, seed)
-        except GraphfillError as exc:
-            for cell_failed in failed:
-                cell_failed.append((seed, f"{type(exc).__name__}: {exc}"))
-            continue
-        for (method, sobolev_cfg), cell_reps, cell_failed in zip(cells, per_rep, failed):
-            try:
-                estimate = _solve(method, y, observed, graph, sobolev_cfg)
-                recon = inverse_scale(estimate, scale)
-                report = error_report(dataset.signal.values, recon, hidden)
-                cell_reps.append((seed, report.rmse, report.mae))
-            except GraphfillError as exc:
-                cell_failed.append((seed, f"{type(exc).__name__}: {exc}"))
+    runs = min(_WORKERS, len(seeds))
+    pool = _worker_pool() if runs > 1 else None
+    if pool is None:
+        rows = _score_seeds(dataset, graph, density, seeds, cells)
+    else:
+        cuts = [len(seeds) * i // runs for i in range(runs + 1)]
+        chunks = [seeds[a:b] for a, b in zip(cuts, cuts[1:])]
+        scored = pool.map(functools.partial(_score_seeds, dataset, graph, density, cells=cells),
+                          chunks)
+        rows = [row for chunk in scored for row in chunk]
     return [
-        _aggregate(dataset.name, method, density, reps, fails, len(seeds))
-        for (method, _), reps, fails in zip(cells, per_rep, failed)
+        _aggregate(dataset.name, method, density, [o for o in column if len(o) == 3],
+                   [o for o in column if len(o) == 2], len(seeds))
+        for (method, _), column in zip(cells, zip(*rows))
     ]
 
 

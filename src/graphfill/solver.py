@@ -307,9 +307,13 @@ def _check_inputs(y, mask, graph: SensorGraph) -> tuple[np.ndarray, np.ndarray]:
     j = check_mask(mask, y.shape).astype(float)
     if y.shape[0] != graph.n_nodes:
         raise InvalidInput(f"signal has {y.shape[0]} nodes, graph has {graph.n_nodes}")
-    if y.shape[1] < 2:
-        raise InvalidInput("reconstruction needs at least 2 snapshots")
+    _check_snapshots(y.shape[1])
     return y, j
+
+
+def _check_snapshots(m: int) -> None:
+    if m < 2:
+        raise InvalidInput("reconstruction needs at least 2 snapshots")
 
 
 def reconstruct_sobolev(

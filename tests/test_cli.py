@@ -211,6 +211,21 @@ def test_reconstruct_non_convergence_exits_3(tmp_path, fixture_files, capsys, mo
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("density", ["0.5", "1.0"])
+def test_reconstruct_one_snapshot_exits_2_at_every_density(tmp_path, capsys, density):
+    # the snapshot count is checked before the mask draw, whose coverage
+    # check would otherwise fail first at densities below 1
+    positions, readings = tmp_path / "positions.csv", tmp_path / "readings.csv"
+    coords = np.random.default_rng(0).uniform(0, 5, size=(30, 2))
+    positions.write_text("node_id,x,y\n" + "".join(f"s{i},{x:.4f},{y:.4f}\n"
+                                                   for i, (x, y) in enumerate(coords)))
+    readings.write_text("node_id,time_index,value\n"
+                        + "".join(f"s{i},0,{i % 7}.5\n" for i in range(30)))
+    argv = reconstruct_args(positions, readings, tmp_path / "x", **{"--density": density})
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "graphfill: reconstruction needs at least 2 snapshots\n"
+
+
 @pytest.mark.parametrize("flag", ["--cg-tolerance", "--max-iterations"])
 def test_reconstruct_removed_solver_flags_exit_2(tmp_path, fixture_files, capsys, flag):
     positions, readings = fixture_files
@@ -578,12 +593,16 @@ def test_graph_info_creates_missing_out_directory(tmp_path, fixture_files, capsy
     assert edge_out.read_text().splitlines()[0] == "src_id,dst_id,weight"
 
 
-def run_python(*args):
-    """Run a fresh interpreter that imports graphfill from this checkout."""
+def checkout_env():
+    """The environment of a fresh interpreter that imports graphfill from this checkout."""
     src = Path(gf.__file__).resolve().parent.parent
     path = [str(src), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+
+def run_python(*args):
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=checkout_env())
 
 
 def test_python_dash_m_runs_the_cli():
@@ -593,8 +612,9 @@ def test_python_dash_m_runs_the_cli():
 
 
 # Runs `python -m graphfill ARGS` (or only imports graphfill when there are
-# none) in this interpreter, then prints the scipy modules it loaded and
-# exits with the command's code.
+# none) in this interpreter, then prints the process pool modules it loaded,
+# whether the harness started its worker pool and the scipy modules it
+# loaded, and exits with the command's code.
 SCIPY_PROBE = """
 import runpy, sys
 code = 0
@@ -605,6 +625,9 @@ if len(sys.argv) > 1:
         code = exc.code
 else:
     import graphfill
+pool = sorted(m for m in sys.modules if m.split(".")[0] in ("multiprocessing", "concurrent"))
+print("pool modules:", pool)
+print("pool started:", sys.modules["graphfill.harness"]._pool is not None)
 print("scipy modules:", sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 sys.exit(code)
 """
@@ -617,17 +640,35 @@ sys.exit(code)
         (("--help",), 0),
         (("graph-info", "--positions", "{positions}", "--k", "2"), 0),
         (reconstruct_args("{positions}", "{readings}", "{out}", **{"--density": "1.5"}), 2),
+        (reconstruct_args("{positions}", "{readings}", "{out}"), 0),
     ],
-    ids=["import", "help", "graph-info", "reconstruct-exit-2"],
+    ids=["import", "help", "graph-info", "reconstruct-exit-2", "reconstruct"],
 )
 def test_start_up_loads_no_scipy(tmp_path, fixture_files, command, code):
     # scipy.linalg is most of a cold start and only a direct solve needs it;
-    # scipy.spatial, scipy.fft and scipy.sparse.csgraph are never needed
+    # scipy.spatial, scipy.fft and scipy.sparse.csgraph are never needed.
+    # The worker pool serves experiments and grid searches alone.
     positions, readings = fixture_files
     argv = [a.format(positions=positions, readings=readings, out=tmp_path / "r") for a in command]
     done = run_python("-c", SCIPY_PROBE, *argv)
     assert done.returncode == code, done.stderr
-    assert done.stdout.splitlines()[-1] == "scipy modules: []"
+    assert done.stdout.splitlines()[-3:] == [
+        "pool modules: []", "pool started: False", "scipy modules: []"
+    ]
+
+
+def test_no_process_outlives_a_pooled_gridsearch(tmp_path):
+    # the CLI runs in its own session, so its process group holds it and
+    # every worker it forks; none may be left once it has exited
+    config = gridsearch_config(tmp_path, repetitions=4)
+    argv = ["gridsearch", "--synthetic", "--config", str(config), "--out", str(tmp_path / "g")]
+    proc = subprocess.Popen([sys.executable, "-c", SCIPY_PROBE, *argv], env=checkout_env(),
+                            stdout=subprocess.PIPE, text=True, start_new_session=True)
+    out, _ = proc.communicate()
+    assert proc.returncode == 0
+    assert out.splitlines()[-2] == f"pool started: {harness._WORKERS >= 2}"
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
 
 
 def test_fresh_direct_solve_imports_scipy_linalg_and_matches_in_process(

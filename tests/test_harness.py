@@ -1,5 +1,8 @@
 import dataclasses
 import functools
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -177,6 +180,7 @@ def test_failed_repetitions_recorded_not_averaged():
 
 
 def test_non_convergence_is_a_failed_repetition(monkeypatch):
+    monkeypatch.setattr(harness, "_WORKERS", 1)  # the patches reach this process only
     monkeypatch.setattr(solver, "_takes_direct_path", lambda *args: False)
     monkeypatch.setattr(solver, "_CG_MAX_ITERATIONS", 1)
     cfg = quick_config(densities=(0.3,), repetitions=2)
@@ -222,9 +226,13 @@ def affine_base_errors(method):
         direct.append(takes_direct_path(*args))
         return direct[-1]
 
-    with mock.patch.object(solver, "_takes_direct_path", spy):
+    # the spy sees only solves made in this process
+    with mock.patch.object(harness, "_WORKERS", 1), \
+            mock.patch.object(solver, "_takes_direct_path", spy):
         results = gf.run_experiment(affine_dataset(), cfg)
-    assert all(direct) and all(r.complete for r in results)
+    # every solve was direct, and only the kNN baseline makes none
+    assert all(direct) and bool(direct) == (method != "knn_baseline")
+    assert all(r.complete for r in results)
     return cfg, np.array([r.per_rep for r in results])
 
 
@@ -278,6 +286,7 @@ def test_grid_search_draws_each_mask_once(monkeypatch):
         calls.append(args)
         return draw(*args)
 
+    monkeypatch.setattr(harness, "_WORKERS", 1)  # the counter sees this process only
     monkeypatch.setattr(harness, "random_mask", counting)
     search = gf.grid_search(
         small_dataset(), 0.5, [0.1, 1.0], [1.0, 2.0], [0.1, 1.0], repetitions=3, k_graph=3
@@ -295,6 +304,92 @@ def test_grid_search_entries_match_run_experiment():
         cfg = quick_config(densities=(0.3,), master_seed=5, sobolev=config)
         (alone,) = gf.run_experiment(ds, cfg)
         assert result.per_rep == alone.per_rep and result.failed == alone.failed
+
+
+def test_worker_pool_matches_in_process_scoring(monkeypatch):
+    if harness._WORKERS < 2:
+        pytest.skip("one usable CPU: every call is scored in process")
+    reps = 2 * harness._WORKERS + 1  # runs of uneven length
+    ds = small_dataset()
+
+    def run():
+        search = gf.grid_search(ds, 0.3, [0.5], [1.0], [50.0, 1e-3, 0.0],
+                                repetitions=reps, master_seed=2, k_graph=3)
+        outcomes = [(r.per_rep, r.failed) for _, r in search.entries]
+        for method in ("tikhonov", "knn_baseline"):
+            cfg = quick_config(densities=(0.1, 0.5), repetitions=reps, method=method,
+                               sobolev=gf.SobolevConfig(gamma=0.1))
+            outcomes += [(r.per_rep, r.failed) for r in gf.run_experiment(ds, cfg)]
+        return outcomes
+
+    pool_calls = []
+    worker_pool = harness._worker_pool
+    monkeypatch.setattr(harness, "_worker_pool", lambda: pool_calls.append(1) or worker_pool())
+    pooled = run()
+    assert len(pool_calls) == 5  # one grid search, two experiments at two densities
+
+    paths = []
+    takes_direct_path = solver._takes_direct_path
+
+    def spy(*args):
+        paths.append(takes_direct_path(*args))
+        return paths[-1]
+
+    monkeypatch.setattr(harness, "_WORKERS", 1)
+    monkeypatch.setattr(solver, "_takes_direct_path", spy)
+    assert run() == pooled
+    assert set(paths) == {True, False}  # both solver paths were scored
+    direct, cg, zero_gamma = pooled[:3]
+    assert [seed for seed, *_ in direct[0]] == list(range(2, 2 + reps))
+    assert len(cg[0]) == reps
+    assert zero_gamma[0] == () and [seed for seed, _ in zero_gamma[1]] == list(range(2, 2 + reps))
+
+
+def test_worker_error_is_raised_with_its_type_and_message(monkeypatch):
+    # a negative seed is no GraphfillError: numpy's generator raises ValueError
+    ds = small_dataset()
+    graph = gf.build_knn_graph(ds.positions, 3)
+    cells = [("sobolev", gf.SobolevConfig())]
+    with pytest.raises(ValueError) as pooled:
+        harness._run_cells(ds, graph, 0.3, range(-2, 1), cells)
+    monkeypatch.setattr(harness, "_WORKERS", 1)
+    with pytest.raises(ValueError) as in_process:
+        harness._run_cells(ds, graph, 0.3, range(-2, 1), cells)
+    assert str(pooled.value) == str(in_process.value)
+
+
+def _experiment_errors():
+    return [r.per_rep for r in gf.run_experiment(small_dataset(), quick_config())]
+
+
+def _experiment_errors_in_child():
+    """The errors, and whether this child started a pool of its own; one it
+    started is shut down, or the child's exit would wait on its workers."""
+    errors = _experiment_errors()
+    started = harness._pool is not None and harness._pool[0] == os.getpid()
+    if started:
+        harness._pool[1].shutdown()
+    return errors, started
+
+
+# Python 3.12 and later warn when a process with threads, here the pool's
+# manager thread, forks
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+@pytest.mark.parametrize("daemonic", [True, False], ids=["pool-worker", "executor-worker"])
+def test_forked_child_scores_without_its_parents_pool(daemonic):
+    # a child forked from a process whose pool has started must not use that
+    # pool, and a process started by multiprocessing scores in process: a
+    # daemonic one may not start workers, and the exit of any other would
+    # wait on workers of its own
+    want = _experiment_errors()  # starts this process's pool where there are 2+ CPUs
+    context = multiprocessing.get_context("fork")
+    if daemonic:
+        with context.Pool(1) as children:
+            got = children.apply_async(_experiment_errors_in_child).get(timeout=120)
+    else:
+        with ProcessPoolExecutor(1, mp_context=context) as children:
+            got = children.submit(_experiment_errors_in_child).result(timeout=120)
+    assert got == (want, False)
 
 
 def test_unposable_mask_fails_every_cell():
