@@ -17,7 +17,7 @@ from .harness import (
     run_experiment,
 )
 from .ingest import Dataset, filter_consistent_nodes, load_dataset, load_positions
-from .metrics import MetricReport, ScaleParams, error_report, inverse_scale
+from .metrics import MetricReport, error_report
 from .sampling import random_mask
 from .solver import (
     ReconstructionResult,
@@ -39,7 +39,6 @@ __all__ = [
     "MetricReport",
     "NodePositions",
     "ReconstructionResult",
-    "ScaleParams",
     "SensorGraph",
     "SobolevConfig",
     "TimeVaryingSignal",
@@ -48,7 +47,6 @@ __all__ = [
     "error_report",
     "filter_consistent_nodes",
     "grid_search",
-    "inverse_scale",
     "knn_baseline_impute",
     "load_dataset",
     "load_positions",

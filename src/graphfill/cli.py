@@ -29,7 +29,7 @@ from . import ingest
 from .errors import GraphfillError, InvalidInput
 from .graph import _reachable, build_knn_graph, write_edge_list
 from .harness import ExperimentConfig, grid_search, masked_problem, run_experiment
-from .metrics import error_report, inverse_scale
+from .metrics import error_report
 from .solver import SobolevConfig, reconstruct_sobolev
 from .synthetic import synthetic_dataset
 
@@ -154,10 +154,10 @@ def _cmd_reconstruct(args) -> int:
     dataset = ingest.load_dataset(args.positions, args.readings)
     dataset = ingest.filter_consistent_nodes(dataset, args.min_coverage)
     graph = build_knn_graph(dataset.positions, args.k)
-    observed, hidden, params, y = masked_problem(dataset, args.density, args.seed)
+    observed, hidden, y, unscale = masked_problem(dataset, args.density, args.seed)
     config = SobolevConfig(epsilon=args.epsilon, beta=args.beta, gamma=args.gamma)
     result = reconstruct_sobolev(y, observed, graph, config)
-    recon = inverse_scale(result.xbar, params)
+    recon = unscale(result.xbar)
     metrics_doc = {
         "dataset": dataset.name,
         "density": args.density,
@@ -204,14 +204,15 @@ def _write_reconstruction(fh, node_ids, time_indices, values: np.ndarray) -> Non
 def _write_results(out, write_csv, doc: dict) -> tuple[Path, Path]:
     """Write ``<out>.csv`` by write_csv(file) and ``<out>.json`` from doc.
 
-    A .csv or .json suffix on out is dropped and a missing parent directory
-    is created. The JSON has sorted keys, so equal results give equal bytes.
+    Only a .csv or .json suffix on out is dropped (out/run.2024 gives
+    out/run.2024.csv), and a missing parent directory is created. The JSON
+    has sorted keys, so equal results give equal bytes.
     """
     base = Path(out)
     if base.suffix in {".csv", ".json"}:
         base = base.with_suffix("")
     base.parent.mkdir(parents=True, exist_ok=True)
-    csv_path, json_path = base.with_suffix(".csv"), base.with_suffix(".json")
+    csv_path, json_path = (base.with_name(base.name + suffix) for suffix in (".csv", ".json"))
     with csv_path.open("w", newline="") as fh:
         write_csv(fh)
     json_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")

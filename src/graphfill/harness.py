@@ -30,7 +30,7 @@ import numpy as np
 from .errors import EmptyColumn, GraphfillError, InvalidInput
 from .graph import SensorGraph, _frozen, build_knn_graph
 from .ingest import Dataset
-from .metrics import ScaleParams, error_report, inverse_scale
+from .metrics import _stat_without_overflow, error_report
 from .sampling import random_mask, samples_per_column
 from .solver import SobolevConfig, _check_number, _check_snapshots, reconstruct_sobolev
 from .temporal import check_mask, check_signal
@@ -135,22 +135,6 @@ def knn_baseline_impute(y: np.ndarray, mask: np.ndarray, graph: SensorGraph) -> 
     return check_signal(np.where(j, y, averaged))
 
 
-def fit_observed_scale(truth_values: np.ndarray, mask: np.ndarray):
-    """Min-max parameters from observed entries only, plus the scaled Y.
-
-    Hidden entries of truth_values are never read: the returned matrix is
-    exactly zero there regardless of their content, which keeps ground truth
-    out of the reconstruction inputs. metrics.inverse_scale undoes the map.
-    """
-    check_mask(mask, truth_values.shape)
-    observed = truth_values[mask]
-    params = ScaleParams(min_value=float(observed.min()), max_value=float(observed.max()))
-    with np.errstate(invalid="ignore"):
-        scaled = (truth_values - params.min_value) / params.span
-    y_values = np.where(mask, scaled, 0.0)
-    return params, y_values
-
-
 def _solve(method, y, mask, graph, sobolev_cfg):
     if method == "knn_baseline":
         return knn_baseline_impute(y, mask, graph)
@@ -161,34 +145,41 @@ def _solve(method, y, mask, graph, sobolev_cfg):
 
 
 def masked_problem(dataset: Dataset, density: float, seed: int):
-    """Pose one repetition: (observed, hidden, scale, y) for the seed's mask.
+    """Pose one repetition: (observed, hidden, y, unscale) for the seed's mask.
 
     observed is the random_mask draw ANDed with the dataset's native mask;
     hidden holds the natively present entries the draw hides, the only ones
-    with ground truth to score. scale and y come from fit_observed_scale on
-    the observed entries alone.
+    with ground truth to score. y is the signal min-max scaled by the
+    observed entries alone, (value - low) / (high - low) there and 0
+    elsewhere; no other entry of the dataset is read. unscale(x) maps a
+    reconstruction of y back to data units, x * (high - low) + low.
     """
     n, m = dataset.n_nodes, dataset.n_steps
     _check_snapshots(m)  # before the draw, so that no density turns it into a coverage fault
     drawn = random_mask(n, m, density, seed)
     observed = _frozen(drawn & dataset.native_mask, bool)
     hidden = _frozen(~drawn & dataset.native_mask, bool)
-    scale, y_values = fit_observed_scale(dataset.signal.values, observed)
-    return observed, hidden, scale, check_signal(y_values)
+    readings = dataset.signal.values[observed]
+    low, high = float(readings.min()), float(readings.max())
+    if not high > low:
+        raise InvalidInput(f"max_value {high} must exceed min_value {low}")
+    span = high - low
+    if not np.isfinite(span):
+        raise InvalidInput(f"the observed readings range from {low} to {high}, wider than "
+                           "floating point can hold; scale the readings down")
+    y = np.zeros((n, m))
+    y[observed] = (readings - low) / span
+    y.setflags(write=False)
+    return observed, hidden, y, lambda x: check_signal(x * span + low)
 
 
 def _aggregate(dataset_name, method, density, per_rep, failed, repetitions):
     if per_rep:
-        rmses = np.array([r for _, r, _ in per_rep])
-        maes = np.array([m for _, _, m in per_rep])
-        stats = (
-            float(rmses.mean()),
-            float(rmses.std()),
-            float(maes.mean()),
-            float(maes.std()),
-        )
+        _, rmses, maes = (np.array(column) for column in zip(*per_rep))
+        stats = [_stat_without_overflow(stat, errors)
+                 for errors in (rmses, maes) for stat in (np.mean, np.std)]
     else:
-        stats = (float("nan"),) * 4
+        stats = [float("nan")] * 4
     return ExperimentResult(
         dataset_name=dataset_name,
         method=method,
@@ -217,14 +208,14 @@ def _score_seeds(dataset: Dataset, graph, density, seeds, cells) -> list[list[tu
     rows = []
     for seed in seeds:
         try:
-            observed, hidden, scale, y = masked_problem(dataset, density, seed)
+            observed, hidden, y, unscale = masked_problem(dataset, density, seed)
         except GraphfillError as exc:
             rows.append([(seed, f"{type(exc).__name__}: {exc}")] * len(cells))
             continue
         row = []
         for method, sobolev_cfg in cells:
             try:
-                recon = inverse_scale(_solve(method, y, observed, graph, sobolev_cfg), scale)
+                recon = unscale(_solve(method, y, observed, graph, sobolev_cfg))
                 report = error_report(dataset.signal.values, recon, hidden)
                 row.append((seed, report.rmse, report.mae))
             except GraphfillError as exc:

@@ -25,6 +25,16 @@ def random_positions(n: int, seed: int) -> gf.NodePositions:
     return gf.NodePositions(coords=coords, node_ids=tuple(f"n{i}" for i in range(n)))
 
 
+def dataset_of(values, native_mask=None) -> gf.Dataset:
+    """A Dataset of the given N x M readings at random positions, all present
+    unless native_mask says otherwise."""
+    n, m = np.shape(values)
+    native = np.ones((n, m), dtype=bool) if native_mask is None else native_mask
+    return gf.Dataset(positions=random_positions(n, 0),
+                      signal=gf.TimeVaryingSignal(values=values), native_mask=native,
+                      name="readings", time_indices=tuple(range(m)))
+
+
 def outlier_positions() -> gf.NodePositions:
     """60 uniform nodes in the unit square, the last moved to (1000, 1000).
 

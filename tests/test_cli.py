@@ -2,6 +2,7 @@ import csv
 import importlib
 import io
 import json
+import math
 import os
 import pkgutil
 import subprocess
@@ -14,7 +15,7 @@ import pytest
 import graphfill as gf
 from graphfill import cli, errors, harness, solver
 from graphfill.cli import main
-from graphfill.harness import fit_observed_scale
+from graphfill.harness import masked_problem
 
 from conftest import outlier_positions
 
@@ -101,12 +102,11 @@ def test_reconstruct_csv_bytes_match_csv_writer(tmp_path):
     # the same reconstruction through the library, rendered by csv.writer
     ds = gf.load_dataset(positions, readings)
     graph = gf.build_knn_graph(ds.positions, 2)
-    effective = gf.random_mask(ds.n_nodes, ds.n_steps, 0.5, seed=0) & ds.native_mask
-    params, y = fit_observed_scale(ds.signal.values, effective)
+    observed, _, y, unscale = masked_problem(ds, 0.5, 0)
     result = gf.reconstruct_sobolev(
-        y, effective, graph, gf.SobolevConfig(epsilon=0.5, beta=1.0, gamma=0.5)
+        y, observed, graph, gf.SobolevConfig(epsilon=0.5, beta=1.0, gamma=0.5)
     )
-    recon = gf.inverse_scale(result.xbar, params)
+    recon = unscale(result.xbar)
     expected = io.StringIO()
     writer = csv.writer(expected, lineterminator="\n")
     writer.writerow(["node_id", "time_index", "value"])
@@ -150,6 +150,31 @@ def test_reconstruct_drops_node_whose_readings_are_all_empty(tmp_path, seed):
         assert main(reconstruct_args(positions, readings, out, **{"--k": "1", "--seed": seed})) == 0
     rows = (tmp_path / "recon.csv").read_text().splitlines()
     assert len(rows) == 1 + 3 * 6 and not any(row.startswith("d,") for row in rows)
+
+
+def test_reconstruct_readings_too_wide_to_scale_exit_2(tmp_path, fixture_files, capsys):
+    positions, readings = fixture_files
+    _write_readings(readings, np.random.default_rng(1).choice([-1.5e308, 1.5e308], size=(8, 12)))
+    assert main(reconstruct_args(positions, readings, tmp_path / "recon")) == 2
+    assert capsys.readouterr().err == (
+        "graphfill: the observed readings range from -1.5e+308 to 1.5e+308, wider than "
+        "floating point can hold; scale the readings down\n"
+    )
+
+
+@pytest.mark.parametrize("name", ["run.2024", "run.2024.csv", "run.2024.json"])
+@pytest.mark.parametrize("command", ["reconstruct", "experiment", "gridsearch"])
+def test_out_drops_only_a_csv_or_json_suffix(tmp_path, fixture_files, command, name):
+    positions, readings = fixture_files
+    out = tmp_path / "out"
+    if command == "reconstruct":
+        argv = reconstruct_args(positions, readings, out / name)
+    else:
+        config = (experiment_config if command == "experiment" else gridsearch_config)(tmp_path)
+        argv = [command, "--positions", str(positions), "--readings", str(readings),
+                "--config", str(config), "--out", str(out / name)]
+    assert main(argv) == 0
+    assert sorted(path.name for path in out.iterdir()) == ["run.2024.csv", "run.2024.json"]
 
 
 def test_reconstruct_missing_gamma_exits_2(tmp_path, fixture_files, capsys):
@@ -475,25 +500,31 @@ def _reject_constant(name):
     raise ValueError(f"not JSON: {name}")
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-def test_gridsearch_infinite_best_statistic_is_null(tmp_path, fixture_files):
+def _write_readings(path, values):
+    path.write_text("node_id,time_index,value\n" + "".join(
+        f"s{i},{t},{v!r}\n" for i, row in enumerate(values.tolist()) for t, v in enumerate(row)))
+
+
+@pytest.mark.parametrize("values", [
+    # each repetition's RMSE is near 1e200, so squared deviations from the mean overflow
+    np.random.default_rng(1).uniform(-1e200, 1e200, size=(8, 12)),
+    # each repetition's RMSE is near 6e307, so the sum over four overflows as well
+    np.random.default_rng(1).choice([-5e307, 5e307], size=(8, 12)),
+], ids=["std", "mean"])
+def test_gridsearch_statistics_of_huge_readings_are_finite(tmp_path, fixture_files, capfd,
+                                                            values):
     positions, readings = fixture_files
-    # readings of +-5e307 give each repetition a finite RMSE near 6e307, and
-    # the mean over four repetitions overflows, so rmse_mean is inf
-    signs = np.random.default_rng(1).choice([-1, 1], size=(8, 12))
-    readings.write_text(
-        "node_id,time_index,value\n"
-        + "".join(f"s{i},{t},{signs[i, t] * 5}e307\n" for i in range(8) for t in range(12))
-    )
+    _write_readings(readings, values)
     out = tmp_path / "grid"
     config = gridsearch_config(tmp_path, repetitions=4)
     argv = ["gridsearch", "--positions", str(positions), "--readings", str(readings),
             "--config", str(config), "--out", str(out)]
     assert main(argv) == 0
+    assert capfd.readouterr().err == ""  # no RuntimeWarning, here or in a worker
+    stats = (tmp_path / "grid.csv").read_text().splitlines()[1].split(",")[3:7]
+    assert all(math.isfinite(float(cell)) and float(cell) > 1e198 for cell in stats)
     report = json.loads(out.with_suffix(".json").read_text(), parse_constant=_reject_constant)
-    assert report["best_rmse_mean"] is None
-    assert report["entries"][0]["rmse_mean"] is None
+    assert format(report["best_rmse_mean"], ".6g") == stats[0]
 
 
 def test_gridsearch_non_finite_gamma_exits_2_before_solving(tmp_path, capsys, monkeypatch):

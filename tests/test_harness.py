@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 import graphfill as gf
 from graphfill import harness, solver
 from graphfill.errors import EmptyColumn, GraphfillError, InvalidInput
-from graphfill.harness import fit_observed_scale, masked_problem
+from graphfill.harness import masked_problem
 
-from conftest import masked, outlier_positions, unit_path_graph
+from conftest import dataset_of, masked, outlier_positions, unit_path_graph
 
 
 def small_dataset(seed=0, n=20, m=40):
@@ -89,28 +89,41 @@ def test_knn_impute_node_count_mismatch_raises():
 
 
 def test_fit_observed_scale_ignores_hidden_entries():
-    truth = np.array([[1.0, 50.0], [3.0, 2.0]])
-    mask = np.array([[1, 0], [1, 1]], dtype=bool)
-    params, y = fit_observed_scale(truth, mask)
-    assert (params.min_value, params.max_value) == (1.0, 3.0)
+    # masked_problem fits the min-max scale on the observed entries alone:
+    # the 50 at a natively missing entry sets neither bound, and y is 0 there
+    native = np.array([[1, 0], [1, 1]], dtype=bool)
+    ds = dataset_of(np.where(native, [[1.0, 50.0], [3.0, 2.0]], 0.0), native)
+    object.__setattr__(ds, "signal", gf.TimeVaryingSignal(
+        values=np.array([[1.0, 50.0], [3.0, 2.0]])))
+    observed, _, y, unscale = masked_problem(ds, 1.0, 0)
+    assert np.array_equal(observed, native)
+    assert (unscale(np.zeros((2, 2)))[0, 0], unscale(np.ones((2, 2)))[0, 0]) == (1.0, 3.0)
     assert y[0, 1] == 0.0
 
 
 def test_no_ground_truth_leakage():
-    # hidden entries poisoned with NaN must not reach the solver inputs
+    # every entry that is not observed (hidden or natively missing) is
+    # poisoned with huge readings: neither y nor the reconstruction in data
+    # units may change by a bit
     ds = small_dataset(seed=1, n=12, m=15)
-    mask = gf.random_mask(12, 15, 0.5, seed=0)
-    poisoned = np.where(mask, ds.signal.values, np.nan)
-    params, y_values = fit_observed_scale(poisoned, mask)
-    assert np.isfinite(y_values).all()
-    clean_params, clean_y = fit_observed_scale(ds.signal.values, mask)
-    assert params == clean_params
-    assert np.array_equal(y_values, clean_y)
+    native = ds.native_mask.copy()
+    native[2, 3:9] = False
+    clean = dataset_of(np.where(native, ds.signal.values, 0.0), native)
+    observed, hidden, y, unscale = masked_problem(clean, 0.5, 0)
+    poison = np.random.default_rng(2).choice([-1.7e308, 1.7e308], size=native.shape)
+    poisoned = dataset_of(clean.signal.values, native)
+    # a Dataset is zero where a reading is missing; the poison goes there too
+    object.__setattr__(poisoned, "signal", gf.TimeVaryingSignal(
+        values=np.where(observed, clean.signal.values, poison)))
+    assert (poisoned.signal.values[~observed] != 0).all()
+    p_observed, p_hidden, p_y, p_unscale = masked_problem(poisoned, 0.5, 0)
+    assert np.array_equal(p_observed, observed) and np.array_equal(p_hidden, hidden)
+    assert p_y.tobytes() == y.tobytes()
     graph = gf.build_knn_graph(ds.positions, 3)
-    result = gf.reconstruct_sobolev(
-        y_values, mask, graph, gf.SobolevConfig()
-    )
-    assert np.isfinite(result.xbar).all()
+    for method in ("sobolev", "knn_baseline"):
+        recon = unscale(harness._solve(method, y, observed, graph, gf.SobolevConfig()))
+        p_recon = p_unscale(harness._solve(method, p_y, p_observed, graph, gf.SobolevConfig()))
+        assert np.isfinite(recon).all() and p_recon.tobytes() == recon.tobytes()
 
 
 def test_run_experiment_deterministic():
@@ -268,12 +281,16 @@ def test_masked_problem_seed_controls_mask():
         name="partial",
         time_indices=ds.time_indices,
     )
-    observed, hidden, scale, y = masked_problem(partial, 0.5, 3)
+    observed, hidden, y, unscale = masked_problem(partial, 0.5, 3)
     drawn = gf.random_mask(10, 12, 0.5, seed=3)
     assert np.array_equal(observed, drawn & native)
     assert np.array_equal(hidden, ~drawn & native)  # only entries with ground truth
-    params, y_values = fit_observed_scale(partial.signal.values, observed)
-    assert scale == params and np.array_equal(y, y_values)
+    # the observed-only min-max scaling, bit for bit, and its inverse
+    seen = partial.signal.values[observed]
+    low, span = seen.min(), seen.max() - seen.min()
+    assert np.array_equal(y, np.where(observed, (partial.signal.values - low) / span, 0.0))
+    x = np.random.default_rng(0).normal(size=(10, 12))
+    assert np.array_equal(unscale(x), x * span + low)
     assert y.dtype == float and not y.flags.writeable  # a signal, as check_signal returns
     assert not np.array_equal(observed, masked_problem(partial, 0.5, 4)[0])
 

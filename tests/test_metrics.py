@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 import graphfill as gf
 from graphfill.errors import InvalidInput
-from graphfill.harness import fit_observed_scale
+from graphfill.harness import masked_problem
+
+from conftest import dataset_of
 
 
 def _hidden(shape, cells):
@@ -104,44 +106,47 @@ def test_error_report_fields(rng):
     assert report.rmse >= report.mae
 
 
+def _scaled(values):
+    """masked_problem's (y, unscale) with every reading observed."""
+    observed, hidden, y, unscale = masked_problem(dataset_of(values), 1.0, 0)
+    assert observed.all() and not hidden.any()
+    return y, unscale
+
+
 def test_minmax_scale_binary_values():
-    params, scaled = fit_observed_scale(
-        np.array([[0.0, 10.0], [10.0, 0.0]]), np.ones((2, 2), dtype=bool)
-    )
-    assert set(np.unique(scaled)) == {0.0, 1.0}
-    assert (params.min_value, params.max_value) == (0.0, 10.0)
+    y, unscale = _scaled(np.array([[0.0, 10.0], [10.0, 0.0]]))
+    assert set(np.unique(y)) == {0.0, 1.0}
+    assert (unscale(np.zeros((2, 2)))[0, 0], unscale(np.ones((2, 2)))[0, 0]) == (0.0, 10.0)
 
 
 def test_minmax_scale_three_levels():
-    _, scaled = fit_observed_scale(
-        np.array([[-5.0, 0.0], [5.0, -5.0]]), np.ones((2, 2), dtype=bool)
-    )
-    assert sorted(np.unique(scaled)) == [0.0, 0.5, 1.0]
+    y, _ = _scaled(np.array([[-5.0, 0.0], [5.0, -5.0]]))
+    assert sorted(np.unique(y)) == [0.0, 0.5, 1.0]
 
 
 def test_scale_round_trip(rng):
     x = rng.normal(size=(5, 7)) * 40.0 - 3.0
-    params, scaled = fit_observed_scale(x, np.ones((5, 7), dtype=bool))
-    assert scaled.min() == 0.0 and scaled.max() == 1.0
-    back = gf.inverse_scale(scaled, params)
-    assert np.abs(back - x).max() <= 1e-12
+    y, unscale = _scaled(x)
+    assert y.min() == 0.0 and y.max() == 1.0
+    assert np.abs(unscale(y) - x).max() <= 1e-12
 
 
 def test_inverse_scale_examples():
-    params = gf.ScaleParams(min_value=0.0, max_value=10.0)
-    assert gf.inverse_scale(np.array([[0.5, 0.5], [0.5, 0.5]]), params)[0, 0] == 5.0
-    identity = gf.ScaleParams(min_value=0.0, max_value=1.0)
+    # masked_problem's unscale on three worked examples
+    _, unscale = _scaled(np.array([[0.0, 10.0], [10.0, 0.0]]))
+    assert np.array_equal(unscale(np.full((2, 2), 0.5)), np.full((2, 2), 5.0))
+    _, identity = _scaled(np.array([[0.0, 1.0], [1.0, 0.0]]))
     x = np.array([[0.25, 0.75], [0.1, 0.9]])
-    assert np.array_equal(gf.inverse_scale(x, identity), x)
-    wide = gf.ScaleParams(min_value=-5.0, max_value=5.0)
-    assert gf.inverse_scale(np.array([[1.0, 1.0], [1.0, 1.0]]), wide)[0, 0] == 5.0
+    assert np.array_equal(identity(x), x)
+    _, wide = _scaled(np.array([[-5.0, 0.0], [5.0, -5.0]]))
+    assert np.array_equal(wide(np.ones((2, 2))), np.full((2, 2), 5.0))
 
 
 def test_degenerate_range_rejected():
     with pytest.raises(InvalidInput, match="^max_value 2.5 must exceed min_value 2.5$"):
-        fit_observed_scale(np.full((3, 3), 2.5), np.ones((3, 3), dtype=bool))
+        _scaled(np.full((3, 3), 2.5))
     with pytest.raises(InvalidInput, match="^max_value 1.0 must exceed min_value 1.0$"):
-        gf.ScaleParams(min_value=1.0, max_value=1.0)
+        _scaled(np.ones((3, 3)))
 
 
 def test_metric_report_orders_rmse_mae():

@@ -14,7 +14,7 @@ from graphfill.errors import (
     ProblemTooLarge,
     SingularSystem,
 )
-from graphfill.harness import fit_observed_scale
+from graphfill.harness import masked_problem
 from graphfill.temporal import check_signal
 
 from conftest import (
@@ -47,8 +47,7 @@ def sparse_synthetic():
     """Graph, mask and scaled Y of the criterion-4 grid at density 0.1, seed 0."""
     dataset = gf.synthetic_dataset(seed=0)
     graph = gf.build_knn_graph(dataset.positions, 5)
-    mask = gf.random_mask(*dataset.signal.values.shape, 0.1, 0)
-    _, y_values = fit_observed_scale(dataset.signal.values, mask)
+    mask, _, y_values, _ = masked_problem(dataset, 0.1, 0)
     return graph, mask, y_values
 
 

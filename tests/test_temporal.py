@@ -3,9 +3,10 @@ import pytest
 
 import graphfill as gf
 from graphfill.errors import InvalidInput
+from graphfill.harness import masked_problem
 from graphfill.temporal import check_signal
 
-from conftest import masked, random_geometric_graph, unit_path_graph
+from conftest import dataset_of, masked, random_geometric_graph, unit_path_graph
 
 
 def objective_by_hand(xbar, y, j, b, gamma):
@@ -123,7 +124,7 @@ def _signal_calls():
         "reconstruct_sobolev": (gf.reconstruct_sobolev, [y, mask, graph, config], (0,)),
         "dense_oracle_solve": (gf.dense_oracle_solve, [y, mask, graph, config], (0,)),
         "error_report": (gf.error_report, [y, y + 1.0, ~mask], (0, 1)),
-        "inverse_scale": (gf.inverse_scale, [y, gf.ScaleParams(-1.0, 3.0)], (0,)),
+        "unscale": (masked_problem(dataset_of(y), 1.0, 0)[3], [y], (0,)),
         "knn_baseline_impute": (gf.knn_baseline_impute, [y, mask, graph], (0,)),
     }
 
@@ -150,7 +151,7 @@ def test_signal_arguments_are_checked(name, position):
 
 @pytest.mark.parametrize("name", [
     "check_signal", "objective_gradient", "reconstruct_sobolev", "dense_oracle_solve",
-    "inverse_scale", "knn_baseline_impute",
+    "unscale", "knn_baseline_impute",
 ])
 def test_signal_results_do_not_alias_their_inputs(name):
     function, args, positions = _signal_calls()[name]
