@@ -5,9 +5,10 @@ Four subcommands: ``reconstruct`` (one solve over a masked dataset),
 (hyperparameter tuning from a JSON config) and ``graph-info`` (inspect the
 kNN graph built from a positions file).
 
-Exit codes are a stable contract: 0 success, 2 usage or validation
-problems (errors.InvalidInput or ValueError), 3 any other GraphfillError or
-an OSError. Diagnostics go to stderr; result tables go to stdout and to the
+Exit codes are a stable contract: 0 success; 2 usage or validation problems
+(errors.InvalidInput or ValueError), alike in every command; 3 a failed
+solve, failed repetitions, a grid whose every configuration failed, or an
+OSError. Diagnostics go to stderr; result tables go to stdout and to the
 ``<out>.csv``/``<out>.json`` files, which only this module writes
 (_write_results).
 """
@@ -116,8 +117,6 @@ def _experiment_config(path) -> ExperimentConfig:
     _require_type(doc, "densities", list)
     _require_type(doc, "sobolev", dict)
     kwargs = dict(doc)
-    if "densities" in kwargs:
-        kwargs["densities"] = tuple(kwargs["densities"])
     if "sobolev" in kwargs:
         kwargs["sobolev"] = _sobolev_from_json(kwargs["sobolev"])
     return ExperimentConfig(**kwargs)
@@ -291,16 +290,7 @@ def _cmd_gridsearch(args) -> int:
         _require_type(doc, key, list)
 
     dataset = _load_experiment_dataset(args)
-    search = grid_search(
-        dataset,
-        density=doc["density"],
-        eps_grid=doc["eps_grid"],
-        beta_grid=doc["beta_grid"],
-        gamma_grid=doc["gamma_grid"],
-        repetitions=doc.get("repetitions", 20),
-        master_seed=doc.get("master_seed", 0),
-        k_graph=doc.get("k_graph", 5),
-    )
+    search = grid_search(dataset, **doc)
 
     header = ["epsilon", "beta", "gamma", *_STATS, "reps", "failed"]
     rows = [[format(v, ".6g") for v in (config.epsilon, config.beta, config.gamma)]

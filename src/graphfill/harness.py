@@ -6,8 +6,11 @@ the data using the observed entries only. Then, for every method and
 configuration being compared, (iii) reconstruct the hidden entries, (iv)
 undo the scaling and (v) score RMSE/MAE against the ground truth over the
 hidden entries. Each seed's mask is posed once and shared by every
-configuration of a grid search. Aggregates are the mean and population
-standard deviation over repetitions.
+configuration of a grid search. An input fault, such as a seed whose
+problem cannot be posed, raises InvalidInput and ends the call; a
+repetition fails only when its solve fails (SingularSystem or
+ConvergenceFailure). Aggregates are the mean and population standard
+deviation over repetitions.
 
 _run_cells splits the seeds into contiguous runs, one per usable CPU, and
 _score_seeds scores a run. Several runs go to a pool of worker processes
@@ -27,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyColumn, GraphfillError, InvalidInput
+from .errors import ConvergenceFailure, GraphfillError, InvalidInput, SingularSystem
 from .graph import SensorGraph, _frozen, build_knn_graph
 from .ingest import Dataset
 from .metrics import _stat_without_overflow, error_report
@@ -79,9 +82,9 @@ class ExperimentResult:
     """Per-(method, density) metric aggregates over Monte-Carlo repetitions.
 
     per_rep holds (seed, rmse, mae) for each successful repetition; failed
-    holds (seed, error message) for repetitions that raised. Aggregates are
-    over successes only, so a result with failures is flagged rather than
-    silently averaged down.
+    holds (seed, error message) for each one whose solve failed. Aggregates
+    are over successes only, so a result with failures is flagged rather
+    than silently averaged down.
     """
 
     dataset_name: str
@@ -124,7 +127,7 @@ def knn_baseline_impute(y: np.ndarray, mask: np.ndarray, graph: SensorGraph) -> 
     col_counts = j.sum(axis=0)
     if np.any(col_counts == 0):
         t = int(np.nonzero(col_counts == 0)[0][0])
-        raise EmptyColumn(f"time step {t} has no observed nodes")
+        raise InvalidInput(f"time step {t} has no observed nodes")
     w = graph.weights
     neighbour_sum = w @ (y * j)
     neighbour_weight = w @ j
@@ -153,6 +156,9 @@ def masked_problem(dataset: Dataset, density: float, seed: int):
     observed entries alone, (value - low) / (high - low) there and 0
     elsewhere; no other entry of the dataset is read. unscale(x) maps a
     reconstruction of y back to data units, x * (high - low) + low.
+
+    Raises InvalidInput when the mask cannot be drawn, observes no reading,
+    or observes readings that are all equal or too wide to scale.
     """
     n, m = dataset.n_nodes, dataset.n_steps
     _check_snapshots(m)  # before the draw, so that no density turns it into a coverage fault
@@ -160,6 +166,8 @@ def masked_problem(dataset: Dataset, density: float, seed: int):
     observed = _frozen(drawn & dataset.native_mask, bool)
     hidden = _frozen(~drawn & dataset.native_mask, bool)
     readings = dataset.signal.values[observed]
+    if not readings.size:
+        raise InvalidInput(f"the mask of seed {seed} at density {density} observes no reading")
     low, high = float(readings.min()), float(readings.max())
     if not high > low:
         raise InvalidInput(f"max_value {high} must exceed min_value {low}")
@@ -196,29 +204,25 @@ def _aggregate(dataset_name, method, density, per_rep, failed, repetitions):
 
 def _require_full_coverage(dataset: Dataset) -> None:
     if not dataset.fully_covered:
-        raise GraphfillError(
+        raise InvalidInput(
             "experiment needs a fully covered dataset; apply "
             "filter_consistent_nodes(min_coverage=1.0) first"
         )
 
 
 def _score_seeds(dataset: Dataset, graph, density, seeds, cells) -> list[list[tuple]]:
-    """For each seed, every cell's (seed, rmse, mae) or (seed, failure message);
-    a seed whose mask cannot be posed is a failed repetition of every cell."""
+    """For each seed, every cell's (seed, rmse, mae), or (seed, failure message)
+    where its solve raised SingularSystem or ConvergenceFailure."""
     rows = []
     for seed in seeds:
-        try:
-            observed, hidden, y, unscale = masked_problem(dataset, density, seed)
-        except GraphfillError as exc:
-            rows.append([(seed, f"{type(exc).__name__}: {exc}")] * len(cells))
-            continue
+        observed, hidden, y, unscale = masked_problem(dataset, density, seed)
         row = []
         for method, sobolev_cfg in cells:
             try:
                 recon = unscale(_solve(method, y, observed, graph, sobolev_cfg))
                 report = error_report(dataset.signal.values, recon, hidden)
                 row.append((seed, report.rmse, report.mae))
-            except GraphfillError as exc:
+            except (SingularSystem, ConvergenceFailure) as exc:
                 row.append((seed, f"{type(exc).__name__}: {exc}"))
         rows.append(row)
     return rows
@@ -302,13 +306,8 @@ def grid_search(
     excluded from the argmin.
     """
     # every configuration is validated before the first cell runs
-    ExperimentConfig(
-        densities=(density,),
-        repetitions=repetitions,
-        master_seed=master_seed,
-        method="sobolev",
-        k_graph=k_graph,
-    )
+    ExperimentConfig(densities=(density,), repetitions=repetitions,
+                     master_seed=master_seed, k_graph=k_graph)
     configs = [
         SobolevConfig(epsilon=eps, beta=beta, gamma=gamma)
         for eps, beta, gamma in itertools.product(eps_grid, beta_grid, gamma_grid)

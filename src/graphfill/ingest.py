@@ -218,13 +218,14 @@ def _parse_readings_checked(path: Path, text: str, node_index: dict[str, int]):
     return np.array(rows, dtype=np.int64), time_order, cols, np.array(values)
 
 
-def load_dataset(positions_path, readings_path, name: str | None = None) -> Dataset:
+def load_dataset(positions_path, readings_path) -> Dataset:
     """Load positions + long-format readings and pivot into an N x M matrix.
 
     Node order follows the positions file; time columns are the distinct
     time_index values sorted ascending. A missing (node, time) row, or an
     empty or non-finite value, marks that entry natively missing, and nodes
-    with no finite reading at all are dropped with a warning.
+    with no finite reading at all are dropped with a warning. The dataset is
+    named after the readings file's stem.
 
     Raises InvalidInput at the first fault in file order, naming ``file:line``.
     """
@@ -261,7 +262,7 @@ def load_dataset(positions_path, readings_path, name: str | None = None) -> Data
         positions=kept_positions,
         signal=TimeVaryingSignal(values=signal),
         native_mask=native,
-        name=name if name is not None else readings_path.stem,
+        name=readings_path.stem,
         time_indices=tuple(time_order.tolist()),
     )
 

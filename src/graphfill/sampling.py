@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidInput, UnsatisfiableCoverage
+from .errors import InvalidInput
 
 _MAX_REDRAWS = 1000
 
@@ -29,9 +29,9 @@ def random_mask(n: int, m: int, density: float, seed: int) -> np.ndarray:
     (same generator stream), up to 1000 attempts.
 
     Raises:
-        InvalidInput: the per-column count rounds to zero.
-        UnsatisfiableCoverage: count * m < n makes covering every row
-            impossible, or 1000 redraws never covered every row.
+        InvalidInput: the per-column count rounds to zero, count * m < n
+            makes covering every row impossible, or 1000 redraws never
+            covered every row.
     """
     if n < 2 or m < 1:
         raise ValueError(f"mask needs n >= 2 and m >= 1, got ({n}, {m})")
@@ -41,7 +41,7 @@ def random_mask(n: int, m: int, density: float, seed: int) -> np.ndarray:
     if count < 1:
         raise InvalidInput(f"density {density} rounds to 0 of {n} nodes per snapshot")
     if count * m < n:
-        raise UnsatisfiableCoverage(
+        raise InvalidInput(
             f"{count} samples x {m} snapshots = {count * m} observations "
             f"cannot cover {n} nodes"
         )
@@ -54,7 +54,7 @@ def random_mask(n: int, m: int, density: float, seed: int) -> np.ndarray:
         if mask.any(axis=1).all():
             mask.setflags(write=False)
             return mask
-    raise UnsatisfiableCoverage(
+    raise InvalidInput(
         f"{_MAX_REDRAWS} draws never observed every one of {n} nodes "
         f"({count} samples x {m} snapshots)"
     )

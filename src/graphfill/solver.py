@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, InvalidInput, ProblemTooLarge, SingularSystem
+from .errors import ConvergenceFailure, InvalidInput, SingularSystem
 from .graph import SensorGraph, _reachable, sobolev_operator
 from .temporal import (
     check_mask,
@@ -435,7 +435,7 @@ def dense_oracle_solve(
     for production solves.
 
     Raises:
-        ProblemTooLarge: N * M exceeds 2000.
+        InvalidInput: N * M exceeds 2000.
         SingularSystem: the smallest eigenvalue of A is at most _DENSE_RCOND
             times its largest, the factorization fails or the solution does
             not satisfy the system.
@@ -445,7 +445,7 @@ def dense_oracle_solve(
     y, j = _check_inputs(y, mask, graph)
     n, m = y.shape
     if n * m > _DENSE_LIMIT:
-        raise ProblemTooLarge(f"dense oracle limited to N*M <= {_DENSE_LIMIT}, got {n * m}")
+        raise InvalidInput(f"dense oracle limited to N*M <= {_DENSE_LIMIT}, got {n * m}")
 
     b_matrix = sobolev_operator(graph, config.epsilon, config.beta)
     d = temporal_difference_operator(m)

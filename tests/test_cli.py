@@ -479,21 +479,57 @@ def test_gridsearch_empty_grid_exits_2(tmp_path, capsys):
 
 def test_gridsearch_all_failed_names_the_first_failure(tmp_path, fixture_files, capsys):
     positions, readings = fixture_files
-    readings.write_text(
-        "node_id,time_index,value\n"
-        + "".join(f"s{i},{t},1.0\n" for i in range(8) for t in range(12))
-    )
     out = tmp_path / "result"
-    config = gridsearch_config(tmp_path, gamma_grid=[0.3, 1.0])
+    config = gridsearch_config(tmp_path, gamma_grid=[0.0])
     argv = ["gridsearch", "--positions", str(positions), "--readings", str(readings),
             "--config", str(config), "--out", str(out)]
     assert main(argv) == 3
     assert capsys.readouterr().err == (
         "graphfill: every grid configuration had failed repetitions; the first was "
-        "epsilon=0.5 beta=1 gamma=0.3 seed 0: "
-        "InvalidInput: max_value 1.0 must exceed min_value 1.0\n"
+        "epsilon=0.5 beta=1 gamma=0 seed 0: "
+        "SingularSystem: gamma = 0 with an incomplete mask\n"
     )
     assert not out.with_suffix(".csv").exists() and not out.with_suffix(".json").exists()
+
+
+@pytest.mark.parametrize("values, density, message", [
+    (np.ones((8, 12)), 0.5, "max_value 1.0 must exceed min_value 1.0"),
+    (np.random.default_rng(2).normal(size=(8, 3)), 0.1,
+     "1 samples x 3 snapshots = 3 observations cannot cover 8 nodes"),
+], ids=["constant", "too-few-observations"])
+@pytest.mark.parametrize("command", ["reconstruct", "experiment", "gridsearch"])
+def test_input_fault_exits_2_from_every_command(tmp_path, fixture_files, capfd, command,
+                                                values, density, message):
+    # a seed whose problem cannot be posed ends experiment and gridsearch as
+    # it ends reconstruct, also when a worker process meets it
+    positions, readings = fixture_files
+    _write_readings(readings, values)
+    out = tmp_path / "out" / "result"
+    if command == "reconstruct":
+        argv = reconstruct_args(positions, readings, out, **{"--density": str(density)})
+    else:
+        config = (experiment_config(tmp_path, densities=[density], repetitions=2)
+                  if command == "experiment" else gridsearch_config(tmp_path, density=density))
+        argv = [command, "--positions", str(positions), "--readings", str(readings),
+                "--config", str(config), "--out", str(out)]
+    assert main(argv) == 2
+    assert capfd.readouterr() == ("", f"graphfill: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_reconstruct_mask_that_observes_no_reading_exits_2(tmp_path, capsys):
+    # node i has its one reading at time i, and seed 2's draw misses all eight
+    positions, readings = tmp_path / "positions.csv", tmp_path / "readings.csv"
+    positions.write_text("node_id,x,y\n" + "".join(f"s{i},{i},{i % 3}\n" for i in range(8)))
+    readings.write_text("node_id,time_index,value\n"
+                        + "".join(f"s{i},{i},{i}.5\n" for i in range(8)))
+    argv = reconstruct_args(positions, readings, tmp_path / "x",
+                            **{"--density": "0.2", "--seed": "2"})
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "graphfill: the mask of seed 2 at density 0.2 observes no reading\n"
+    )
+    assert not (tmp_path / "x.csv").exists()
 
 
 def _reject_constant(name):
@@ -751,8 +787,7 @@ def test_exit_code_of_every_error_class(monkeypatch, capsys):
     classes = [cls for cls in vars(errors).values()
                if isinstance(cls, type) and issubclass(cls, errors.GraphfillError)]
     assert {cls.__name__ for cls in classes} == {
-        "GraphfillError", "InvalidInput", "ConvergenceFailure", "SingularSystem",
-        "UnsatisfiableCoverage", "ProblemTooLarge", "EmptyColumn",
+        "GraphfillError", "InvalidInput", "SingularSystem", "ConvergenceFailure",
     }
     for info in pkgutil.iter_modules(gf.__path__, "graphfill."):
         if info.name not in {"graphfill.errors", "graphfill.__main__"}:  # __main__ exits

@@ -12,14 +12,14 @@ from hypothesis import strategies as st
 
 import graphfill as gf
 from graphfill import harness, solver
-from graphfill.errors import EmptyColumn, GraphfillError, InvalidInput
+from graphfill.errors import InvalidInput
 from graphfill.harness import masked_problem
 
 from conftest import dataset_of, masked, outlier_positions, unit_path_graph
 
 
 def small_dataset(seed=0, n=20, m=40):
-    return gf.synthetic_dataset(n_nodes=n, k=3, n_steps=m, noise_sigma=0.05, seed=seed)
+    return gf.synthetic_dataset(n_nodes=n, k=3, n_steps=m, seed=seed)
 
 
 def quick_config(**overrides):
@@ -77,7 +77,7 @@ def test_knn_impute_empty_column_raises():
     graph = unit_path_graph(3)
     bare = np.array([[1, 0], [1, 0], [1, 0]], dtype=bool)
     y = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
-    with pytest.raises(EmptyColumn):
+    with pytest.raises(InvalidInput, match="^time step 1 has no observed nodes$"):
         gf.knn_baseline_impute(y, bare, graph)
 
 
@@ -175,7 +175,7 @@ def test_partial_native_coverage_rejected():
         name="partial",
         time_indices=ds.time_indices,
     )
-    with pytest.raises(GraphfillError):
+    with pytest.raises(InvalidInput, match="^experiment needs a fully covered dataset"):
         gf.run_experiment(partial, quick_config())
 
 
@@ -409,7 +409,8 @@ def test_forked_child_scores_without_its_parents_pool(daemonic):
     assert got == (want, False)
 
 
-def test_unposable_mask_fails_every_cell():
+def test_unposable_mask_raises_in_pool_and_in_process(monkeypatch):
+    # a seed whose problem cannot be posed ends the call, as it ends reconstruct
     ds = small_dataset(n=10, m=12)
     flat = gf.Dataset(
         positions=ds.positions,
@@ -420,10 +421,13 @@ def test_unposable_mask_fails_every_cell():
     )
     graph = gf.build_knn_graph(ds.positions, 3)
     cells = [("sobolev", gf.SobolevConfig()), ("knn_baseline", gf.SobolevConfig())]
-    results = harness._run_cells(flat, graph, 0.5, range(2), cells)
-    message = "InvalidInput: max_value 1.0 must exceed min_value 1.0"
-    assert [r.failed for r in results] == [((0, message), (1, message))] * 2
-    assert all(r.per_rep == () and r.repetitions == 2 for r in results)
+    with pytest.raises(InvalidInput) as pooled:
+        harness._run_cells(flat, graph, 0.5, range(2), cells)
+    monkeypatch.setattr(harness, "_WORKERS", 1)
+    with pytest.raises(InvalidInput) as in_process:
+        harness._run_cells(flat, graph, 0.5, range(2), cells)
+    assert type(pooled.value) is type(in_process.value) is InvalidInput
+    assert str(pooled.value) == str(in_process.value) == "max_value 1.0 must exceed min_value 1.0"
 
 
 def test_far_outlier_experiment():
@@ -515,3 +519,9 @@ def test_experiment_config_rejects_non_numbers(kwargs, message):
 def test_experiment_config_accepts_numpy_numbers():
     cfg = gf.ExperimentConfig(densities=(np.float64(0.5),), repetitions=np.int64(2))
     assert cfg.densities == (0.5,) and cfg.repetitions == 2
+
+
+def test_synthetic_dataset_needs_more_nodes_than_modes():
+    # the signal mixes the first three nonconstant eigenvectors
+    with pytest.raises(ValueError, match="^n_nodes must exceed 3, got 3$"):
+        gf.synthetic_dataset(n_nodes=3, k=2)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import graphfill as gf
-from graphfill.errors import InvalidInput, UnsatisfiableCoverage
+from graphfill.errors import InvalidInput
 from graphfill.sampling import samples_per_column
 from graphfill.temporal import check_mask
 
@@ -50,7 +50,7 @@ def test_unsatisfiable_coverage():
     # one sample per column, two columns, five rows: coverage is impossible,
     # and the arithmetic says so without a single draw
     message = r"1 samples x 2 snapshots = 2 observations cannot cover 5 nodes"
-    with pytest.raises(UnsatisfiableCoverage, match=message):
+    with pytest.raises(InvalidInput, match=message):
         gf.random_mask(5, 2, 0.2, seed=0)
 
 

@@ -11,7 +11,6 @@ from graphfill import harness, solver
 from graphfill.errors import (
     ConvergenceFailure,
     InvalidInput,
-    ProblemTooLarge,
     SingularSystem,
 )
 from graphfill.harness import masked_problem
@@ -577,7 +576,7 @@ def test_oracle_size_guard():
     graph = random_geometric_graph(50, 3, seed=9)
     y = np.zeros((50, 50))
     full = np.ones((50, 50), dtype=bool)
-    with pytest.raises(ProblemTooLarge):
+    with pytest.raises(InvalidInput, match=r"^dense oracle limited to N\*M <= 2000, got 2500$"):
         gf.dense_oracle_solve(y, full, graph, gf.SobolevConfig())
 
 
