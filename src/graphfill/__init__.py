@@ -1,6 +1,16 @@
 """Recovery of missing sensor readings via time-varying graph signal
 reconstruction with a Sobolev smoothness penalty."""
 
+import os
+
+# One BLAS thread unless the user chose a count. The solves are small (50 x 50
+# blocks), and the harness already runs one worker process per CPU, each of
+# which would otherwise start a BLAS thread per CPU. It takes effect only if
+# numpy is not yet loaded, so it must come before every submodule import.
+if not any(os.environ.get(var) for var in
+           ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from .graph import (
     NodePositions,
     SensorGraph,

@@ -150,24 +150,23 @@ def _solve(method, y, mask, graph, sobolev_cfg):
 def masked_problem(dataset: Dataset, density: float, seed: int):
     """Pose one repetition: (observed, hidden, y, unscale) for the seed's mask.
 
-    observed is the random_mask draw ANDed with the dataset's native mask;
-    hidden holds the natively present entries the draw hides, the only ones
-    with ground truth to score. y is the signal min-max scaled by the
-    observed entries alone, (value - low) / (high - low) there and 0
-    elsewhere; no other entry of the dataset is read. unscale(x) maps a
-    reconstruction of y back to data units, x * (high - low) + low.
+    observed is the random_mask draw ANDed with the dataset's native mask,
+    redrawn until it observes every node; hidden holds the natively present
+    entries the draw hides, the only ones with ground truth to score. y is
+    the signal min-max scaled by the observed entries alone,
+    (value - low) / (high - low) there and 0 elsewhere; no other entry of
+    the dataset is read. unscale(x) maps a reconstruction of y back to data
+    units, x * (high - low) + low.
 
-    Raises InvalidInput when the mask cannot be drawn, observes no reading,
-    or observes readings that are all equal or too wide to scale.
+    Raises InvalidInput when the mask cannot be drawn or observes readings
+    that are all equal or too wide to scale.
     """
     n, m = dataset.n_nodes, dataset.n_steps
     _check_snapshots(m)  # before the draw, so that no density turns it into a coverage fault
-    drawn = random_mask(n, m, density, seed)
+    drawn = random_mask(n, m, density, seed, dataset.native_mask)
     observed = _frozen(drawn & dataset.native_mask, bool)
     hidden = _frozen(~drawn & dataset.native_mask, bool)
     readings = dataset.signal.values[observed]
-    if not readings.size:
-        raise InvalidInput(f"the mask of seed {seed} at density {density} observes no reading")
     low, high = float(readings.min()), float(readings.max())
     if not high > low:
         raise InvalidInput(f"max_value {high} must exceed min_value {low}")

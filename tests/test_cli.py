@@ -58,10 +58,15 @@ def reconstruct_args(positions, readings, out, **overrides):
     return argv
 
 
+# A weaker regularizer under which the fixture's reconstruct solves by CG; at
+# the default gamma it takes the direct path.
+CG_GAMMA = {"--gamma": "0.05"}
+
+
 def test_reconstruct_happy_path(tmp_path, fixture_files, capsys):
     positions, readings = fixture_files
     out = tmp_path / "recon"
-    assert main(reconstruct_args(positions, readings, out)) == 0
+    assert main(reconstruct_args(positions, readings, out, **CG_GAMMA)) == 0
     lines = (tmp_path / "recon.csv").read_text().splitlines()
     assert lines[0] == "node_id,time_index,value"
     assert len(lines) == 1 + 8 * 12
@@ -224,14 +229,14 @@ def test_unknown_flag_rejected(tmp_path, fixture_files, capsys):
 
 def test_reconstruct_non_convergence_exits_3(tmp_path, fixture_files, capsys, monkeypatch):
     positions, readings = fixture_files
-    # the fixture's cell runs CG, whose iteration budget is cut to one
+    # the cell runs CG, whose iteration budget is cut to one
     ds = gf.load_dataset(positions, readings)
     graph = gf.build_knn_graph(ds.positions, 2)
     mask = gf.random_mask(ds.n_nodes, ds.n_steps, 0.5, seed=0) & ds.native_mask
-    cfg = gf.SobolevConfig(epsilon=0.5, beta=1.0, gamma=0.5)
+    cfg = gf.SobolevConfig(epsilon=0.5, beta=1.0, gamma=float(CG_GAMMA["--gamma"]))
     assert not solver._takes_direct_path(graph, cfg, mask.astype(float))
     monkeypatch.setattr(solver, "_CG_MAX_ITERATIONS", 1)
-    assert main(reconstruct_args(positions, readings, tmp_path / "out" / "x")) == 3
+    assert main(reconstruct_args(positions, readings, tmp_path / "out" / "x", **CG_GAMMA)) == 3
     assert "graphfill: solver did not converge within 1 iterations" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
@@ -518,17 +523,21 @@ def test_input_fault_exits_2_from_every_command(tmp_path, fixture_files, capfd, 
 
 
 def test_reconstruct_mask_that_observes_no_reading_exits_2(tmp_path, capsys):
-    # node i has its one reading at time i, and seed 2's draw misses all eight
+    # node i has its one reading at time i, and no draw in a thousand ANDed
+    # with that native mask observes all eight: an input fault, not a
+    # singular system
     positions, readings = tmp_path / "positions.csv", tmp_path / "readings.csv"
     positions.write_text("node_id,x,y\n" + "".join(f"s{i},{i},{i % 3}\n" for i in range(8)))
     readings.write_text("node_id,time_index,value\n"
                         + "".join(f"s{i},{i},{i}.5\n" for i in range(8)))
-    argv = reconstruct_args(positions, readings, tmp_path / "x",
-                            **{"--density": "0.2", "--seed": "2"})
-    assert main(argv) == 2
-    assert capsys.readouterr().err == (
-        "graphfill: the mask of seed 2 at density 0.2 observes no reading\n"
-    )
+    for seed in ("2", "3"):
+        argv = reconstruct_args(positions, readings, tmp_path / "x",
+                                **{"--density": "0.2", "--seed": seed})
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "graphfill: 1000 draws never observed every one of 8 nodes "
+            "(2 samples x 8 snapshots)\n"
+        )
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -678,6 +687,23 @@ def test_python_dash_m_runs_the_cli():
     assert "reconstruct" in done.stdout and "graph-info" in done.stdout
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset, expected", [
+    ({}, "1"),
+    ({"OPENBLAS_NUM_THREADS": "3"}, "3"),
+    ({"OMP_NUM_THREADS": "2"}, None),
+], ids=["none-set", "openblas-set", "omp-set"])
+def test_import_pins_blas_to_one_thread_unless_the_user_chose(preset, expected):
+    env = {k: v for k, v in checkout_env().items() if k not in BLAS_THREAD_VARS}
+    probe = "import os, graphfill; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**env, **preset})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == str(expected)
+
+
 # Runs `python -m graphfill ARGS` (or only imports graphfill when there are
 # none) in this interpreter, then prints the process pool modules it loaded,
 # whether the harness started its worker pool and the scipy modules it
@@ -707,12 +733,13 @@ sys.exit(code)
         (("--help",), 0),
         (("graph-info", "--positions", "{positions}", "--k", "2"), 0),
         (reconstruct_args("{positions}", "{readings}", "{out}", **{"--density": "1.5"}), 2),
-        (reconstruct_args("{positions}", "{readings}", "{out}"), 0),
+        (reconstruct_args("{positions}", "{readings}", "{out}", **CG_GAMMA), 0),
     ],
     ids=["import", "help", "graph-info", "reconstruct-exit-2", "reconstruct"],
 )
 def test_start_up_loads_no_scipy(tmp_path, fixture_files, command, code):
-    # scipy.linalg is most of a cold start and only a direct solve needs it;
+    # scipy.linalg is most of a cold start and only a direct solve needs it
+    # (the reconstruct case runs CG);
     # scipy.spatial, scipy.fft and scipy.sparse.csgraph are never needed.
     # The worker pool serves experiments and grid searches alone.
     positions, readings = fixture_files

@@ -309,7 +309,7 @@ def test_grid_search_draws_each_mask_once(monkeypatch):
         small_dataset(), 0.5, [0.1, 1.0], [1.0, 2.0], [0.1, 1.0], repetitions=3, k_graph=3
     )
     assert len(search.entries) == 8
-    assert [seed for *_, seed in calls] == [0, 1, 2]
+    assert [seed for _, _, _, seed, _ in calls] == [0, 1, 2]
 
 
 def test_grid_search_entries_match_run_experiment():

@@ -79,3 +79,33 @@ def test_mask_invariant_validation():
         check_mask(mask.tolist(), (4, 6))
     with pytest.raises(InvalidInput, match=r"^mask \(4, 6\) vs signal \(6, 4\)$"):
         check_mask(mask, (6, 4))
+
+
+def test_complete_native_mask_leaves_the_stream_unchanged():
+    # the four-argument call is the one the benchmark rebuilds masks with
+    for n, m, density in ((8, 12, 0.25), (50, 100, 0.1), (20, 50, 0.3)):
+        native = np.ones((n, m), dtype=bool)
+        for seed in range(8):
+            assert np.array_equal(gf.random_mask(n, m, density, seed, native),
+                                  gf.random_mask(n, m, density, seed))
+
+
+def test_native_mask_redraws_until_every_node_is_observed():
+    # node 0 exists at three snapshots only, so a draw that misses it there
+    # covers every node but observes no reading of node 0
+    native = np.ones((8, 12), dtype=bool)
+    native[0, 3:] = False
+    redrawn = 0
+    for seed in range(10):
+        mask = gf.random_mask(8, 12, 0.25, seed, native)
+        assert (mask & native).any(axis=1).all()
+        redrawn += not np.array_equal(mask, gf.random_mask(8, 12, 0.25, seed))
+    assert redrawn
+
+
+def test_hopeless_native_mask_runs_out_of_redraws():
+    # nodes 0 and 1 exist only at snapshot 0, which observes one node per draw
+    native = np.ones((5, 10), dtype=bool)
+    native[:2, 1:] = False
+    with pytest.raises(InvalidInput, match="^1000 draws never observed every one of 5 nodes"):
+        gf.random_mask(5, 10, 0.2, seed=0, native=native)
