@@ -79,16 +79,18 @@ def _add_dataset_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--readings", help="node_id,time_index,value CSV")
     sub.add_argument("--synthetic", action="store_true",
                      help="use the bundled synthetic dataset instead of CSVs")
-    sub.add_argument("--synthetic-seed", type=int, default=0)
+    sub.add_argument("--synthetic-seed", type=int,
+                     help="seed of the synthetic dataset (default 0); needs --synthetic")
 
 
 def _load_experiment_dataset(args) -> "ingest.Dataset":
-    if args.synthetic:
-        return synthetic_dataset(seed=args.synthetic_seed)
-    if not (args.positions and args.readings):
-        raise ValueError("provide --positions and --readings, or --synthetic")
-    dataset = ingest.load_dataset(args.positions, args.readings)
-    return ingest.filter_consistent_nodes(dataset, 1.0)
+    csvs = (args.positions, args.readings)
+    if args.synthetic and not any(csvs):
+        return synthetic_dataset(seed=args.synthetic_seed or 0)
+    if args.synthetic or args.synthetic_seed is not None or not all(csvs):
+        raise ValueError("name one dataset: --synthetic, with an optional --synthetic-seed, "
+                         "or --positions and --readings")
+    return ingest.load_dataset(*csvs)
 
 
 def _strict_keys(doc: dict, allowed: set[str], where: str) -> None:

@@ -5,10 +5,13 @@ repetition, masked_problem (i) draws a random mask and (ii) min-max scales
 the data using the observed entries only. Then, for every method and
 configuration being compared, (iii) reconstruct the hidden entries, (iv)
 undo the scaling and (v) score RMSE/MAE against the ground truth over the
-hidden entries. Each seed's mask is posed once and shared by every
-configuration of a grid search. An input fault, such as a seed whose
-problem cannot be posed, raises InvalidInput and ends the call; a
-repetition fails only when its solve fails (SingularSystem or
+hidden entries. A dataset may miss readings natively, at any node: the
+draw is ANDed with its native mask and must still observe every node, and
+only the natively present entries it hides are scored. That is the one
+coverage rule; no node needs a complete series. Each seed's mask is posed
+once and shared by every configuration of a grid search. An input fault,
+such as a seed whose problem cannot be posed, raises InvalidInput and ends
+the call; a repetition fails only when its solve fails (SingularSystem or
 ConvergenceFailure). Aggregates are the mean and population standard
 deviation over repetitions.
 
@@ -116,23 +119,26 @@ def knn_baseline_impute(y: np.ndarray, mask: np.ndarray, graph: SensorGraph) -> 
     """Fill hidden entries with the weighted mean of observed graph neighbours.
 
     For hidden entry (i, t) the estimate is the W(i, .)-weighted average of
-    the nodes adjacent to i that are observed at time t; when no neighbour
-    is observed the column mean of the observed entries stands in. Observed
-    entries pass through unchanged.
+    the nodes adjacent to i that are observed at time t. Without such a
+    neighbour, the mean of the entries observed at t stands in, or, if t
+    observes no node, node i's mean over its observed entries; a node never
+    observed meeting such a step raises InvalidInput. Observed entries pass
+    through unchanged.
     """
     y = check_signal(y)
     j = check_mask(mask, y.shape)
     if y.shape[0] != graph.n_nodes:
         raise InvalidInput(f"signal has {y.shape[0]} nodes, graph has {graph.n_nodes}")
-    col_counts = j.sum(axis=0)
-    if np.any(col_counts == 0):
-        t = int(np.nonzero(col_counts == 0)[0][0])
-        raise InvalidInput(f"time step {t} has no observed nodes")
-    w = graph.weights
-    neighbour_sum = w @ (y * j)
-    neighbour_weight = w @ j
-    column_mean = (y * j).sum(axis=0) / col_counts
-    fallback = np.broadcast_to(column_mean, y.shape)
+    col_counts, row_counts = j.sum(axis=0), j.sum(axis=1)
+    if not (col_counts.all() or row_counts.all()):
+        node, t = int(np.argmin(row_counts)), int(np.argmin(col_counts))
+        raise InvalidInput(f"node {node} is never observed and time step {t} observes "
+                           "no node, so the kNN baseline has no estimate for it")
+    neighbour_sum = graph.weights @ (y * j)
+    neighbour_weight = graph.weights @ j
+    column_mean = (y * j).sum(axis=0) / np.maximum(col_counts, 1)
+    node_mean = (y * j).sum(axis=1) / np.maximum(row_counts, 1)
+    fallback = np.where(col_counts > 0, column_mean, node_mean[:, None])
     safe_weight = np.where(neighbour_weight > 0, neighbour_weight, 1.0)
     averaged = np.where(neighbour_weight > 0, neighbour_sum / safe_weight, fallback)
     return check_signal(np.where(j, y, averaged))
@@ -199,14 +205,6 @@ def _aggregate(dataset_name, method, density, per_rep, failed, repetitions):
         failed=tuple(failed),
         repetitions=repetitions,
     )
-
-
-def _require_full_coverage(dataset: Dataset) -> None:
-    if not dataset.fully_covered:
-        raise InvalidInput(
-            "experiment needs a fully covered dataset; apply "
-            "filter_consistent_nodes(min_coverage=1.0) first"
-        )
 
 
 def _score_seeds(dataset: Dataset, graph, density, seeds, cells) -> list[list[tuple]]:
@@ -277,7 +275,6 @@ def run_experiment(dataset: Dataset, cfg: ExperimentConfig) -> list[ExperimentRe
     master_seed + r, so distinct methods or hyperparameters evaluated with
     the same master_seed see identical masks (paired comparisons).
     """
-    _require_full_coverage(dataset)
     graph = build_knn_graph(dataset.positions, cfg.k_graph)
     seeds = range(cfg.master_seed, cfg.master_seed + cfg.repetitions)
     return [
@@ -313,7 +310,6 @@ def grid_search(
     ]
     if not configs:
         raise ValueError("all three grids must be nonempty")
-    _require_full_coverage(dataset)
     graph = build_knn_graph(dataset.positions, k_graph)
 
     seeds = range(master_seed, master_seed + repetitions)

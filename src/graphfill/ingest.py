@@ -80,10 +80,6 @@ class Dataset:
     def n_steps(self) -> int:
         return self.signal.values.shape[1]
 
-    @property
-    def fully_covered(self) -> bool:
-        return bool(self.native_mask.all())
-
 
 def _read_text(path: Path) -> str:
     try:

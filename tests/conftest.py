@@ -1,10 +1,12 @@
 """Shared test helpers: tiny hand-built graphs and random instances."""
 
-import numpy as np
-import pytest
-
+# graphfill first: it sets the one-thread BLAS default, which only takes
+# effect if numpy is not yet loaded, so the suite runs as the CLI does
 import graphfill as gf
 from graphfill.temporal import check_mask
+
+import numpy as np
+import pytest
 
 
 @pytest.fixture

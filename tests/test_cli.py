@@ -398,6 +398,42 @@ def test_experiment_requires_dataset_flags(tmp_path, capsys):
     assert main(["experiment", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize("flags", [
+    ["--synthetic", "--positions", "{positions}", "--readings", "{readings}"],
+    ["--synthetic-seed", "5", "--positions", "{positions}", "--readings", "{readings}"],
+], ids=["synthetic-and-csvs", "seed-without-synthetic"])
+@pytest.mark.parametrize("command", ["experiment", "gridsearch"])
+def test_conflicting_dataset_flags_exit_2_writing_nothing(tmp_path, fixture_files, capfd,
+                                                          command, flags):
+    positions, readings = fixture_files
+    config = (experiment_config if command == "experiment" else gridsearch_config)(tmp_path)
+    out = tmp_path / "out" / "result"
+    argv = [command, *(f.format(positions=positions, readings=readings) for f in flags),
+            "--config", str(config), "--out", str(out)]
+    assert main(argv) == 2
+    assert capfd.readouterr() == ("", "graphfill: name one dataset: --synthetic, with an "
+                                      "optional --synthetic-seed, or --positions and --readings\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["experiment", "gridsearch"])
+def test_csv_pair_without_a_complete_node_runs(tmp_path, fixture_files, command):
+    # node i misses its reading at time i, so no node has a complete series
+    positions, readings = fixture_files
+    values = np.random.default_rng(3).normal(10.0, 2.0, size=(8, 12))
+    values[np.arange(8), np.arange(8)] = np.nan
+    _write_readings(readings, values)
+    config = (experiment_config(tmp_path, densities=[0.3, 0.7], repetitions=3)
+              if command == "experiment" else gridsearch_config(tmp_path, repetitions=3))
+    out = tmp_path / "result"
+    argv = [command, "--positions", str(positions), "--readings", str(readings),
+            "--config", str(config), "--out", str(out)]
+    assert main(argv) == 0
+    doc = json.loads(out.with_suffix(".json").read_text())
+    results = doc["results"] if command == "experiment" else doc["entries"]
+    assert all(r["failed_reps"] == [] and r["rmse_mean"] > 0 for r in results)
+
+
 @pytest.mark.parametrize("gamma", [float("nan"), float("inf")])
 def test_experiment_non_finite_gamma_exits_2(tmp_path, capsys, gamma):
     config = experiment_config(tmp_path, sobolev={"epsilon": 0.5, "beta": 1.0, "gamma": gamma})

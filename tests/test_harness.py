@@ -73,11 +73,23 @@ def test_knn_impute_column_mean_fallback():
     assert filled[0, 0] == pytest.approx(7.0)
 
 
-def test_knn_impute_empty_column_raises():
+def test_knn_impute_empty_step_falls_back_to_node_mean():
+    # step 1 observes no node, so each node takes its mean over its observed entries
     graph = unit_path_graph(3)
     bare = np.array([[1, 0], [1, 0], [1, 0]], dtype=bool)
     y = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
-    with pytest.raises(InvalidInput, match="^time step 1 has no observed nodes$"):
+    filled = gf.knn_baseline_impute(y, bare, graph)
+    assert filled[:, 1].tolist() == [1.0, 2.0, 3.0]
+
+
+def test_knn_impute_entry_without_any_estimate_raises():
+    # node 2 is never observed and step 1 observes no node: (2, 1) has no estimate
+    graph = unit_path_graph(3)
+    bare = np.array([[1, 0], [1, 0], [0, 0]], dtype=bool)
+    y = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 0.0]])
+    message = ("^node 2 is never observed and time step 1 observes no node, "
+               "so the kNN baseline has no estimate for it$")
+    with pytest.raises(InvalidInput, match=message):
         gf.knn_baseline_impute(y, bare, graph)
 
 
@@ -162,21 +174,70 @@ def test_full_density_rejected():
         gf.run_experiment(ds, quick_config(densities=(1.0,)))
 
 
-def test_partial_native_coverage_rejected():
+def with_native(ds, native):
+    """ds with the readings outside native removed."""
+    return dataset_of(np.where(native, ds.signal.values, 0.0), native)
+
+
+def test_partial_native_coverage_runs():
     ds = small_dataset(n=10, m=10)
     native = ds.native_mask.copy()
     native[0, 0] = False
-    values = ds.signal.values.copy()
-    values[0, 0] = 0.0
-    partial = gf.Dataset(
-        positions=ds.positions,
-        signal=gf.TimeVaryingSignal(values=values),
-        native_mask=native,
-        name="partial",
-        time_indices=ds.time_indices,
-    )
-    with pytest.raises(InvalidInput, match="^experiment needs a fully covered dataset"):
-        gf.run_experiment(partial, quick_config())
+    results = gf.run_experiment(with_native(ds, native), quick_config())
+    assert all(r.complete for r in results)
+    assert all(np.isfinite(r.rmse_mean) for r in results)
+
+
+def test_gappy_dataset_runs_pooled_as_in_process(monkeypatch):
+    # each reading is natively missing with probability 0.3
+    ds = with_native(small_dataset(), np.random.default_rng(1).random((20, 40)) >= 0.3)
+    assert not ds.native_mask.all(axis=1).any()  # no node has a complete series
+
+    def run():
+        return {method: [(r.per_rep, r.failed) for r in gf.run_experiment(
+                    ds, quick_config(densities=(0.1, 0.3, 0.7), repetitions=6, method=method))]
+                for method in harness.METHODS}
+
+    monkeypatch.setattr(harness, "_WORKERS", 2)
+    pooled = run()
+    posed = []
+    pose = harness.masked_problem
+    monkeypatch.setattr(harness, "_WORKERS", 1)  # the spy reaches this process only
+    monkeypatch.setattr(harness, "masked_problem", lambda *args: posed.append(pose(*args))
+                        or posed[-1])
+    assert run() == pooled
+    # sobolev and the kNN baseline fill every repetition; tikhonov (epsilon = 0)
+    # may find a sparse draw singular, and nothing else
+    assert all(not failed for method in ("sobolev", "knn_baseline")
+               for _, failed in pooled[method])
+    assert all(message.startswith("SingularSystem: ")
+               for _, failed in pooled["tikhonov"] for _, message in failed)
+    assert len(posed) == 3 * 3 * 6
+    for observed, hidden, _, _ in posed:
+        assert not (hidden & ~ds.native_mask).any()
+        assert np.array_equal(observed | hidden, ds.native_mask)
+        assert observed.any(axis=1).all()
+
+
+def test_step_without_native_readings():
+    # step 4 holds no reading at all: sobolev and the kNN baseline still fill
+    # every entry, and tikhonov (epsilon = 0) cannot link that step to any node
+    ds = small_dataset()
+    native = ds.native_mask.copy()
+    native[:, 4] = False
+    gappy = with_native(ds, native)
+    by_method = {method: gf.run_experiment(gappy, quick_config(method=method, densities=(0.3,)))[0]
+                 for method in harness.METHODS}
+    assert by_method["sobolev"].complete and by_method["knn_baseline"].complete
+    tikhonov = by_method["tikhonov"]
+    assert len(tikhonov.failed) == 3 and tikhonov.per_rep == ()
+    assert all(message.startswith("SingularSystem: ") and "time step 4" in message
+               for _, message in tikhonov.failed)
+    observed, _, y, _ = masked_problem(gappy, 0.3, 0)
+    graph = gf.build_knn_graph(gappy.positions, 3)
+    filled = gf.knn_baseline_impute(y, observed, graph)
+    node_means = (y * observed).sum(axis=1) / observed.sum(axis=1)
+    assert np.array_equal(filled[:, 4], node_means)
 
 
 def test_failed_repetitions_recorded_not_averaged():

@@ -242,7 +242,7 @@ def test_filter_full_coverage_drops_incomplete_node(tmp_path, positions_csv):
     ds = gf.load_dataset(positions_csv, write(tmp_path / "r.csv", readings_text(rows)))
     filtered = gf.filter_consistent_nodes(ds, 1.0)
     assert filtered.positions.node_ids == ("a", "b")
-    assert filtered.fully_covered
+    assert filtered.native_mask.all()
 
 
 def test_filter_drops_below_two_nodes(tmp_path, positions_csv):
