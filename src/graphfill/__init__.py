@@ -19,12 +19,10 @@ from .graph import (
     write_edge_list,
 )
 from .harness import (
-    ExperimentConfig,
     ExperimentResult,
     GridSearchResult,
     grid_search,
     knn_baseline_impute,
-    run_experiment,
 )
 from .ingest import Dataset, filter_consistent_nodes, load_dataset, load_positions
 from .metrics import MetricReport, error_report
@@ -43,7 +41,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Dataset",
-    "ExperimentConfig",
     "ExperimentResult",
     "GridSearchResult",
     "MetricReport",
@@ -63,7 +60,6 @@ __all__ = [
     "objective_gradient",
     "random_mask",
     "reconstruct_sobolev",
-    "run_experiment",
     "sobolev_objective",
     "sobolev_operator",
     "synthetic_dataset",

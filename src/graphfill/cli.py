@@ -1,14 +1,14 @@
 """Command-line interface.
 
-Four subcommands: ``reconstruct`` (one solve over a masked dataset),
-``experiment`` (Monte-Carlo protocol from a JSON config), ``gridsearch``
-(hyperparameter tuning from a JSON config) and ``graph-info`` (inspect the
-kNN graph built from a positions file).
+Three subcommands: ``reconstruct`` (one solve over a masked dataset),
+``gridsearch`` (the Monte-Carlo comparison of the named methods, each tuned
+over its grid at one density, from a JSON config) and ``graph-info``
+(inspect the kNN graph built from a positions file).
 
 Exit codes are a stable contract: 0 success; 2 usage or validation problems
 (errors.InvalidInput or ValueError), alike in every command; 3 a failed
-solve, failed repetitions, a grid whose every configuration failed, or an
-OSError. Diagnostics go to stderr; result tables go to stdout and to the
+solve, a named method whose every configuration has a failed repetition, or
+an OSError. Diagnostics go to stderr; result tables go to stdout and to the
 ``<out>.csv``/``<out>.json`` files, which only this module writes
 (_write_results).
 """
@@ -29,7 +29,7 @@ import numpy as np
 from . import ingest
 from .errors import GraphfillError, InvalidInput
 from .graph import _reachable, build_knn_graph, write_edge_list
-from .harness import ExperimentConfig, grid_search, masked_problem, run_experiment
+from .harness import SEARCHES, _describe, grid_search, masked_problem
 from .metrics import error_report
 from .solver import SobolevConfig, reconstruct_sobolev
 from .synthetic import synthetic_dataset
@@ -56,12 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--min-coverage", type=float, default=0.0,
                      help="drop nodes below this native coverage first")
 
-    exp = sub.add_parser("experiment", help="Monte-Carlo experiment from a JSON config")
-    _add_dataset_flags(exp)
-    exp.add_argument("--config", required=True, help="experiment config JSON")
-    exp.add_argument("--out", required=True, help="output base path (.csv and .json)")
-
-    grid = sub.add_parser("gridsearch", help="hyperparameter grid search from a JSON config")
+    grid = sub.add_parser("gridsearch", help="compare methods, each tuned over its grid, "
+                          "from a JSON config")
     _add_dataset_flags(grid)
     grid.add_argument("--config", required=True, help="grid config JSON")
     grid.add_argument("--out", required=True, help="output base path (.csv and .json)")
@@ -93,37 +89,6 @@ def _load_experiment_dataset(args) -> "ingest.Dataset":
     return ingest.load_dataset(*csvs)
 
 
-def _strict_keys(doc: dict, allowed: set[str], where: str) -> None:
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ValueError(f"unknown {where} fields: {', '.join(sorted(unknown))}")
-
-
-def _require_type(doc: dict, key: str, kind: type) -> None:
-    if key in doc and not isinstance(doc[key], kind):
-        raise ValueError(f"{key} must be a JSON {'list' if kind is list else 'object'}")
-
-
-def _sobolev_from_json(doc: dict) -> SobolevConfig:
-    _strict_keys(doc, {"epsilon", "beta", "gamma"}, "sobolev")
-    return SobolevConfig(**doc)
-
-
-def _experiment_config(path) -> ExperimentConfig:
-    doc = _read_json(path)
-    _strict_keys(
-        doc,
-        {"densities", "repetitions", "master_seed", "method", "sobolev", "k_graph"},
-        "config",
-    )
-    _require_type(doc, "densities", list)
-    _require_type(doc, "sobolev", dict)
-    kwargs = dict(doc)
-    if "sobolev" in kwargs:
-        kwargs["sobolev"] = _sobolev_from_json(kwargs["sobolev"])
-    return ExperimentConfig(**kwargs)
-
-
 def _read_json(path) -> dict:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -132,19 +97,6 @@ def _read_json(path) -> dict:
     if not isinstance(doc, dict):
         raise ValueError(f"config {path} must be a JSON object")
     return doc
-
-
-def _print_table(results, stream=None) -> None:
-    stream = stream or sys.stdout
-    header = f"{'dataset':<12} {'method':<12} {'density':>7} {'rmse_mean':>10} {'rmse_std':>9} {'mae_mean':>10} {'mae_std':>9} {'reps':>4}"
-    print(header, file=stream)
-    for r in results:
-        print(
-            f"{r.dataset_name:<12} {r.method:<12} {r.density:>7.3g} "
-            f"{r.rmse_mean:>10.4g} {r.rmse_std:>9.4g} "
-            f"{r.mae_mean:>10.4g} {r.mae_std:>9.4g} {len(r.per_rep):>4}",
-            file=stream,
-        )
 
 
 def _cmd_reconstruct(args) -> int:
@@ -239,87 +191,52 @@ def _stat_cells(r) -> list:
     return [format(v, ".6g") if math.isfinite(v) else "nan" for v in stats] + [len(r.per_rep)]
 
 
-def _failed_reps(r) -> list[dict]:
-    return [{"seed": seed, "error": message} for seed, message in r.failed]
-
-
-def _cmd_experiment(args) -> int:
-    cfg = _experiment_config(args.config)
-    dataset = _load_experiment_dataset(args)
-    results = run_experiment(dataset, cfg)
-    echo = asdict(cfg)
-    echo["dataset"] = dataset.name
-    header = ["dataset", "method", "density", *_STATS, "reps"]
-    rows = [[r.dataset_name, r.method, format(r.density, ".6g"), *_stat_cells(r)]
-            for r in results]
-    doc = {
-        "config": echo,
-        "results": [
-            {
-                "dataset": r.dataset_name,
-                "method": r.method,
-                "density": r.density,
-                **{name: _finite_or_none(getattr(r, name)) for name in _STATS},
-                "repetitions": r.repetitions,
-                "per_rep": [{"seed": seed, "rmse": rm, "mae": ma} for seed, rm, ma in r.per_rep],
-                "failed_reps": _failed_reps(r),
-            }
-            for r in results
-        ],
-    }
-    _write_results(args.out, _write_table(header, rows), doc)
-    _print_table(results)
-    failed = sum(len(r.failed) for r in results)
-    if failed:
-        print(f"graphfill: {failed} repetitions failed; see failed_reps in the JSON output",
-              file=sys.stderr)
-        return 3
-    return 0
-
-
 def _cmd_gridsearch(args) -> int:
     doc = _read_json(args.config)
-    _strict_keys(
-        doc,
-        {"density", "eps_grid", "beta_grid", "gamma_grid", "repetitions",
-         "master_seed", "k_graph"},
-        "config",
-    )
-    for key in ("density", "eps_grid", "beta_grid", "gamma_grid"):
-        if key not in doc:
-            raise ValueError(f"config is missing required field {key!r}")
-    for key in ("eps_grid", "beta_grid", "gamma_grid"):
-        _require_type(doc, key, list)
+    grids = SEARCHES["sobolev"]  # every grid key
+    unknown = set(doc) - {"density", *grids, "repetitions", "master_seed", "k_graph", "methods"}
+    if unknown:
+        raise ValueError(f"unknown config fields: {', '.join(sorted(unknown))}")
+    if "density" not in doc:
+        raise ValueError("config is missing required field 'density'")
+    for key in (*grids, "methods"):
+        if key in doc and not isinstance(doc[key], list):
+            raise ValueError(f"{key} must be a JSON list")
 
     dataset = _load_experiment_dataset(args)
-    search = grid_search(dataset, **doc)
+    # a grid key that no named method searches may be left out
+    search = grid_search(dataset, **{**dict.fromkeys(grids, ()), **doc})
 
-    header = ["epsilon", "beta", "gamma", *_STATS, "reps", "failed"]
-    rows = [[format(v, ".6g") for v in (config.epsilon, config.beta, config.gamma)]
+    def summary(config, result) -> dict:
+        return {"config": None if config is None else asdict(config),
+                "rmse_mean": _finite_or_none(result.rmse_mean),
+                "mae_mean": _finite_or_none(result.mae_mean)}
+
+    header = ["method", "epsilon", "beta", "gamma", *_STATS, "reps", "failed"]
+    rows = [[result.method]
+            + (["", "", ""] if config is None else
+               [format(v, ".6g") for v in (config.epsilon, config.beta, config.gamma)])
             + _stat_cells(result) + [len(result.failed)]
             for config, result in search.entries]
     report = {
         "config_echo": doc,
         "dataset": dataset.name,
-        "best_config": asdict(search.best_config),
-        "best_rmse_mean": _finite_or_none(search.best_result.rmse_mean),
-        "best_mae_mean": _finite_or_none(search.best_result.mae_mean),
+        "best": {method: summary(*entry) for method, entry in search.best.items()},
         "entries": [
             {
-                "config": asdict(config),
-                "rmse_mean": _finite_or_none(result.rmse_mean),
-                "mae_mean": _finite_or_none(result.mae_mean),
-                "failed_reps": _failed_reps(result),
+                "method": result.method,
+                **summary(config, result),
+                "per_rep": [{"seed": seed, "rmse": rmse, "mae": mae}
+                            for seed, rmse, mae in result.per_rep],
+                "failed_reps": [{"seed": seed, "error": message}
+                                for seed, message in result.failed],
             }
             for config, result in search.entries
         ],
     }
     csv_path, json_path = _write_results(args.out, _write_table(header, rows), report)
-    best = search.best_config
-    print(
-        f"best: epsilon={best.epsilon:g} beta={best.beta:g} gamma={best.gamma:g} "
-        f"rmse_mean={search.best_result.rmse_mean:.6g}"
-    )
+    for method, (config, result) in search.best.items():
+        print(f"best {method}: {_describe(config)}rmse_mean={result.rmse_mean:.6g}")
     print(f"wrote {csv_path} and {json_path}")
     return 0
 
@@ -345,7 +262,6 @@ def _cmd_graph_info(args) -> int:
 
 _HANDLERS = {
     "reconstruct": _cmd_reconstruct,
-    "experiment": _cmd_experiment,
     "gridsearch": _cmd_gridsearch,
     "graph-info": _cmd_graph_info,
 }

@@ -1,19 +1,20 @@
-"""Monte-Carlo experiments, hyperparameter grid search and the kNN baseline.
+"""The evaluation protocol: a grid search over methods and hyperparameters,
+and the kNN baseline.
 
-The protocol: for each sampling density and each seed master_seed +
-repetition, masked_problem (i) draws a random mask and (ii) min-max scales
-the data using the observed entries only. Then, for every method and
-configuration being compared, (iii) reconstruct the hidden entries, (iv)
-undo the scaling and (v) score RMSE/MAE against the ground truth over the
-hidden entries. A dataset may miss readings natively, at any node: the
+grid_search runs the paper's comparison at one sampling density. For each
+seed master_seed + repetition, masked_problem (i) draws a random mask and
+(ii) min-max scales the data using the observed entries only. Then, for
+every cell of every named method, (iii) reconstruct the hidden entries,
+(iv) undo the scaling and (v) score RMSE/MAE against the ground truth over
+the hidden entries. A dataset may miss readings natively, at any node: the
 draw is ANDed with its native mask and must still observe every node, and
 only the natively present entries it hides are scored. That is the one
 coverage rule; no node needs a complete series. Each seed's mask is posed
-once and shared by every configuration of a grid search. An input fault,
-such as a seed whose problem cannot be posed, raises InvalidInput and ends
-the call; a repetition fails only when its solve fails (SingularSystem or
-ConvergenceFailure). Aggregates are the mean and population standard
-deviation over repetitions.
+once and shared by every cell, so all methods are compared on identical
+masks. An input fault, such as a seed whose problem cannot be posed,
+raises InvalidInput and ends the call; a repetition fails only when its
+solve fails (SingularSystem or ConvergenceFailure). Aggregates are the mean
+and population standard deviation over repetitions.
 
 _run_cells splits the seeds into contiguous runs, one per usable CPU, and
 _score_seeds scores a run. Several runs go to a pool of worker processes
@@ -27,9 +28,10 @@ from __future__ import annotations
 import atexit
 import functools
 import itertools
+import math
 import numbers
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,43 +43,15 @@ from .sampling import random_mask, samples_per_column
 from .solver import SobolevConfig, _check_number, _check_snapshots, reconstruct_sobolev
 from .temporal import check_mask, check_signal
 
-METHODS = ("sobolev", "tikhonov", "knn_baseline")
+# the grids that each method searches: tikhonov is the Sobolev problem at
+# epsilon = 0, beta = 1, and the kNN baseline has no hyperparameter
+SEARCHES = {"sobolev": ("eps_grid", "beta_grid", "gamma_grid"), "tikhonov": ("gamma_grid",),
+            "knn_baseline": ()}
+METHODS = tuple(SEARCHES)
 
 # one worker per usable CPU, forked at the first call with two or more seed runs
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 _pool = None  # (pid of the process that started it, its ProcessPoolExecutor)
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """One experiment: densities x repetitions for a single method."""
-
-    densities: tuple[float, ...] = (0.1, 0.3, 0.5, 0.7)
-    repetitions: int = 20
-    master_seed: int = 0
-    method: str = "sobolev"
-    sobolev: SobolevConfig = field(default_factory=SobolevConfig)
-    k_graph: int = 5
-
-    def __post_init__(self):
-        dens = tuple(float(_check_number("density", d)) for d in self.densities)
-        if not dens:
-            raise ValueError("densities must be nonempty")
-        if any(not 0 < d <= 1 for d in dens):
-            raise ValueError(f"densities must lie in (0, 1], got {dens}")
-        if any(b <= a for a, b in zip(dens, dens[1:])):
-            raise ValueError(f"densities must be strictly increasing, got {dens}")
-        for name in ("repetitions", "master_seed", "k_graph"):
-            _check_number(name, getattr(self, name), numbers.Integral)
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be positive")
-        if self.master_seed < 0:
-            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.k_graph < 1:
-            raise ValueError("k_graph must be positive")
-        object.__setattr__(self, "densities", dens)
 
 
 @dataclass(frozen=True)
@@ -108,11 +82,13 @@ class ExperimentResult:
 
 @dataclass(frozen=True)
 class GridSearchResult:
-    """Winning configuration plus the full per-config report."""
+    """Each named method's winning (config, result), and every cell's.
 
-    best_config: SobolevConfig
-    best_result: ExperimentResult
-    entries: tuple[tuple[SobolevConfig, ExperimentResult], ...]
+    A cell's config is its SobolevConfig, or None for the kNN baseline.
+    """
+
+    best: dict[str, tuple[SobolevConfig | None, ExperimentResult]]
+    entries: tuple[tuple[SobolevConfig | None, ExperimentResult], ...]
 
 
 def knn_baseline_impute(y: np.ndarray, mask: np.ndarray, graph: SensorGraph) -> np.ndarray:
@@ -144,13 +120,10 @@ def knn_baseline_impute(y: np.ndarray, mask: np.ndarray, graph: SensorGraph) -> 
     return check_signal(np.where(j, y, averaged))
 
 
-def _solve(method, y, mask, graph, sobolev_cfg):
-    if method == "knn_baseline":
+def _solve(y, mask, graph, config):
+    if config is None:
         return knn_baseline_impute(y, mask, graph)
-    if method == "tikhonov":
-        # plain-Laplacian regularization: the Sobolev problem at eps = 0, beta = 1
-        sobolev_cfg = SobolevConfig(0.0, 1.0, sobolev_cfg.gamma)
-    return reconstruct_sobolev(y, mask, graph, sobolev_cfg).xbar
+    return reconstruct_sobolev(y, mask, graph, config).xbar
 
 
 def masked_problem(dataset: Dataset, density: float, seed: int):
@@ -191,8 +164,8 @@ def _aggregate(dataset_name, method, density, per_rep, failed, repetitions):
         _, rmses, maes = (np.array(column) for column in zip(*per_rep))
         stats = [_stat_without_overflow(stat, errors)
                  for errors in (rmses, maes) for stat in (np.mean, np.std)]
-    else:
-        stats = [float("nan")] * 4
+    else:  # math.nan is one object, and tuples compare items by identity first,
+        stats = [math.nan] * 4  # so equal results compare equal
     return ExperimentResult(
         dataset_name=dataset_name,
         method=method,
@@ -214,9 +187,9 @@ def _score_seeds(dataset: Dataset, graph, density, seeds, cells) -> list[list[tu
     for seed in seeds:
         observed, hidden, y, unscale = masked_problem(dataset, density, seed)
         row = []
-        for method, sobolev_cfg in cells:
+        for _, config in cells:
             try:
-                recon = unscale(_solve(method, y, observed, graph, sobolev_cfg))
+                recon = unscale(_solve(y, observed, graph, config))
                 report = error_report(dataset.signal.values, recon, hidden)
                 row.append((seed, report.rmse, report.mae))
             except (SingularSystem, ConvergenceFailure) as exc:
@@ -244,7 +217,7 @@ def _worker_pool():
 
 
 def _run_cells(dataset: Dataset, graph, density, seeds, cells) -> list[ExperimentResult]:
-    """Score every (method, SobolevConfig) cell on each seed's mask, posed once."""
+    """Score every (method, config) cell on each seed's mask, posed once."""
     n = dataset.n_nodes
     if samples_per_column(n, density) >= n:
         raise InvalidInput(
@@ -268,19 +241,18 @@ def _run_cells(dataset: Dataset, graph, density, seeds, cells) -> list[Experimen
     ]
 
 
-def run_experiment(dataset: Dataset, cfg: ExperimentConfig) -> list[ExperimentResult]:
-    """Monte-Carlo cross-validation over all configured densities.
+def _describe(config) -> str:
+    """A cell's hyperparameters as 'epsilon=.. beta=.. gamma=.. ', or '' for None."""
+    if config is None:
+        return ""
+    return f"epsilon={config.epsilon:g} beta={config.beta:g} gamma={config.gamma:g} "
 
-    Deterministic given the config: repetition r draws its mask with seed
-    master_seed + r, so distinct methods or hyperparameters evaluated with
-    the same master_seed see identical masks (paired comparisons).
-    """
-    graph = build_knn_graph(dataset.positions, cfg.k_graph)
-    seeds = range(cfg.master_seed, cfg.master_seed + cfg.repetitions)
-    return [
-        _run_cells(dataset, graph, density, seeds, [(cfg.method, cfg.sobolev)])[0]
-        for density in cfg.densities
-    ]
+
+def _rank(entry):
+    """The argmin key of an entry: rmse_mean, then smaller (gamma, epsilon, beta)."""
+    config, result = entry
+    ties = () if config is None else (config.gamma, config.epsilon, config.beta)
+    return (result.rmse_mean, *ties)
 
 
 def grid_search(
@@ -292,42 +264,73 @@ def grid_search(
     repetitions: int = 20,
     master_seed: int = 0,
     k_graph: int = 5,
+    methods=("sobolev",),
 ) -> GridSearchResult:
-    """Exhaustive (epsilon, beta, gamma) search at one sampling density.
+    """The named methods' grid searches at one sampling density, on one set of masks.
 
-    Every configuration is scored on the identical mask sequence (seeds
-    master_seed .. master_seed + repetitions - 1). The winner minimizes
-    rmse_mean; ties break toward smaller (gamma, epsilon, beta). A
-    configuration with any failed repetition stays in the report but is
-    excluded from the argmin.
+    sobolev searches eps_grid x beta_grid x gamma_grid, tikhonov searches
+    gamma_grid at epsilon = 0, beta = 1, and knn_baseline is one cell with
+    config None (see SEARCHES). A grid must be nonempty exactly when a named
+    method searches it. Every cell is scored on the same masks (seeds
+    master_seed .. master_seed + repetitions - 1), and entries list the
+    cells in METHODS order. Each method's winner minimizes rmse_mean; ties
+    break toward smaller (gamma, epsilon, beta). A configuration with any
+    failed repetition stays in entries but cannot win, and a method without
+    a complete configuration raises GraphfillError.
     """
-    # every configuration is validated before the first cell runs
-    ExperimentConfig(densities=(density,), repetitions=repetitions,
-                     master_seed=master_seed, k_graph=k_graph)
-    configs = [
-        SobolevConfig(epsilon=eps, beta=beta, gamma=gamma)
-        for eps, beta, gamma in itertools.product(eps_grid, beta_grid, gamma_grid)
-    ]
-    if not configs:
-        raise ValueError("all three grids must be nonempty")
+    # every argument is validated before the first cell runs
+    density = float(_check_number("density", density))
+    if not 0 < density <= 1:
+        raise ValueError(f"density must lie in (0, 1], got {density}")
+    for name, value in (("repetitions", repetitions), ("master_seed", master_seed),
+                        ("k_graph", k_graph)):
+        _check_number(name, value, numbers.Integral)
+    if repetitions < 1:
+        raise ValueError("repetitions must be positive")
+    if master_seed < 0:
+        raise ValueError(f"master_seed must be >= 0, got {master_seed}")
+    if k_graph < 1:
+        raise ValueError("k_graph must be positive")
+    methods = list(methods)
+    for method in methods:
+        if method not in METHODS:
+            raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    if not methods or len(set(methods)) < len(methods):
+        raise ValueError(f"methods must be distinct and nonempty, got {methods}")
+    methods = [method for method in METHODS if method in methods]
+    grids = {"eps_grid": tuple(eps_grid), "beta_grid": tuple(beta_grid),
+             "gamma_grid": tuple(gamma_grid)}
+    searched = {name for method in methods for name in SEARCHES[method]}
+    named = ", ".join(methods)
+    for name, grid in grids.items():
+        if not grid and name in searched:
+            raise ValueError(f"{name} must be nonempty: one of the methods {named} searches it")
+        if grid and name not in searched:
+            raise ValueError(f"{name} must be empty: none of the methods {named} searches it")
+    cells = []
+    if "sobolev" in methods:
+        cells += [("sobolev", SobolevConfig(*cell)) for cell in itertools.product(*grids.values())]
+    if "tikhonov" in methods:
+        # plain-Laplacian regularization: the Sobolev problem at eps = 0, beta = 1
+        cells += [("tikhonov", SobolevConfig(0.0, 1.0, gamma)) for gamma in grids["gamma_grid"]]
+    if "knn_baseline" in methods:
+        cells.append(("knn_baseline", None))
     graph = build_knn_graph(dataset.positions, k_graph)
 
     seeds = range(master_seed, master_seed + repetitions)
-    results = _run_cells(dataset, graph, density, seeds, [("sobolev", c) for c in configs])
-    entries = list(zip(configs, results))
+    results = _run_cells(dataset, graph, density, seeds, cells)
+    entries = [(config, result) for (_, config), result in zip(cells, results)]
 
-    eligible = [(c, r) for c, r in entries if r.complete]
-    if not eligible:  # then every configuration, the first too, has a failed repetition
-        config, result = entries[0]
-        seed, message = result.failed[0]
-        raise GraphfillError(
-            "every grid configuration had failed repetitions; the first was "
-            f"epsilon={config.epsilon:g} beta={config.beta:g} gamma={config.gamma:g} "
-            f"seed {seed}: {message}"
-        )
-    best_config, best_result = min(
-        eligible, key=lambda cr: (cr[1].rmse_mean, cr[0].gamma, cr[0].epsilon, cr[0].beta)
-    )
-    return GridSearchResult(
-        best_config=best_config, best_result=best_result, entries=tuple(entries)
-    )
+    best = {}
+    for method in methods:
+        scored = [entry for entry in entries if entry[1].method == method]
+        eligible = [(c, r) for c, r in scored if r.complete]
+        if not eligible:  # then every configuration, the first too, has a failed repetition
+            config, result = scored[0]
+            seed, message = result.failed[0]
+            raise GraphfillError(
+                f"every {method} configuration had failed repetitions; the first was "
+                f"{_describe(config)}seed {seed}: {message}"
+            )
+        best[method] = min(eligible, key=_rank)
+    return GridSearchResult(best=best, entries=tuple(entries))

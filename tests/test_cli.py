@@ -62,6 +62,46 @@ def reconstruct_args(positions, readings, out, **overrides):
 # the default gamma it takes the direct path.
 CG_GAMMA = {"--gamma": "0.05"}
 
+METHODS = ["sobolev", "tikhonov", "knn_baseline"]
+
+
+def _write_config(path, doc, overrides):
+    doc.update(overrides)
+    path.write_text(json.dumps({key: value for key, value in doc.items() if value is not None}))
+    return path
+
+
+# Tests parametrized by "experiment" and "gridsearch" run `graphfill gridsearch`
+# with experiment_config and gridsearch_config respectively.
+def experiment_config(tmp_path, **overrides):
+    """A gridsearch config that runs the paper's experiment: all three methods
+    at one density, on one-point grids. An override of None drops the key."""
+    doc = {
+        "density": 0.3,
+        "eps_grid": [0.5],
+        "beta_grid": [1.0],
+        "gamma_grid": [0.5],
+        "repetitions": 3,
+        "master_seed": 0,
+        "k_graph": 3,
+        "methods": METHODS,
+    }
+    return _write_config(tmp_path / "config.json", doc, overrides)
+
+
+def gridsearch_config(tmp_path, **overrides):
+    """A Sobolev-only gridsearch config on one-point grids."""
+    doc = {
+        "density": 0.5,
+        "eps_grid": [0.5],
+        "beta_grid": [1.0],
+        "gamma_grid": [0.3],
+        "repetitions": 2,
+        "master_seed": 0,
+        "k_graph": 3,
+    }
+    return _write_config(tmp_path / "grid.json", doc, overrides)
+
 
 def test_reconstruct_happy_path(tmp_path, fixture_files, capsys):
     positions, readings = fixture_files
@@ -176,7 +216,7 @@ def test_out_drops_only_a_csv_or_json_suffix(tmp_path, fixture_files, command, n
         argv = reconstruct_args(positions, readings, out / name)
     else:
         config = (experiment_config if command == "experiment" else gridsearch_config)(tmp_path)
-        argv = [command, "--positions", str(positions), "--readings", str(readings),
+        argv = ["gridsearch", "--positions", str(positions), "--readings", str(readings),
                 "--config", str(config), "--out", str(out / name)]
     assert main(argv) == 0
     assert sorted(path.name for path in out.iterdir()) == ["run.2024.csv", "run.2024.json"]
@@ -293,101 +333,101 @@ def test_reconstruct_folds_natively_missing_entries(tmp_path, fixture_files):
     assert doc["rmse"] is not None
 
 
-def experiment_config(tmp_path, **overrides):
-    doc = {
-        "densities": [0.3, 0.7],
-        "repetitions": 3,
-        "master_seed": 0,
-        "method": "sobolev",
-        "sobolev": {"epsilon": 0.5, "beta": 1.0, "gamma": 0.5},
-        "k_graph": 3,
-    }
-    doc.update(overrides)
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(doc))
-    return path
-
-
 def test_experiment_on_synthetic(tmp_path, capsys):
-    config = experiment_config(tmp_path, densities=[0.1, 0.3, 0.5, 0.7])
+    config = experiment_config(tmp_path)
     out = tmp_path / "exp"
     code = main(
-        ["experiment", "--synthetic", "--config", str(config), "--out", str(out)]
+        ["gridsearch", "--synthetic", "--config", str(config), "--out", str(out)]
     )
     assert code == 0
     lines = (tmp_path / "exp.csv").read_text().splitlines()
-    assert len(lines) == 5  # header + one row per density
-    table = capsys.readouterr().out
-    assert "rmse_mean" in table and table.count("sobolev") == 4
+    assert lines[0] == "method,epsilon,beta,gamma,rmse_mean,rmse_std,mae_mean,mae_std,reps,failed"
+    assert [line.split(",")[:4] for line in lines[1:]] == [
+        ["sobolev", "0.5", "1", "0.5"], ["tikhonov", "0", "1", "0.5"], ["knn_baseline", "", "", ""]
+    ]
     doc = json.loads((tmp_path / "exp.json").read_text())
-    assert len(doc["results"]) == 4
-    assert doc["config"]["k_graph"] == 3
+    assert [e["method"] for e in doc["entries"]] == METHODS
+    assert doc["entries"][2]["config"] is None
+    assert all([rep["seed"] for rep in e["per_rep"]] == [0, 1, 2] for e in doc["entries"])
+    assert set(doc["best"]) == set(METHODS)  # the JSON sorts its keys
+    assert doc["best"]["knn_baseline"] == {key: doc["entries"][2][key]
+                                           for key in ("config", "rmse_mean", "mae_mean")}
+    assert doc["config_echo"]["k_graph"] == 3
+    best = capsys.readouterr().out.splitlines()[:3]
+    assert [line.split(":")[0] for line in best] == [f"best {m}" for m in METHODS]
+    assert best[1].startswith("best tikhonov: epsilon=0 beta=1 gamma=0.5 rmse_mean=")
+    assert best[2].startswith("best knn_baseline: rmse_mean=")
 
 
 def test_experiment_byte_deterministic(tmp_path):
     config = experiment_config(tmp_path)
     a, b = tmp_path / "a", tmp_path / "b"
-    assert main(["experiment", "--synthetic", "--config", str(config), "--out", str(a)]) == 0
-    assert main(["experiment", "--synthetic", "--config", str(config), "--out", str(b)]) == 0
+    assert main(["gridsearch", "--synthetic", "--config", str(config), "--out", str(a)]) == 0
+    assert main(["gridsearch", "--synthetic", "--config", str(config), "--out", str(b)]) == 0
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
 def test_experiment_creates_missing_out_directory(tmp_path):
-    config = experiment_config(tmp_path, densities=[0.5], repetitions=1)
+    config = experiment_config(tmp_path, repetitions=1)
     out = tmp_path / "missing" / "exp"
-    assert main(["experiment", "--synthetic", "--config", str(config), "--out", str(out)]) == 0
+    assert main(["gridsearch", "--synthetic", "--config", str(config), "--out", str(out)]) == 0
     assert (tmp_path / "missing" / "exp.csv").exists()
     assert (tmp_path / "missing" / "exp.json").exists()
 
 
 def test_experiment_tikhonov_rows_labelled(tmp_path):
-    config = experiment_config(tmp_path, method="tikhonov", densities=[0.5])
+    # tikhonov searches gamma_grid alone, so the other grids are left out
+    config = experiment_config(tmp_path, methods=["tikhonov"], eps_grid=None, beta_grid=None,
+                               gamma_grid=[0.1, 0.5])
     out = tmp_path / "tik"
-    assert main(["experiment", "--synthetic", "--config", str(config), "--out", str(out)]) == 0
+    assert main(["gridsearch", "--synthetic", "--config", str(config), "--out", str(out)]) == 0
     rows = (tmp_path / "tik.csv").read_text().splitlines()[1:]
-    assert all(row.split(",")[1] == "tikhonov" for row in rows)
+    assert [row.split(",")[:4] for row in rows] == [["tikhonov", "0", "1", "0.1"],
+                                                    ["tikhonov", "0", "1", "0.5"]]
 
 
 def test_experiment_from_csv_files(tmp_path, fixture_files):
     positions, readings = fixture_files
-    config = experiment_config(tmp_path, densities=[0.5], repetitions=2)
+    config = experiment_config(tmp_path, density=0.5, repetitions=2)
     out = tmp_path / "csvexp"
     code = main(
-        ["experiment", "--positions", str(positions), "--readings", str(readings),
+        ["gridsearch", "--positions", str(positions), "--readings", str(readings),
          "--config", str(config), "--out", str(out)]
     )
     assert code == 0
-    assert (tmp_path / "csvexp.csv").exists()
+    assert len((tmp_path / "csvexp.csv").read_text().splitlines()) == 1 + len(METHODS)
 
 
 def test_experiment_bad_config_exits_2(tmp_path, capsys):
     config = experiment_config(tmp_path, mystery_field=1)
-    assert main(["experiment", "--synthetic", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
+    assert main(["gridsearch", "--synthetic", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
     assert "mystery_field" in capsys.readouterr().err
 
 
-def test_experiment_failed_reps_exit_3_with_partial_results(tmp_path, capsys):
-    # gamma = 0 with an incomplete mask is singular in both repetitions
-    config = experiment_config(
-        tmp_path,
-        densities=[0.3],
-        repetitions=2,
-        sobolev={"epsilon": 0.5, "beta": 1.0, "gamma": 0.0},
-    )
+def test_gridsearch_failed_cells_are_listed_and_cannot_win(tmp_path, capsys):
+    # gamma = 0 with an incomplete mask is singular in both repetitions, for
+    # sobolev and tikhonov alike; each method still has a complete cell
+    config = experiment_config(tmp_path, repetitions=2, gamma_grid=[0.0, 0.5])
     out = tmp_path / "failing"
-    code = main(["experiment", "--synthetic", "--config", str(config), "--out", str(out)])
-    assert code == 3
+    assert main(["gridsearch", "--synthetic", "--config", str(config), "--out", str(out)]) == 0
     doc = json.loads((tmp_path / "failing.json").read_text())
-    assert len(doc["results"][0]["failed_reps"]) == 2
-    assert "gamma = 0" in doc["results"][0]["failed_reps"][0]["error"]
-    assert "failed" in capsys.readouterr().err
+    failing = [e for e in doc["entries"] if e["failed_reps"]]
+    assert [(e["method"], e["config"]["gamma"]) for e in failing] == [("sobolev", 0.0),
+                                                                       ("tikhonov", 0.0)]
+    for entry in failing:
+        assert [rep["seed"] for rep in entry["failed_reps"]] == [0, 1]
+        assert entry["failed_reps"][0]["error"].startswith("SingularSystem: gamma = 0")
+        assert entry["per_rep"] == [] and entry["rmse_mean"] is None
+    assert doc["best"]["sobolev"]["config"]["gamma"] == 0.5
+    assert doc["best"]["tikhonov"]["config"]["gamma"] == 0.5
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("command", ["experiment", "gridsearch"])
 def test_min_coverage_is_reconstruct_only(tmp_path, capsys, command):
-    config = experiment_config(tmp_path)
-    argv = [command, "--synthetic", "--min-coverage", "1", "--config", str(config),
+    config = (experiment_config if command == "experiment" else gridsearch_config)(tmp_path)
+    argv = ["gridsearch", "--synthetic", "--min-coverage", "1", "--config", str(config),
             "--out", str(tmp_path / "x")]
     assert main(argv) == 2
     assert "unrecognized arguments: --min-coverage 1" in capsys.readouterr().err
@@ -395,7 +435,8 @@ def test_min_coverage_is_reconstruct_only(tmp_path, capsys, command):
 
 def test_experiment_requires_dataset_flags(tmp_path, capsys):
     config = experiment_config(tmp_path)
-    assert main(["experiment", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
+    assert main(["gridsearch", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
+    assert not (tmp_path / "x.csv").exists()
 
 
 @pytest.mark.parametrize("flags", [
@@ -408,7 +449,7 @@ def test_conflicting_dataset_flags_exit_2_writing_nothing(tmp_path, fixture_file
     positions, readings = fixture_files
     config = (experiment_config if command == "experiment" else gridsearch_config)(tmp_path)
     out = tmp_path / "out" / "result"
-    argv = [command, *(f.format(positions=positions, readings=readings) for f in flags),
+    argv = ["gridsearch", *(f.format(positions=positions, readings=readings) for f in flags),
             "--config", str(config), "--out", str(out)]
     assert main(argv) == 2
     assert capfd.readouterr() == ("", "graphfill: name one dataset: --synthetic, with an "
@@ -423,34 +464,31 @@ def test_csv_pair_without_a_complete_node_runs(tmp_path, fixture_files, command)
     values = np.random.default_rng(3).normal(10.0, 2.0, size=(8, 12))
     values[np.arange(8), np.arange(8)] = np.nan
     _write_readings(readings, values)
-    config = (experiment_config(tmp_path, densities=[0.3, 0.7], repetitions=3)
-              if command == "experiment" else gridsearch_config(tmp_path, repetitions=3))
+    config = (experiment_config if command == "experiment" else gridsearch_config)(
+        tmp_path, repetitions=3)
     out = tmp_path / "result"
-    argv = [command, "--positions", str(positions), "--readings", str(readings),
+    argv = ["gridsearch", "--positions", str(positions), "--readings", str(readings),
             "--config", str(config), "--out", str(out)]
     assert main(argv) == 0
     doc = json.loads(out.with_suffix(".json").read_text())
-    results = doc["results"] if command == "experiment" else doc["entries"]
-    assert all(r["failed_reps"] == [] and r["rmse_mean"] > 0 for r in results)
+    assert all(r["failed_reps"] == [] and r["rmse_mean"] > 0 for r in doc["entries"])
 
 
 @pytest.mark.parametrize("gamma", [float("nan"), float("inf")])
 def test_experiment_non_finite_gamma_exits_2(tmp_path, capsys, gamma):
-    config = experiment_config(tmp_path, sobolev={"epsilon": 0.5, "beta": 1.0, "gamma": gamma})
-    assert main(["experiment", "--synthetic", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
+    config = experiment_config(tmp_path, gamma_grid=[gamma])
+    assert main(["gridsearch", "--synthetic", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
     assert "gamma must be finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
     "override, message",
     [
-        ({"sobolev": {"epsilon": 0.5, "beta": 1.0, "gamma": "0.5"}},
-         "gamma must be a real number, got '0.5'"),
-        ({"sobolev": {"epsilon": True, "beta": 1.0, "gamma": 0.5}},
-         "epsilon must be a real number, got True"),
-        ({"densities": ["0.5"]}, "density must be a real number, got '0.5'"),
-        ({"densities": 0.5}, "densities must be a JSON list"),
-        ({"sobolev": 0.5}, "sobolev must be a JSON object"),
+        ({"gamma_grid": ["0.5"]}, "gamma must be a real number, got '0.5'"),
+        ({"eps_grid": [True]}, "epsilon must be a real number, got True"),
+        ({"density": "0.5"}, "density must be a real number, got '0.5'"),
+        ({"methods": "sobolev"}, "methods must be a JSON list"),
+        ({"gamma_grid": 0.5}, "gamma_grid must be a JSON list"),
         ({"repetitions": "3"}, "repetitions must be an integer, got '3'"),
         ({"master_seed": False}, "master_seed must be an integer, got False"),
         ({"k_graph": 3.0}, "k_graph must be an integer, got 3.0"),
@@ -459,24 +497,8 @@ def test_experiment_non_finite_gamma_exits_2(tmp_path, capsys, gamma):
 )
 def test_experiment_non_numeric_config_exits_2(tmp_path, capsys, override, message):
     config = experiment_config(tmp_path, **override)
-    assert main(["experiment", "--synthetic", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
+    assert main(["gridsearch", "--synthetic", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
     assert message in capsys.readouterr().err
-
-
-def gridsearch_config(tmp_path, **overrides):
-    doc = {
-        "density": 0.5,
-        "eps_grid": [0.5],
-        "beta_grid": [1.0],
-        "gamma_grid": [0.3],
-        "repetitions": 2,
-        "master_seed": 0,
-        "k_graph": 3,
-    }
-    doc.update(overrides)
-    path = tmp_path / "grid.json"
-    path.write_text(json.dumps(doc))
-    return path
 
 
 def test_gridsearch_single_point_echoes_config(tmp_path, capsys):
@@ -484,10 +506,10 @@ def test_gridsearch_single_point_echoes_config(tmp_path, capsys):
     out = tmp_path / "gridout"
     assert main(["gridsearch", "--synthetic", "--config", str(config), "--out", str(out)]) == 0
     report = json.loads(out.with_suffix(".json").read_text())
-    assert report["best_config"]["epsilon"] == 0.5
-    assert report["best_config"]["gamma"] == 0.3
+    assert report["best"]["sobolev"]["config"] == {"epsilon": 0.5, "beta": 1.0, "gamma": 0.3}
     assert len(report["entries"]) == 1
-    assert "best:" in capsys.readouterr().out
+    assert report["entries"][0]["method"] == "sobolev"
+    assert capsys.readouterr().out.startswith("best sobolev: epsilon=0.5 beta=1 gamma=0.3 ")
 
 
 def test_gridsearch_creates_missing_out_directory(tmp_path):
@@ -508,14 +530,15 @@ def test_gridsearch_eight_point_grid(tmp_path):
     assert len(rows) == 9  # header + 8 configs
     report = json.loads((tmp_path / "grid8.json").read_text())
     assert len(report["entries"]) == 8
-    best = report["best_rmse_mean"]
+    best = report["best"]["sobolev"]["rmse_mean"]
     assert all(e["rmse_mean"] >= best for e in report["entries"])
 
 
 def test_gridsearch_empty_grid_exits_2(tmp_path, capsys):
     config = gridsearch_config(tmp_path, eps_grid=[])
     assert main(["gridsearch", "--synthetic", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
-    assert "all three grids must be nonempty" in capsys.readouterr().err
+    assert "eps_grid must be nonempty: one of the methods sobolev searches it" in (
+        capsys.readouterr().err)
 
 
 def test_gridsearch_all_failed_names_the_first_failure(tmp_path, fixture_files, capsys):
@@ -526,7 +549,7 @@ def test_gridsearch_all_failed_names_the_first_failure(tmp_path, fixture_files, 
             "--config", str(config), "--out", str(out)]
     assert main(argv) == 3
     assert capsys.readouterr().err == (
-        "graphfill: every grid configuration had failed repetitions; the first was "
+        "graphfill: every sobolev configuration had failed repetitions; the first was "
         "epsilon=0.5 beta=1 gamma=0 seed 0: "
         "SingularSystem: gamma = 0 with an incomplete mask\n"
     )
@@ -541,17 +564,17 @@ def test_gridsearch_all_failed_names_the_first_failure(tmp_path, fixture_files, 
 @pytest.mark.parametrize("command", ["reconstruct", "experiment", "gridsearch"])
 def test_input_fault_exits_2_from_every_command(tmp_path, fixture_files, capfd, command,
                                                 values, density, message):
-    # a seed whose problem cannot be posed ends experiment and gridsearch as
-    # it ends reconstruct, also when a worker process meets it
+    # a seed whose problem cannot be posed ends gridsearch, with one method or
+    # three, as it ends reconstruct, also when a worker process meets it
     positions, readings = fixture_files
     _write_readings(readings, values)
     out = tmp_path / "out" / "result"
     if command == "reconstruct":
         argv = reconstruct_args(positions, readings, out, **{"--density": str(density)})
     else:
-        config = (experiment_config(tmp_path, densities=[density], repetitions=2)
-                  if command == "experiment" else gridsearch_config(tmp_path, density=density))
-        argv = [command, "--positions", str(positions), "--readings", str(readings),
+        config = (experiment_config if command == "experiment" else gridsearch_config)(
+            tmp_path, density=density, repetitions=2)
+        argv = ["gridsearch", "--positions", str(positions), "--readings", str(readings),
                 "--config", str(config), "--out", str(out)]
     assert main(argv) == 2
     assert capfd.readouterr() == ("", f"graphfill: {message}\n")
@@ -602,10 +625,10 @@ def test_gridsearch_statistics_of_huge_readings_are_finite(tmp_path, fixture_fil
             "--config", str(config), "--out", str(out)]
     assert main(argv) == 0
     assert capfd.readouterr().err == ""  # no RuntimeWarning, here or in a worker
-    stats = (tmp_path / "grid.csv").read_text().splitlines()[1].split(",")[3:7]
+    stats = (tmp_path / "grid.csv").read_text().splitlines()[1].split(",")[4:8]
     assert all(math.isfinite(float(cell)) and float(cell) > 1e198 for cell in stats)
     report = json.loads(out.with_suffix(".json").read_text(), parse_constant=_reject_constant)
-    assert format(report["best_rmse_mean"], ".6g") == stats[0]
+    assert format(report["best"]["sobolev"]["rmse_mean"], ".6g") == stats[0]
 
 
 def test_gridsearch_non_finite_gamma_exits_2_before_solving(tmp_path, capsys, monkeypatch):
@@ -642,12 +665,42 @@ def test_gridsearch_non_numeric_config_exits_2_before_solving(
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override, message", [
+    ({"methods": ["tikhonov"], "gamma_grid": [0.5]},
+     "eps_grid must be empty: none of the methods tikhonov searches it"),
+    ({"methods": ["knn_baseline"], "eps_grid": None, "beta_grid": None},
+     "gamma_grid must be empty: none of the methods knn_baseline searches it"),
+    ({"methods": ["sobolev", "knn_baseline"], "beta_grid": None},
+     "beta_grid must be nonempty: one of the methods sobolev, knn_baseline searches it"),
+    ({"methods": ["sobolev", "lasso"]},
+     "method must be one of ('sobolev', 'tikhonov', 'knn_baseline'), got 'lasso'"),
+    ({"methods": ["tikhonov", "sobolev", "tikhonov"]},
+     "methods must be distinct and nonempty, got ['tikhonov', 'sobolev', 'tikhonov']"),
+    ({"methods": [["sobolev"]]},
+     "method must be one of ('sobolev', 'tikhonov', 'knn_baseline'), got ['sobolev']"),
+    ({"methods": []}, "methods must be distinct and nonempty, got []"),
+], ids=["unused-grid", "knn-with-a-grid", "missing-grid", "unknown", "repeated",
+        "not-a-string", "none"])
+def test_gridsearch_methods_rule_exits_2_writing_nothing(tmp_path, capfd, monkeypatch,
+                                                         override, message):
+    # a grid key is required, and nonempty, exactly when a named method
+    # searches it; the methods are distinct names from METHODS
+    def no_cell(*args):
+        raise AssertionError("a grid cell ran")
+
+    monkeypatch.setattr(harness, "_run_cells", no_cell)
+    config = experiment_config(tmp_path, **override)
+    out = tmp_path / "out" / "result"
+    assert main(["gridsearch", "--synthetic", "--config", str(config), "--out", str(out)]) == 2
+    assert capfd.readouterr() == ("", f"graphfill: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("key", ["cg_tolerance", "max_iterations"])
 def test_removed_solver_keys_exit_2(tmp_path, capsys, key):
-    sobolev = {"epsilon": 0.5, "beta": 1.0, "gamma": 0.5, key: 1}
-    config = experiment_config(tmp_path, sobolev=sobolev)
-    assert main(["experiment", "--synthetic", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
-    assert f"unknown sobolev fields: {key}" in capsys.readouterr().err
+    config = experiment_config(tmp_path, **{key: 1})
+    assert main(["gridsearch", "--synthetic", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
+    assert f"unknown config fields: {key}" in capsys.readouterr().err
     config = gridsearch_config(tmp_path, **{key: 1})
     assert main(["gridsearch", "--synthetic", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
     assert f"unknown config fields: {key}" in capsys.readouterr().err
@@ -770,16 +823,20 @@ sys.exit(code)
         (("graph-info", "--positions", "{positions}", "--k", "2"), 0),
         (reconstruct_args("{positions}", "{readings}", "{out}", **{"--density": "1.5"}), 2),
         (reconstruct_args("{positions}", "{readings}", "{out}", **CG_GAMMA), 0),
+        (("gridsearch", "--synthetic", "--config", "{config}", "--out", "{out}"), 0),
     ],
-    ids=["import", "help", "graph-info", "reconstruct-exit-2", "reconstruct"],
+    ids=["import", "help", "graph-info", "reconstruct-exit-2", "reconstruct", "gridsearch-knn"],
 )
 def test_start_up_loads_no_scipy(tmp_path, fixture_files, command, code):
     # scipy.linalg is most of a cold start and only a direct solve needs it
-    # (the reconstruct case runs CG);
+    # (the reconstruct case runs CG, and the kNN baseline solves nothing);
     # scipy.spatial, scipy.fft and scipy.sparse.csgraph are never needed.
-    # The worker pool serves experiments and grid searches alone.
+    # The worker pool serves grid searches of two or more repetitions alone.
     positions, readings = fixture_files
-    argv = [a.format(positions=positions, readings=readings, out=tmp_path / "r") for a in command]
+    config = experiment_config(tmp_path, methods=["knn_baseline"], eps_grid=None,
+                               beta_grid=None, gamma_grid=None, repetitions=1)
+    argv = [a.format(positions=positions, readings=readings, out=tmp_path / "r", config=config)
+            for a in command]
     done = run_python("-c", SCIPY_PROBE, *argv)
     assert done.returncode == code, done.stderr
     assert done.stdout.splitlines()[-3:] == [

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import graphfill as gf
 from graphfill import harness, solver
-from graphfill.errors import InvalidInput
+from graphfill.errors import GraphfillError, InvalidInput
 from graphfill.harness import masked_problem
 
 from conftest import dataset_of, masked, outlier_positions, unit_path_graph
@@ -22,17 +23,34 @@ def small_dataset(seed=0, n=20, m=40):
     return gf.synthetic_dataset(n_nodes=n, k=3, n_steps=m, seed=seed)
 
 
-def quick_config(**overrides):
-    defaults = dict(
-        densities=(0.3, 0.7),
-        repetitions=3,
-        master_seed=0,
-        method="sobolev",
-        sobolev=gf.SobolevConfig(epsilon=0.5, beta=1.0, gamma=0.5),
-        k_graph=3,
-    )
-    defaults.update(overrides)
-    return gf.ExperimentConfig(**defaults)
+CELL = gf.SobolevConfig(epsilon=0.5, beta=1.0, gamma=0.5)
+
+
+def point_grids(methods, config=CELL):
+    """The one-point grids at config that the named methods search; the rest are empty."""
+    searched = {name for method in methods for name in harness.SEARCHES[method]}
+    point = {"eps_grid": [config.epsilon], "beta_grid": [config.beta], "gamma_grid": [config.gamma]}
+    return [grid if name in searched else [] for name, grid in point.items()]
+
+
+def search(ds, density, methods=("sobolev",), config=CELL, repetitions=3, master_seed=0,
+           k_graph=3):
+    """grid_search of the named methods on the one-point grids at config."""
+    return gf.grid_search(ds, density, *point_grids(methods, config), repetitions=repetitions,
+                          master_seed=master_seed, k_graph=k_graph, methods=methods)
+
+
+def score(ds, density, methods=("sobolev",), config=CELL, repetitions=3, master_seed=0,
+          k_graph=3):
+    """Each named method's result at config, scored on the masks that grid_search
+    poses. grid_search raises where a method fails every repetition; this keeps
+    such a result, with its failures."""
+    cell = {"sobolev": config, "tikhonov": gf.SobolevConfig(0.0, 1.0, config.gamma),
+            "knn_baseline": None}
+    graph = gf.build_knn_graph(ds.positions, k_graph)
+    seeds = range(master_seed, master_seed + repetitions)
+    results = harness._run_cells(ds, graph, density, seeds, [(m, cell[m]) for m in methods])
+    return dict(zip(methods, results))
 
 
 def test_knn_impute_constant_neighbours():
@@ -132,35 +150,39 @@ def test_no_ground_truth_leakage():
     assert np.array_equal(p_observed, observed) and np.array_equal(p_hidden, hidden)
     assert p_y.tobytes() == y.tobytes()
     graph = gf.build_knn_graph(ds.positions, 3)
-    for method in ("sobolev", "knn_baseline"):
-        recon = unscale(harness._solve(method, y, observed, graph, gf.SobolevConfig()))
-        p_recon = p_unscale(harness._solve(method, p_y, p_observed, graph, gf.SobolevConfig()))
+    for config in (gf.SobolevConfig(), None):  # sobolev, and the kNN baseline
+        recon = unscale(harness._solve(y, observed, graph, config))
+        p_recon = p_unscale(harness._solve(p_y, p_observed, graph, config))
         assert np.isfinite(recon).all() and p_recon.tobytes() == recon.tobytes()
 
 
 def test_run_experiment_deterministic():
+    # the paper's comparison at one density, run twice
     ds = small_dataset()
-    cfg = quick_config()
-    first = gf.run_experiment(ds, cfg)
-    second = gf.run_experiment(ds, cfg)
-    assert first == second
-    assert all(r.complete for r in first)
-    assert all(len(r.per_rep) == cfg.repetitions for r in first)
+    first = search(ds, 0.3, harness.METHODS)
+    assert first == search(ds, 0.3, harness.METHODS)
+    assert all(r.complete and len(r.per_rep) == 3 for _, r in first.entries)
 
 
 def test_run_experiment_methods_labelled():
-    ds = small_dataset()
-    for method in ("sobolev", "tikhonov", "knn_baseline"):
-        results = gf.run_experiment(ds, quick_config(method=method, densities=(0.5,)))
-        assert [r.method for r in results] == [method]
+    # cells come in METHODS order, whatever the order of the names
+    found = gf.grid_search(small_dataset(), 0.5, [0.5], [1.0], [0.5, 1.0], repetitions=3,
+                           k_graph=3, methods=["knn_baseline", "tikhonov", "sobolev"])
+    assert [r.method for _, r in found.entries] == [
+        "sobolev", "sobolev", "tikhonov", "tikhonov", "knn_baseline"]
+    assert [config for config, _ in found.entries][2:] == [
+        gf.SobolevConfig(0.0, 1.0, 0.5), gf.SobolevConfig(0.0, 1.0, 1.0), None]
+    assert list(found.best) == list(harness.METHODS)
+    assert all(found.best[r.method][1].rmse_mean <= r.rmse_mean for _, r in found.entries)
 
 
 def test_error_declines_with_density():
     ds = small_dataset()
-    results = gf.run_experiment(ds, quick_config(densities=(0.1, 0.7), repetitions=5))
-    assert results[0].rmse_mean >= results[1].rmse_mean
-    assert results[0].mae_mean >= results[1].mae_mean
-    for r in results:
+    sparse, dense = (search(ds, density, repetitions=5).best["sobolev"][1]
+                     for density in (0.1, 0.7))
+    assert sparse.rmse_mean >= dense.rmse_mean
+    assert sparse.mae_mean >= dense.mae_mean
+    for r in (sparse, dense):
         assert r.rmse_mean >= r.mae_mean
 
 
@@ -171,7 +193,7 @@ def test_full_density_rejected():
         "nothing is hidden, so there is nothing to evaluate$"
     )
     with pytest.raises(InvalidInput, match=message):
-        gf.run_experiment(ds, quick_config(densities=(1.0,)))
+        search(ds, 1.0)
 
 
 def with_native(ds, native):
@@ -183,7 +205,8 @@ def test_partial_native_coverage_runs():
     ds = small_dataset(n=10, m=10)
     native = ds.native_mask.copy()
     native[0, 0] = False
-    results = gf.run_experiment(with_native(ds, native), quick_config())
+    results = [r for density in (0.3, 0.7)
+               for _, r in search(with_native(ds, native), density).entries]
     assert all(r.complete for r in results)
     assert all(np.isfinite(r.rmse_mean) for r in results)
 
@@ -194,8 +217,9 @@ def test_gappy_dataset_runs_pooled_as_in_process(monkeypatch):
     assert not ds.native_mask.all(axis=1).any()  # no node has a complete series
 
     def run():
-        return {method: [(r.per_rep, r.failed) for r in gf.run_experiment(
-                    ds, quick_config(densities=(0.1, 0.3, 0.7), repetitions=6, method=method))]
+        by_density = [score(ds, density, harness.METHODS, repetitions=6)
+                      for density in (0.1, 0.3, 0.7)]
+        return {method: [results[method] for results in by_density]
                 for method in harness.METHODS}
 
     monkeypatch.setattr(harness, "_WORKERS", 2)
@@ -208,11 +232,10 @@ def test_gappy_dataset_runs_pooled_as_in_process(monkeypatch):
     assert run() == pooled
     # sobolev and the kNN baseline fill every repetition; tikhonov (epsilon = 0)
     # may find a sparse draw singular, and nothing else
-    assert all(not failed for method in ("sobolev", "knn_baseline")
-               for _, failed in pooled[method])
+    assert all(r.complete for method in ("sobolev", "knn_baseline") for r in pooled[method])
     assert all(message.startswith("SingularSystem: ")
-               for _, failed in pooled["tikhonov"] for _, message in failed)
-    assert len(posed) == 3 * 3 * 6
+               for r in pooled["tikhonov"] for _, message in r.failed)
+    assert len(posed) == 3 * 6  # one mask per density and seed, shared by the methods
     for observed, hidden, _, _ in posed:
         assert not (hidden & ~ds.native_mask).any()
         assert np.array_equal(observed | hidden, ds.native_mask)
@@ -226,8 +249,7 @@ def test_step_without_native_readings():
     native = ds.native_mask.copy()
     native[:, 4] = False
     gappy = with_native(ds, native)
-    by_method = {method: gf.run_experiment(gappy, quick_config(method=method, densities=(0.3,)))[0]
-                 for method in harness.METHODS}
+    by_method = score(gappy, 0.3, harness.METHODS)
     assert by_method["sobolev"].complete and by_method["knn_baseline"].complete
     tikhonov = by_method["tikhonov"]
     assert len(tikhonov.failed) == 3 and tikhonov.per_rep == ()
@@ -243,22 +265,32 @@ def test_step_without_native_readings():
 def test_failed_repetitions_recorded_not_averaged():
     ds = small_dataset()
     # gamma = 0 with an incomplete mask is singular in every repetition
-    sobolev = gf.SobolevConfig(epsilon=0.5, beta=1.0, gamma=0.0)
-    cfg = quick_config(densities=(0.3,), sobolev=sobolev)
-    (result,) = gf.run_experiment(ds, cfg)
-    assert len(result.failed) == cfg.repetitions
+    found = gf.grid_search(ds, 0.3, [0.5], [1.0], [0.0, 0.5], repetitions=3, k_graph=3)
+    (_, result), (config, other) = found.entries
+    assert len(result.failed) == 3
     assert all("gamma = 0 with an incomplete mask" in message for _, message in result.failed)
     assert result.per_rep == ()
     assert not result.complete
     assert np.isnan(result.rmse_mean)
+    # it cannot win, whatever its NaN compares to
+    assert found.best == {"sobolev": (config, other)} and config.gamma == 0.5
+
+
+def test_results_with_nan_aggregates_compare_equal():
+    # gamma = 0 fails every repetition, so that entry's aggregates are NaN,
+    # and NaN != NaN: equal results must still compare equal
+    ds = gf.synthetic_dataset(n_nodes=15, k=3, n_steps=20, seed=5)
+    first, second = (gf.grid_search(ds, 0.5, [0.5], [1.0], [0.0, 0.5], repetitions=3, k_graph=3)
+                     for _ in range(2))
+    assert math.isnan(first.entries[0][1].rmse_mean)
+    assert first == second
 
 
 def test_non_convergence_is_a_failed_repetition(monkeypatch):
     monkeypatch.setattr(harness, "_WORKERS", 1)  # the patches reach this process only
     monkeypatch.setattr(solver, "_takes_direct_path", lambda *args: False)
     monkeypatch.setattr(solver, "_CG_MAX_ITERATIONS", 1)
-    cfg = quick_config(densities=(0.3,), repetitions=2)
-    (result,) = gf.run_experiment(small_dataset(), cfg)
+    result = score(small_dataset(), 0.3, repetitions=2)["sobolev"]
     assert [seed for seed, _ in result.failed] == [0, 1]
     prefix = "ConvergenceFailure: solver did not converge within 1 iterations (relative residual "
     assert all(message.startswith(prefix) for _, message in result.failed)
@@ -268,9 +300,8 @@ def test_non_convergence_is_a_failed_repetition(monkeypatch):
 def test_large_gamma_direct_solves_are_not_failures():
     # the exact solve's residual, about 3e-10 relative at gamma = 1e7, is
     # above CG's tolerance but is no convergence failure
-    cfg = quick_config(densities=(0.3,), repetitions=2,
-                       sobolev=gf.SobolevConfig(epsilon=0.5, beta=1.0, gamma=1e7))
-    (result,) = gf.run_experiment(small_dataset(), cfg)
+    config = gf.SobolevConfig(epsilon=0.5, beta=1.0, gamma=1e7)
+    ((_, result),) = search(small_dataset(), 0.3, config=config, repetitions=2).entries
     assert result.failed == () and len(result.per_rep) == 2
 
 
@@ -289,10 +320,14 @@ def affine_dataset():
     return small_dataset(n=20, m=30)
 
 
+def affine_errors(ds, method):
+    """Each density's per-repetition (seed, rmse, mae) of the method's cell."""
+    return np.array([search(ds, density, [method], AFFINE_CELLS[method], k_graph=5).entries[0][1]
+                     .per_rep for density in AFFINE_DENSITIES])
+
+
 @functools.cache
 def affine_base_errors(method):
-    cfg = quick_config(densities=AFFINE_DENSITIES, method=method,
-                       sobolev=AFFINE_CELLS[method], k_graph=5)
     takes_direct_path = solver._takes_direct_path
     direct = []
 
@@ -303,11 +338,11 @@ def affine_base_errors(method):
     # the spy sees only solves made in this process
     with mock.patch.object(harness, "_WORKERS", 1), \
             mock.patch.object(solver, "_takes_direct_path", spy):
-        results = gf.run_experiment(affine_dataset(), cfg)
-    # every solve was direct, and only the kNN baseline makes none
+        errors = affine_errors(affine_dataset(), method)
+    # every solve was direct, and only the kNN baseline makes none; grid_search
+    # raises unless the method has a complete configuration
     assert all(direct) and bool(direct) == (method != "knn_baseline")
-    assert all(r.complete for r in results)
-    return cfg, np.array([r.per_rep for r in results])
+    return errors
 
 
 @settings(max_examples=30, deadline=None)
@@ -321,12 +356,12 @@ def test_errors_scale_with_affine_maps_of_the_readings(method, magnitude, sign, 
     # min-max scaling maps a * truth + c onto the scaled truth (or one minus
     # it, for a < 0), and each method commutes with that map, so the
     # per-repetition RMSE and MAE are |a| times those on the truth
-    cfg, base = affine_base_errors(method)
+    base = affine_base_errors(method)
     ds = affine_dataset()
     mapped = dataclasses.replace(
         ds, signal=gf.TimeVaryingSignal(values=sign * magnitude * ds.signal.values + offset)
     )
-    got = np.array([r.per_rep for r in gf.run_experiment(mapped, cfg)])
+    got = affine_errors(mapped, method)
     assert np.array_equal(got[..., 0], base[..., 0])  # seeds
     assert np.allclose(got[..., 1:], magnitude * base[..., 1:], rtol=1e-10, atol=0.0)
 
@@ -366,22 +401,27 @@ def test_grid_search_draws_each_mask_once(monkeypatch):
 
     monkeypatch.setattr(harness, "_WORKERS", 1)  # the counter sees this process only
     monkeypatch.setattr(harness, "random_mask", counting)
-    search = gf.grid_search(
-        small_dataset(), 0.5, [0.1, 1.0], [1.0, 2.0], [0.1, 1.0], repetitions=3, k_graph=3
-    )
-    assert len(search.entries) == 8
-    assert [seed for _, _, _, seed, _ in calls] == [0, 1, 2]
+    grids = ([0.1, 1.0], [1.0, 2.0], [0.1, 1.0])
+    for methods, cells in [(("sobolev",), 8), (harness.METHODS, 8 + 2 + 1)]:
+        calls.clear()
+        found = gf.grid_search(small_dataset(), 0.5, *grids, repetitions=3, k_graph=3,
+                               methods=methods)
+        assert len(found.entries) == cells
+        assert [seed for _, _, _, seed, _ in calls] == [0, 1, 2]
 
 
-def test_grid_search_entries_match_run_experiment():
+def test_grid_search_entries_match_single_method_grids():
     ds = small_dataset()
-    search = gf.grid_search(
-        ds, 0.3, [0.0, 0.5], [1.0, 2.0], [0.1, 1.0], repetitions=3, master_seed=5, k_graph=3
-    )
-    for config, result in search.entries:
-        cfg = quick_config(densities=(0.3,), master_seed=5, sobolev=config)
-        (alone,) = gf.run_experiment(ds, cfg)
-        assert result.per_rep == alone.per_rep and result.failed == alone.failed
+    grids = dict(eps_grid=[0.0, 0.5], beta_grid=[1.0, 2.0], gamma_grid=[0.1, 1.0])
+    together = gf.grid_search(ds, 0.3, **grids, repetitions=3, master_seed=5, k_graph=3,
+                              methods=harness.METHODS)
+    alone = [gf.grid_search(ds, 0.3, **{name: grid if name in searched else []
+                                        for name, grid in grids.items()},
+                            repetitions=3, master_seed=5, k_graph=3, methods=[method])
+             for method, searched in harness.SEARCHES.items()]
+    assert together.entries == tuple(entry for found in alone for entry in found.entries)
+    assert together.best == {method: found.best[method]
+                             for method, found in zip(harness.METHODS, alone)}
 
 
 def test_worker_pool_matches_in_process_scoring(monkeypatch):
@@ -391,20 +431,19 @@ def test_worker_pool_matches_in_process_scoring(monkeypatch):
     ds = small_dataset()
 
     def run():
-        search = gf.grid_search(ds, 0.3, [0.5], [1.0], [50.0, 1e-3, 0.0],
-                                repetitions=reps, master_seed=2, k_graph=3)
-        outcomes = [(r.per_rep, r.failed) for _, r in search.entries]
-        for method in ("tikhonov", "knn_baseline"):
-            cfg = quick_config(densities=(0.1, 0.5), repetitions=reps, method=method,
-                               sobolev=gf.SobolevConfig(gamma=0.1))
-            outcomes += [(r.per_rep, r.failed) for r in gf.run_experiment(ds, cfg)]
+        found = gf.grid_search(ds, 0.3, [0.5], [1.0], [50.0, 1e-3, 0.0],
+                               repetitions=reps, master_seed=2, k_graph=3)
+        outcomes = [r for _, r in found.entries]
+        for density in (0.1, 0.5):
+            outcomes += score(ds, density, ("tikhonov", "knn_baseline"), repetitions=reps,
+                              config=gf.SobolevConfig(gamma=0.1)).values()
         return outcomes
 
     pool_calls = []
     worker_pool = harness._worker_pool
     monkeypatch.setattr(harness, "_worker_pool", lambda: pool_calls.append(1) or worker_pool())
     pooled = run()
-    assert len(pool_calls) == 5  # one grid search, two experiments at two densities
+    assert len(pool_calls) == 3  # one grid search, then two methods at two densities
 
     paths = []
     takes_direct_path = solver._takes_direct_path
@@ -418,9 +457,10 @@ def test_worker_pool_matches_in_process_scoring(monkeypatch):
     assert run() == pooled
     assert set(paths) == {True, False}  # both solver paths were scored
     direct, cg, zero_gamma = pooled[:3]
-    assert [seed for seed, *_ in direct[0]] == list(range(2, 2 + reps))
-    assert len(cg[0]) == reps
-    assert zero_gamma[0] == () and [seed for seed, _ in zero_gamma[1]] == list(range(2, 2 + reps))
+    assert [seed for seed, *_ in direct.per_rep] == list(range(2, 2 + reps))
+    assert len(cg.per_rep) == reps
+    assert zero_gamma.per_rep == ()
+    assert [seed for seed, _ in zero_gamma.failed] == list(range(2, 2 + reps))
 
 
 def test_worker_error_is_raised_with_its_type_and_message(monkeypatch):
@@ -437,7 +477,7 @@ def test_worker_error_is_raised_with_its_type_and_message(monkeypatch):
 
 
 def _experiment_errors():
-    return [r.per_rep for r in gf.run_experiment(small_dataset(), quick_config())]
+    return [search(small_dataset(), density).entries for density in (0.3, 0.7)]
 
 
 def _experiment_errors_in_child():
@@ -481,7 +521,7 @@ def test_unposable_mask_raises_in_pool_and_in_process(monkeypatch):
         time_indices=ds.time_indices,
     )
     graph = gf.build_knn_graph(ds.positions, 3)
-    cells = [("sobolev", gf.SobolevConfig()), ("knn_baseline", gf.SobolevConfig())]
+    cells = [("sobolev", gf.SobolevConfig()), ("knn_baseline", None)]
     with pytest.raises(InvalidInput) as pooled:
         harness._run_cells(flat, graph, 0.5, range(2), cells)
     monkeypatch.setattr(harness, "_WORKERS", 1)
@@ -502,38 +542,43 @@ def test_far_outlier_experiment():
         name="outlier",
         time_indices=tuple(range(m)),
     )
-    sobolev = gf.SobolevConfig(epsilon=0.5, beta=1.0, gamma=1.0)
-    (result,) = gf.run_experiment(ds, quick_config(densities=(0.5,), sobolev=sobolev, k_graph=5))
-    assert result.complete
-    cfg = quick_config(densities=(0.5,), method="tikhonov", sobolev=sobolev, k_graph=5)
-    (result,) = gf.run_experiment(ds, cfg)
-    assert result.per_rep == () and len(result.failed) == cfg.repetitions
+    config = gf.SobolevConfig(epsilon=0.5, beta=1.0, gamma=1.0)
+    by_method = score(ds, 0.5, ("sobolev", "tikhonov"), config, k_graph=5)
+    assert by_method["sobolev"].complete
+    result = by_method["tikhonov"]
+    assert result.per_rep == () and len(result.failed) == 3
     assert all(message.startswith("SingularSystem: ") for _, message in result.failed)
+    # a method that fails every repetition has no winner: grid_search names it
+    message = ("^every tikhonov configuration had failed repetitions; the first was "
+               "epsilon=0 beta=1 gamma=1 seed 0: SingularSystem: ")
+    with pytest.raises(GraphfillError, match=message):
+        search(ds, 0.5, ("sobolev", "tikhonov"), config, k_graph=5)
 
 
 def test_grid_search_single_point():
     ds = small_dataset()
-    search = gf.grid_search(ds, 0.5, [0.5], [1.0], [0.3], repetitions=3, k_graph=3)
-    assert len(search.entries) == 1
-    assert search.best_config == gf.SobolevConfig(epsilon=0.5, beta=1.0, gamma=0.3)
+    found = gf.grid_search(ds, 0.5, [0.5], [1.0], [0.3], repetitions=3, k_graph=3)
+    assert len(found.entries) == 1
+    assert found.best["sobolev"] == found.entries[0]
+    assert found.entries[0][0] == gf.SobolevConfig(epsilon=0.5, beta=1.0, gamma=0.3)
 
 
 def test_grid_search_cardinality_and_argmin():
     ds = small_dataset()
-    search = gf.grid_search(
+    found = gf.grid_search(
         ds, 0.5, [0.1, 1.0], [1.0, 2.0], [0.1, 1.0], repetitions=3, k_graph=3
     )
-    assert len(search.entries) == 8
-    best = search.best_result.rmse_mean
-    assert all(best <= r.rmse_mean for _, r in search.entries)
+    assert len(found.entries) == 8
+    best = found.best["sobolev"][1].rmse_mean
+    assert all(best <= r.rmse_mean for _, r in found.entries)
 
 
 def test_grid_search_includes_zero_epsilon():
     ds = small_dataset()
-    search = gf.grid_search(ds, 0.5, [0.0, 0.5], [1.0], [0.5], repetitions=3, k_graph=3)
-    evaluated = {(c.epsilon, c.beta, c.gamma) for c, _ in search.entries}
+    found = gf.grid_search(ds, 0.5, [0.0, 0.5], [1.0], [0.5], repetitions=3, k_graph=3)
+    evaluated = {(c.epsilon, c.beta, c.gamma) for c, _ in found.entries}
     assert evaluated == {(0.0, 1.0, 0.5), (0.5, 1.0, 0.5)}
-    assert search.best_result.rmse_mean <= max(r.rmse_mean for _, r in search.entries)
+    assert found.best["sobolev"][1].rmse_mean <= max(r.rmse_mean for _, r in found.entries)
 
 
 def test_grid_search_paired_masks():
@@ -542,44 +587,66 @@ def test_grid_search_paired_masks():
     ds = small_dataset()
     s1 = gf.grid_search(ds, 0.5, [0.3], [1.0], [0.2], repetitions=3, k_graph=3)
     s2 = gf.grid_search(ds, 0.5, [0.3], [1.0], [0.2], repetitions=3, k_graph=3)
-    assert s1.best_result.per_rep == s2.best_result.per_rep
+    assert s1 == s2
 
 
 def test_grid_search_empty_grid_rejected():
+    # a grid must be nonempty exactly when a named method searches it
     ds = small_dataset()
-    with pytest.raises(ValueError):
-        gf.grid_search(ds, 0.5, [], [1.0], [0.5])
+    with pytest.raises(ValueError, match="^eps_grid must be nonempty: one of the methods "
+                                         "sobolev, knn_baseline searches it$"):
+        gf.grid_search(ds, 0.5, [], [1.0], [0.5], methods=["knn_baseline", "sobolev"])
+    with pytest.raises(ValueError, match="^beta_grid must be empty: none of the methods "
+                                         "tikhonov searches it$"):
+        gf.grid_search(ds, 0.5, [], [1.0], [0.5], methods=["tikhonov"])
 
 
-def test_experiment_config_validation():
-    with pytest.raises(ValueError):
-        gf.ExperimentConfig(densities=(0.5, 0.3))
-    with pytest.raises(ValueError):
-        gf.ExperimentConfig(densities=(0.0, 0.5))
-    with pytest.raises(ValueError):
-        gf.ExperimentConfig(method="magic")
-    with pytest.raises(ValueError):
-        gf.ExperimentConfig(repetitions=0)
+def no_cell(*args):
+    raise AssertionError("a cell ran")
+
+
+def test_experiment_config_validation(monkeypatch):
+    # grid_search checks every setting of the protocol before it runs a cell
+    monkeypatch.setattr(harness, "_run_cells", no_cell)
+    for kwargs, message in [
+        ({"density": 0.0}, r"^density must lie in \(0, 1\], got 0.0$"),
+        ({"density": 1.5}, r"^density must lie in \(0, 1\], got 1.5$"),
+        ({"methods": ["magic"]}, "^method must be one of "
+                                 r"\('sobolev', 'tikhonov', 'knn_baseline'\), got 'magic'$"),
+        ({"methods": ["sobolev", "sobolev"]}, "^methods must be distinct and nonempty"),
+        ({"methods": []}, r"^methods must be distinct and nonempty, got \[\]$"),
+        ({"repetitions": 0}, "^repetitions must be positive$"),
+        ({"k_graph": 0}, "^k_graph must be positive$"),
+    ]:
+        args = {"density": 0.5, **kwargs}
+        with pytest.raises(ValueError, match=message):
+            gf.grid_search(small_dataset(), eps_grid=[0.5], beta_grid=[1.0], gamma_grid=[0.5],
+                           **args)
 
 
 @pytest.mark.parametrize(
     "kwargs, message",
     [
-        ({"densities": ("0.5",)}, "density must be a real number"),
-        ({"densities": (True,)}, "density must be a real number"),
+        ({"density": "0.5"}, "density must be a real number"),
+        ({"density": True}, "density must be a real number"),
         ({"repetitions": 2.0}, "repetitions must be an integer"),
         ({"master_seed": "0"}, "master_seed must be an integer"),
         ({"k_graph": True}, "k_graph must be an integer"),
     ],
 )
-def test_experiment_config_rejects_non_numbers(kwargs, message):
+def test_experiment_config_rejects_non_numbers(monkeypatch, kwargs, message):
+    monkeypatch.setattr(harness, "_run_cells", no_cell)
+    args = {"density": 0.5, **kwargs}
     with pytest.raises(ValueError, match=message):
-        gf.ExperimentConfig(**kwargs)
+        gf.grid_search(small_dataset(), eps_grid=[0.5], beta_grid=[1.0], gamma_grid=[0.5], **args)
 
 
 def test_experiment_config_accepts_numpy_numbers():
-    cfg = gf.ExperimentConfig(densities=(np.float64(0.5),), repetitions=np.int64(2))
-    assert cfg.densities == (0.5,) and cfg.repetitions == 2
+    found = gf.grid_search(small_dataset(), np.float64(0.5), [0.5], [1.0], [0.5],
+                           repetitions=np.int64(2), k_graph=np.int64(3))
+    ((_, result),) = found.entries
+    assert type(result.density) is float and result.density == 0.5
+    assert len(result.per_rep) == 2
 
 
 def test_synthetic_dataset_needs_more_nodes_than_modes():

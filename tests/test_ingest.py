@@ -497,40 +497,33 @@ def test_long_node_ids_take_the_checker(tmp_path, length):
     assert ds.signal.values[:, 0].tolist() == [1.5, 2.5]
 
 
-# Result files are written by the CLI; these run `graphfill experiment`.
+# Result files are written by the CLI; these run a kNN-baseline `graphfill gridsearch`.
 def _experiment(tmp_path, out, **overrides) -> int:
-    doc = {"densities": [0.1], "repetitions": 2, "master_seed": 0,
-           "method": "knn_baseline", "k_graph": 5}
+    doc = {"density": 0.1, "repetitions": 2, "master_seed": 0,
+           "methods": ["knn_baseline"], "k_graph": 5}
     doc.update(overrides)
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
     with contextlib.redirect_stdout(io.StringIO()):
-        return cli.main(["experiment", "--synthetic", "--config", str(config), "--out", str(out)])
-
-
-STATS = ("rmse_mean", "rmse_std", "mae_mean", "mae_std")
+        return cli.main(["gridsearch", "--synthetic", "--config", str(config), "--out", str(out)])
 
 
 def test_write_results_csv_shape(tmp_path):
     assert _experiment(tmp_path, tmp_path / "results") == 0
     lines = (tmp_path / "results.csv").read_text().splitlines()
-    (entry,) = json.loads((tmp_path / "results.json").read_text())["results"]
+    (entry,) = json.loads((tmp_path / "results.json").read_text())["entries"]
     assert len(lines) == 2
-    assert lines[0] == "dataset,method,density,rmse_mean,rmse_std,mae_mean,mae_std,reps"
-    stats = [format(entry[name], ".6g") for name in STATS]
-    assert lines[1] == ",".join(["synthetic", "knn_baseline", "0.1", *stats, "2"])
-
-
-def test_write_results_four_density_rows(tmp_path):
-    assert _experiment(tmp_path, tmp_path / "table", densities=[0.1, 0.3, 0.5, 0.7]) == 0
-    lines = (tmp_path / "table.csv").read_text().splitlines()
-    assert len(lines) == 5
-    assert [line.split(",")[2] for line in lines[1:]] == ["0.1", "0.3", "0.5", "0.7"]
+    assert lines[0] == "method,epsilon,beta,gamma,rmse_mean,rmse_std,mae_mean,mae_std,reps,failed"
+    # the stds are not in the JSON: the population std of per_rep, to 6 digits
+    rmses, maes = ([rep[key] for rep in entry["per_rep"]] for key in ("rmse", "mae"))
+    stats = [format(v, ".6g") for v in
+             (entry["rmse_mean"], np.std(rmses), entry["mae_mean"], np.std(maes))]
+    assert lines[1] == ",".join(["knn_baseline", "", "", "", *stats, "2", "0"])
 
 
 def test_write_results_byte_deterministic(tmp_path):
-    assert _experiment(tmp_path, tmp_path / "a", densities=[0.1, 0.3], master_seed=1) == 0
-    assert _experiment(tmp_path, tmp_path / "b", densities=[0.1, 0.3], master_seed=1) == 0
+    assert _experiment(tmp_path, tmp_path / "a", master_seed=1) == 0
+    assert _experiment(tmp_path, tmp_path / "b", master_seed=1) == 0
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
@@ -538,21 +531,26 @@ def test_write_results_byte_deterministic(tmp_path):
 def test_write_results_json_contents(tmp_path):
     assert _experiment(tmp_path, tmp_path / "out", k_graph=4) == 0
     doc = json.loads((tmp_path / "out.json").read_text())
-    assert doc["config"] == {
-        "densities": [0.1], "repetitions": 2, "master_seed": 0, "method": "knn_baseline",
-        "sobolev": {"epsilon": 0.5, "beta": 1.0, "gamma": 0.5}, "k_graph": 4,
-        "dataset": "synthetic",
+    assert doc["config_echo"] == {
+        "density": 0.1, "repetitions": 2, "master_seed": 0, "methods": ["knn_baseline"],
+        "k_graph": 4,
     }
-    (entry,) = doc["results"]
+    assert doc["dataset"] == "synthetic"
+    (entry,) = doc["entries"]
+    assert entry["method"] == "knn_baseline" and entry["config"] is None
+    assert doc["best"] == {"knn_baseline": {key: entry[key]
+                                            for key in ("config", "rmse_mean", "mae_mean")}}
     assert [rep["seed"] for rep in entry["per_rep"]] == [0, 1]
     assert set(entry["per_rep"][0]) == {"seed", "rmse", "mae"}
     # the JSON keeps full precision; only the CSV rounds to 6 digits
     assert entry["rmse_mean"] == np.mean([rep["rmse"] for rep in entry["per_rep"]])
     assert entry["failed_reps"] == []
 
-    singular = {"epsilon": 0.5, "beta": 1.0, "gamma": 0.0}
-    assert _experiment(tmp_path, tmp_path / "failed", method="sobolev", sobolev=singular) == 3
-    (entry,) = json.loads((tmp_path / "failed.json").read_text())["results"]
+    # gamma = 0 fails both repetitions; gamma = 0.5 wins
+    assert _experiment(tmp_path, tmp_path / "failed", methods=["sobolev"], eps_grid=[0.5],
+                       beta_grid=[1.0], gamma_grid=[0.0, 0.5]) == 0
+    entry, _ = json.loads((tmp_path / "failed.json").read_text())["entries"]
+    assert entry["config"] == {"epsilon": 0.5, "beta": 1.0, "gamma": 0.0}
     assert [rep["seed"] for rep in entry["failed_reps"]] == [0, 1]
     assert entry["failed_reps"][0]["error"].startswith("SingularSystem: gamma = 0")
     assert entry["per_rep"] == [] and entry["rmse_mean"] is None
@@ -565,6 +563,6 @@ def test_result_paths_strip_suffix(tmp_path):
 
 
 def test_write_results_requires_nonempty(tmp_path, capsys):
-    assert _experiment(tmp_path, tmp_path / "nothing", densities=[]) == 2
-    assert "densities must be nonempty" in capsys.readouterr().err
+    assert _experiment(tmp_path, tmp_path / "nothing", methods=[]) == 2
+    assert "methods must be distinct and nonempty" in capsys.readouterr().err
     assert not (tmp_path / "nothing.csv").exists()

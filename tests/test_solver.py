@@ -445,14 +445,14 @@ def test_gradient_optimality(rng):
 
 
 def test_tikhonov_is_sobolev_special_case():
-    # the harness's tikhonov method solves at eps = 0, beta = 1 whatever the
-    # eps and beta it is given
-    graph, _, mask, y = random_instance(seed=30, n=5, m=4, density=0.5)
-    tik = harness._solve("tikhonov", y, mask, graph, gf.SobolevConfig(0.7, 2.0, 0.6))
-    sob = gf.reconstruct_sobolev(
-        y, mask, graph, gf.SobolevConfig(epsilon=0.0, beta=1.0, gamma=0.6)
-    )
-    assert np.array_equal(tik, sob.xbar)
+    # the harness's tikhonov cells are the Sobolev problem at eps = 0, beta = 1
+    ds = gf.synthetic_dataset(n_nodes=12, k=3, n_steps=10, seed=3)
+    tik = gf.grid_search(ds, 0.5, [], [], [0.6], repetitions=2, k_graph=3,
+                         methods=["tikhonov"])
+    sob = gf.grid_search(ds, 0.5, [0.0], [1.0], [0.6], repetitions=2, k_graph=3)
+    assert [config for config, _ in tik.entries] == [gf.SobolevConfig(0.0, 1.0, 0.6)]
+    (_, tik_result), (_, sob_result) = tik.entries + sob.entries
+    assert tik_result.per_rep == sob_result.per_rep and len(tik_result.per_rep) == 2
 
 
 def test_tikhonov_matches_oracle_with_plain_laplacian():
