@@ -7,10 +7,10 @@ over its grid at one density, from a JSON config) and ``graph-info``
 
 Exit codes are a stable contract: 0 success; 2 usage or validation problems
 (errors.InvalidInput or ValueError), alike in every command; 3 a failed
-solve, a named method whose every configuration has a failed repetition, or
-an OSError. Diagnostics go to stderr; result tables go to stdout and to the
-``<out>.csv``/``<out>.json`` files, which only this module writes
-(_write_results).
+solve, a named method whose every configuration has a failed repetition
+(after both result files are written), or an OSError. Diagnostics go to
+stderr; result tables go to stdout and to the ``<out>.csv``/``<out>.json``
+files, which only this module writes (_write_results).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 from . import ingest
 from .errors import GraphfillError, InvalidInput
 from .graph import _reachable, build_knn_graph, write_edge_list
-from .harness import SEARCHES, _describe, grid_search, masked_problem
+from .harness import SEARCHES, grid_search, masked_problem
 from .metrics import error_report
 from .solver import SobolevConfig, reconstruct_sobolev
 from .synthetic import synthetic_dataset
@@ -191,6 +191,13 @@ def _stat_cells(r) -> list:
     return [format(v, ".6g") if math.isfinite(v) else "nan" for v in stats] + [len(r.per_rep)]
 
 
+def _describe(config) -> str:
+    """A cell's hyperparameters as 'epsilon=.. beta=.. gamma=.. ', or '' for None."""
+    if config is None:
+        return ""
+    return f"epsilon={config.epsilon:g} beta={config.beta:g} gamma={config.gamma:g} "
+
+
 def _cmd_gridsearch(args) -> int:
     doc = _read_json(args.config)
     grids = SEARCHES["sobolev"]  # every grid key
@@ -221,7 +228,8 @@ def _cmd_gridsearch(args) -> int:
     report = {
         "config_echo": doc,
         "dataset": dataset.name,
-        "best": {method: summary(*entry) for method, entry in search.best.items()},
+        "best": {method: None if entry is None else summary(*entry)
+                 for method, entry in search.best.items()},
         "entries": [
             {
                 "method": result.method,
@@ -235,9 +243,17 @@ def _cmd_gridsearch(args) -> int:
         ],
     }
     csv_path, json_path = _write_results(args.out, _write_table(header, rows), report)
-    for method, (config, result) in search.best.items():
-        print(f"best {method}: {_describe(config)}rmse_mean={result.rmse_mean:.6g}")
+    for method, entry in search.best.items():
+        if entry is not None:
+            config, result = entry
+            print(f"best {method}: {_describe(config)}rmse_mean={result.rmse_mean:.6g}")
     print(f"wrote {csv_path} and {json_path}")
+    for method, entry in search.best.items():
+        if entry is None:  # then every configuration, the first too, has a failed repetition
+            config, result = next(e for e in search.entries if e[1].method == method)
+            seed, message = result.failed[0]
+            raise GraphfillError(f"every {method} configuration had failed repetitions; "
+                                 f"the first was {_describe(config)}seed {seed}: {message}")
     return 0
 
 

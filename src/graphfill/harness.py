@@ -13,8 +13,9 @@ coverage rule; no node needs a complete series. Each seed's mask is posed
 once and shared by every cell, so all methods are compared on identical
 masks. An input fault, such as a seed whose problem cannot be posed,
 raises InvalidInput and ends the call; a repetition fails only when its
-solve fails (SingularSystem or ConvergenceFailure). Aggregates are the mean
-and population standard deviation over repetitions.
+solve fails (SingularSystem or ConvergenceFailure). A result keeps only its
+repetitions; its statistics, the mean and population standard deviation,
+are derived from them.
 
 _run_cells splits the seeds into contiguous runs, one per usable CPU, and
 _score_seeds scores a run. Several runs go to a pool of worker processes
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, GraphfillError, InvalidInput, SingularSystem
+from .errors import ConvergenceFailure, InvalidInput, SingularSystem
 from .graph import SensorGraph, _frozen, build_knn_graph
 from .ingest import Dataset
 from .metrics import _stat_without_overflow, error_report
@@ -56,38 +57,38 @@ _pool = None  # (pid of the process that started it, its ProcessPoolExecutor)
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    """Per-(method, density) metric aggregates over Monte-Carlo repetitions.
+    """One cell's Monte-Carlo repetitions: each seed gives one outcome.
 
     per_rep holds (seed, rmse, mae) for each successful repetition; failed
-    holds (seed, error message) for each one whose solve failed. Aggregates
-    are over successes only, so a result with failures is flagged rather
-    than silently averaged down.
+    holds (seed, error message) for each one whose solve failed. The
+    statistics are over successes only, and NaN without one, so a result
+    with failures is flagged rather than silently averaged down.
     """
 
-    dataset_name: str
     method: str
-    density: float
-    rmse_mean: float
-    rmse_std: float
-    mae_mean: float
-    mae_std: float
     per_rep: tuple[tuple[int, float, float], ...]
     failed: tuple[tuple[int, str], ...] = ()
-    repetitions: int = 0
 
-    @property
-    def complete(self) -> bool:
-        return not self.failed and len(self.per_rep) == self.repetitions
+    def _stat(self, column, stat) -> float:
+        if not self.per_rep:
+            return math.nan
+        return _stat_without_overflow(stat, np.array([rep[column] for rep in self.per_rep]))
+
+    rmse_mean = property(lambda self: self._stat(1, np.mean))
+    rmse_std = property(lambda self: self._stat(1, np.std))
+    mae_mean = property(lambda self: self._stat(2, np.mean))
+    mae_std = property(lambda self: self._stat(2, np.std))
 
 
 @dataclass(frozen=True)
 class GridSearchResult:
     """Each named method's winning (config, result), and every cell's.
 
-    A cell's config is its SobolevConfig, or None for the kNN baseline.
+    A cell's config is its SobolevConfig, or None for the kNN baseline. best
+    maps a method whose every configuration has a failed repetition to None.
     """
 
-    best: dict[str, tuple[SobolevConfig | None, ExperimentResult]]
+    best: dict[str, tuple[SobolevConfig | None, ExperimentResult] | None]
     entries: tuple[tuple[SobolevConfig | None, ExperimentResult], ...]
 
 
@@ -159,27 +160,6 @@ def masked_problem(dataset: Dataset, density: float, seed: int):
     return observed, hidden, y, lambda x: check_signal(x * span + low)
 
 
-def _aggregate(dataset_name, method, density, per_rep, failed, repetitions):
-    if per_rep:
-        _, rmses, maes = (np.array(column) for column in zip(*per_rep))
-        stats = [_stat_without_overflow(stat, errors)
-                 for errors in (rmses, maes) for stat in (np.mean, np.std)]
-    else:  # math.nan is one object, and tuples compare items by identity first,
-        stats = [math.nan] * 4  # so equal results compare equal
-    return ExperimentResult(
-        dataset_name=dataset_name,
-        method=method,
-        density=density,
-        rmse_mean=stats[0],
-        rmse_std=stats[1],
-        mae_mean=stats[2],
-        mae_std=stats[3],
-        per_rep=tuple(per_rep),
-        failed=tuple(failed),
-        repetitions=repetitions,
-    )
-
-
 def _score_seeds(dataset: Dataset, graph, density, seeds, cells) -> list[list[tuple]]:
     """For each seed, every cell's (seed, rmse, mae), or (seed, failure message)
     where its solve raised SingularSystem or ConvergenceFailure."""
@@ -234,18 +214,9 @@ def _run_cells(dataset: Dataset, graph, density, seeds, cells) -> list[Experimen
         scored = pool.map(functools.partial(_score_seeds, dataset, graph, density, cells=cells),
                           chunks)
         rows = [row for chunk in scored for row in chunk]
-    return [
-        _aggregate(dataset.name, method, density, [o for o in column if len(o) == 3],
-                   [o for o in column if len(o) == 2], len(seeds))
-        for (method, _), column in zip(cells, zip(*rows))
-    ]
-
-
-def _describe(config) -> str:
-    """A cell's hyperparameters as 'epsilon=.. beta=.. gamma=.. ', or '' for None."""
-    if config is None:
-        return ""
-    return f"epsilon={config.epsilon:g} beta={config.beta:g} gamma={config.gamma:g} "
+    return [ExperimentResult(method, tuple(o for o in column if len(o) == 3),
+                             tuple(o for o in column if len(o) == 2))
+            for (method, _), column in zip(cells, zip(*rows))]
 
 
 def _rank(entry):
@@ -291,6 +262,8 @@ def grid_search(
         raise ValueError(f"master_seed must be >= 0, got {master_seed}")
     if k_graph < 1:
         raise ValueError("k_graph must be positive")
+    if isinstance(methods, str):
+        raise ValueError(f"methods takes a list of method names, got {methods!r}")
     methods = list(methods)
     for method in methods:
         if method not in METHODS:
@@ -321,16 +294,7 @@ def grid_search(
     results = _run_cells(dataset, graph, density, seeds, cells)
     entries = [(config, result) for (_, config), result in zip(cells, results)]
 
-    best = {}
-    for method in methods:
-        scored = [entry for entry in entries if entry[1].method == method]
-        eligible = [(c, r) for c, r in scored if r.complete]
-        if not eligible:  # then every configuration, the first too, has a failed repetition
-            config, result = scored[0]
-            seed, message = result.failed[0]
-            raise GraphfillError(
-                f"every {method} configuration had failed repetitions; the first was "
-                f"{_describe(config)}seed {seed}: {message}"
-            )
-        best[method] = min(eligible, key=_rank)
+    best = {method: min([(c, r) for c, r in entries if r.method == method and not r.failed],
+                        key=_rank, default=None)
+            for method in methods}
     return GridSearchResult(best=best, entries=tuple(entries))

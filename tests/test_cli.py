@@ -553,7 +553,47 @@ def test_gridsearch_all_failed_names_the_first_failure(tmp_path, fixture_files, 
         "epsilon=0.5 beta=1 gamma=0 seed 0: "
         "SingularSystem: gamma = 0 with an incomplete mask\n"
     )
-    assert not out.with_suffix(".csv").exists() and not out.with_suffix(".json").exists()
+    # both files are written first, and the method without a winner has none
+    assert out.with_suffix(".csv").exists()
+    assert json.loads(out.with_suffix(".json").read_text())["best"] == {"sobolev": None}
+
+
+def test_gridsearch_method_without_winner_writes_the_others(tmp_path, capsys):
+    # half the readings are natively missing: at density 0.1, tikhonov
+    # (epsilon = 0) fails every repetition; both files are still written, and
+    # sobolev and the kNN baseline come out as they do without it
+    ds = gf.synthetic_dataset(seed=0)
+    positions, readings = tmp_path / "positions.csv", tmp_path / "readings.csv"
+    positions.write_text("node_id,x,y\n" + "".join(
+        f"s{i},{x!r},{y!r}\n" for i, (x, y) in enumerate(ds.positions.coords.tolist())))
+    native = np.random.default_rng(1).random(ds.signal.values.shape) >= 0.5
+    _write_readings(readings, np.where(native, ds.signal.values, np.nan))
+
+    def run(name, methods):
+        config = gridsearch_config(tmp_path, density=0.1, gamma_grid=[0.1, 1.0],
+                                   repetitions=4, k_graph=5, methods=methods)
+        out = tmp_path / name
+        code = main(["gridsearch", "--positions", str(positions), "--readings", str(readings),
+                     "--config", str(config), "--out", str(out)])
+        rows = out.with_suffix(".csv").read_text().splitlines()
+        return code, rows, json.loads(out.with_suffix(".json").read_text()), capsys.readouterr()
+
+    code, rows, doc, (stdout, stderr) = run("three", ["sobolev", "tikhonov", "knn_baseline"])
+    assert code == 3
+    assert stderr == (
+        "graphfill: every tikhonov configuration had failed repetitions; the first was "
+        "epsilon=0 beta=1 gamma=0.1 seed 0: SingularSystem: singular system: with "
+        "epsilon = 0, no observed entries link node 0 to time step 6 within its graph "
+        "component\n")
+    assert doc["best"]["tikhonov"] is None
+    assert [line.split(" ")[1] for line in stdout.splitlines()] == [
+        "sobolev:", "knn_baseline:", str(tmp_path / "three.csv")]
+    alone_code, alone_rows, alone, (alone_stdout, _) = run("two", ["sobolev", "knn_baseline"])
+    assert alone_code == 0
+    assert doc["best"] == {**alone["best"], "tikhonov": None}
+    assert [e for e in doc["entries"] if e["method"] != "tikhonov"] == alone["entries"]
+    assert [row for row in rows if not row.startswith("tikhonov,")] == alone_rows
+    assert stdout.splitlines()[:2] == alone_stdout.splitlines()[:2]
 
 
 @pytest.mark.parametrize("values, density, message", [

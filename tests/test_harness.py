@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import graphfill as gf
 from graphfill import harness, solver
-from graphfill.errors import GraphfillError, InvalidInput
+from graphfill.errors import InvalidInput
 from graphfill.harness import masked_problem
 
 from conftest import dataset_of, masked, outlier_positions, unit_path_graph
@@ -43,8 +43,7 @@ def search(ds, density, methods=("sobolev",), config=CELL, repetitions=3, master
 def score(ds, density, methods=("sobolev",), config=CELL, repetitions=3, master_seed=0,
           k_graph=3):
     """Each named method's result at config, scored on the masks that grid_search
-    poses. grid_search raises where a method fails every repetition; this keeps
-    such a result, with its failures."""
+    poses."""
     cell = {"sobolev": config, "tikhonov": gf.SobolevConfig(0.0, 1.0, config.gamma),
             "knn_baseline": None}
     graph = gf.build_knn_graph(ds.positions, k_graph)
@@ -161,7 +160,7 @@ def test_run_experiment_deterministic():
     ds = small_dataset()
     first = search(ds, 0.3, harness.METHODS)
     assert first == search(ds, 0.3, harness.METHODS)
-    assert all(r.complete and len(r.per_rep) == 3 for _, r in first.entries)
+    assert all(not r.failed and len(r.per_rep) == 3 for _, r in first.entries)
 
 
 def test_run_experiment_methods_labelled():
@@ -207,7 +206,7 @@ def test_partial_native_coverage_runs():
     native[0, 0] = False
     results = [r for density in (0.3, 0.7)
                for _, r in search(with_native(ds, native), density).entries]
-    assert all(r.complete for r in results)
+    assert all(not r.failed for r in results)
     assert all(np.isfinite(r.rmse_mean) for r in results)
 
 
@@ -232,7 +231,7 @@ def test_gappy_dataset_runs_pooled_as_in_process(monkeypatch):
     assert run() == pooled
     # sobolev and the kNN baseline fill every repetition; tikhonov (epsilon = 0)
     # may find a sparse draw singular, and nothing else
-    assert all(r.complete for method in ("sobolev", "knn_baseline") for r in pooled[method])
+    assert all(not r.failed for method in ("sobolev", "knn_baseline") for r in pooled[method])
     assert all(message.startswith("SingularSystem: ")
                for r in pooled["tikhonov"] for _, message in r.failed)
     assert len(posed) == 3 * 6  # one mask per density and seed, shared by the methods
@@ -250,7 +249,7 @@ def test_step_without_native_readings():
     native[:, 4] = False
     gappy = with_native(ds, native)
     by_method = score(gappy, 0.3, harness.METHODS)
-    assert by_method["sobolev"].complete and by_method["knn_baseline"].complete
+    assert not by_method["sobolev"].failed and not by_method["knn_baseline"].failed
     tikhonov = by_method["tikhonov"]
     assert len(tikhonov.failed) == 3 and tikhonov.per_rep == ()
     assert all(message.startswith("SingularSystem: ") and "time step 4" in message
@@ -270,7 +269,6 @@ def test_failed_repetitions_recorded_not_averaged():
     assert len(result.failed) == 3
     assert all("gamma = 0 with an incomplete mask" in message for _, message in result.failed)
     assert result.per_rep == ()
-    assert not result.complete
     assert np.isnan(result.rmse_mean)
     # it cannot win, whatever its NaN compares to
     assert found.best == {"sobolev": (config, other)} and config.gamma == 0.5
@@ -424,6 +422,36 @@ def test_grid_search_entries_match_single_method_grids():
                              for method, found in zip(harness.METHODS, alone)}
 
 
+def half_missing_synthetic():
+    """synthetic_dataset(seed=0) with each reading natively missing with probability 0.5."""
+    ds = gf.synthetic_dataset(seed=0)
+    native = np.random.default_rng(1).random(ds.signal.values.shape) >= 0.5
+    signal = gf.TimeVaryingSignal(values=np.where(native, ds.signal.values, 0.0))
+    return dataclasses.replace(ds, signal=signal, native_mask=native)
+
+
+def test_method_without_a_winner_keeps_the_other_methods():
+    # at density 0.1, tikhonov (epsilon = 0) finds every draw singular; it has
+    # no winner, and sobolev and the kNN baseline win as they do without it
+    ds = half_missing_synthetic()
+    grids = dict(eps_grid=[0.5], beta_grid=[1.0], gamma_grid=[0.1, 1.0], repetitions=4)
+    found = gf.grid_search(ds, 0.1, **grids, methods=harness.METHODS)
+    alone = gf.grid_search(ds, 0.1, **grids, methods=["sobolev", "knn_baseline"])
+    tikhonov = [r for _, r in found.entries if r.method == "tikhonov"]
+    assert len(tikhonov) == 2 and all(r.per_rep == () and len(r.failed) == 4 for r in tikhonov)
+    assert found.best["tikhonov"] is None
+    assert found.best == {**alone.best, "tikhonov": None}
+    assert tuple(e for e in found.entries if e[1].method != "tikhonov") == alone.entries
+
+
+def test_methods_must_be_a_list_of_names(monkeypatch):
+    # a string is an iterable of one-letter names, none of them a method
+    monkeypatch.setattr(harness, "_run_cells", no_cell)
+    with pytest.raises(ValueError, match="^methods takes a list of method names, "
+                                         "got 'knn_baseline'$"):
+        gf.grid_search(small_dataset(), 0.5, [], [], [], methods="knn_baseline")
+
+
 def test_worker_pool_matches_in_process_scoring(monkeypatch):
     if harness._WORKERS < 2:
         pytest.skip("one usable CPU: every call is scored in process")
@@ -544,15 +572,13 @@ def test_far_outlier_experiment():
     )
     config = gf.SobolevConfig(epsilon=0.5, beta=1.0, gamma=1.0)
     by_method = score(ds, 0.5, ("sobolev", "tikhonov"), config, k_graph=5)
-    assert by_method["sobolev"].complete
+    assert not by_method["sobolev"].failed
     result = by_method["tikhonov"]
     assert result.per_rep == () and len(result.failed) == 3
     assert all(message.startswith("SingularSystem: ") for _, message in result.failed)
-    # a method that fails every repetition has no winner: grid_search names it
-    message = ("^every tikhonov configuration had failed repetitions; the first was "
-               "epsilon=0 beta=1 gamma=1 seed 0: SingularSystem: ")
-    with pytest.raises(GraphfillError, match=message):
-        search(ds, 0.5, ("sobolev", "tikhonov"), config, k_graph=5)
+    # a method that fails every repetition has no winner, and the others keep theirs
+    found = search(ds, 0.5, ("sobolev", "tikhonov"), config, k_graph=5)
+    assert found.best == {"sobolev": (config, by_method["sobolev"]), "tikhonov": None}
 
 
 def test_grid_search_single_point():
@@ -645,7 +671,8 @@ def test_experiment_config_accepts_numpy_numbers():
     found = gf.grid_search(small_dataset(), np.float64(0.5), [0.5], [1.0], [0.5],
                            repetitions=np.int64(2), k_graph=np.int64(3))
     ((_, result),) = found.entries
-    assert type(result.density) is float and result.density == 0.5
+    assert found == gf.grid_search(small_dataset(), 0.5, [0.5], [1.0], [0.5], repetitions=2,
+                                   k_graph=3)
     assert len(result.per_rep) == 2
 
 

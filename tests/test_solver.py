@@ -1,6 +1,8 @@
 import dataclasses
+import importlib.util
 import itertools
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -133,11 +135,28 @@ def test_direct_cells_match_the_benchmark_reference(sparse_synthetic):
                                  [("sobolev", gf.SobolevConfig(*cell)) for cell in cells])
     reference = json.loads(GRID_SPARSE_REFERENCE.read_text())["reps"]
     for cell, result in zip(cells, results):
-        assert result.complete
+        assert not result.failed
         for seed, *errors in result.per_rep:
             key = "eps={:g},beta={:g},gamma={:g},seed={}".format(*cell, seed)
             for got, want in zip(errors, reference[key]):
                 assert abs(got - want) <= 1e-6 * abs(want), (key, got, want)
+
+
+def test_reference_tool_reads_the_result_api(tmp_path, monkeypatch):
+    # perfbench/make_reference.py records the benchmark reference through
+    # GridSparse.record, which reads grid_search's entries, per_rep and failed
+    path = GRID_SPARSE_REFERENCE.parent.parent / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look the module up
+    spec.loader.exec_module(workloads)
+    seen, problems = workloads.GridSparse(tmp_path).record(workloads.GridOp((1.0, 1.0, 0.1), 0, 2))
+    assert problems == [] and seen.failed_reps == 0
+    reference = json.loads(GRID_SPARSE_REFERENCE.read_text())["reps"]
+    assert sorted(seen.reps) == ["eps=1,beta=1,gamma=0.1,seed=0", "eps=1,beta=1,gamma=0.1,seed=1"]
+    for key, errors in seen.reps.items():
+        for got, want in zip(errors, reference[key], strict=True):
+            assert abs(got - want) <= 1e-6 * abs(want), (key, got, want)
 
 
 @pytest.mark.parametrize("m", [2, 3, 7])
