@@ -199,22 +199,18 @@ def build_knn_graph(positions: NodePositions, k: int) -> SensorGraph:
 def sobolev_operator(graph: SensorGraph, epsilon: float, beta: float) -> np.ndarray:
     """Compute B = (L + epsilon*I)**beta as a read-only symmetric matrix.
 
-    Integer beta is evaluated by repeated symmetric multiplication; any other
-    beta raises the graph's shifted eigenvalues to the given power. L = D - W
-    is PSD because SensorGraph holds W symmetric and nonnegative, so a
-    negative shifted eigenvalue is rounding and is clipped to 0. The product
-    is symmetrized as (B + B^T) / 2.
+    Every beta raises the graph's shifted eigenvalues to the given power:
+    B = U diag((lambda + epsilon)**beta) U^T. L = D - W is PSD because
+    SensorGraph holds W symmetric and nonnegative, so a negative shifted
+    eigenvalue is rounding and is clipped to 0. The product is symmetrized
+    as (B + B^T) / 2.
     """
     if epsilon < 0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     if beta <= 0:
         raise ValueError(f"beta must be > 0, got {beta}")
-    if float(beta).is_integer():
-        shifted = graph.laplacian + epsilon * np.eye(graph.n_nodes)
-        matrix = np.linalg.matrix_power(shifted, int(beta))
-    else:
-        u = graph.eigenvectors
-        matrix = (u * np.clip(graph.eigenvalues + epsilon, 0.0, None) ** beta) @ u.T
+    u = graph.eigenvectors
+    matrix = (u * np.clip(graph.eigenvalues + epsilon, 0.0, None) ** beta) @ u.T
     return _frozen((matrix + matrix.T) / 2.0)
 
 
