@@ -294,7 +294,7 @@ def grid_search(
     results = _run_cells(dataset, graph, density, seeds, cells)
     entries = [(config, result) for (_, config), result in zip(cells, results)]
 
-    best = {method: min([(c, r) for c, r in entries if r.method == method and not r.failed],
+    best = {method: min(((c, r) for c, r in entries if r.method == method and not r.failed),
                         key=_rank, default=None)
             for method in methods}
     return GridSearchResult(best=best, entries=tuple(entries))

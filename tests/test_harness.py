@@ -422,34 +422,21 @@ def test_grid_search_entries_match_single_method_grids():
                              for method, found in zip(harness.METHODS, alone)}
 
 
-def half_missing_synthetic():
-    """synthetic_dataset(seed=0) with each reading natively missing with probability 0.5."""
+def test_method_without_a_winner_keeps_the_other_methods():
+    # half the readings are natively missing: at density 0.1, tikhonov
+    # (epsilon = 0) finds every draw singular; it has no winner, and sobolev
+    # and the kNN baseline come out as they do without it
     ds = gf.synthetic_dataset(seed=0)
     native = np.random.default_rng(1).random(ds.signal.values.shape) >= 0.5
     signal = gf.TimeVaryingSignal(values=np.where(native, ds.signal.values, 0.0))
-    return dataclasses.replace(ds, signal=signal, native_mask=native)
-
-
-def test_method_without_a_winner_keeps_the_other_methods():
-    # at density 0.1, tikhonov (epsilon = 0) finds every draw singular; it has
-    # no winner, and sobolev and the kNN baseline win as they do without it
-    ds = half_missing_synthetic()
+    ds = dataclasses.replace(ds, signal=signal, native_mask=native)
     grids = dict(eps_grid=[0.5], beta_grid=[1.0], gamma_grid=[0.1, 1.0], repetitions=4)
     found = gf.grid_search(ds, 0.1, **grids, methods=harness.METHODS)
     alone = gf.grid_search(ds, 0.1, **grids, methods=["sobolev", "knn_baseline"])
     tikhonov = [r for _, r in found.entries if r.method == "tikhonov"]
     assert len(tikhonov) == 2 and all(r.per_rep == () and len(r.failed) == 4 for r in tikhonov)
-    assert found.best["tikhonov"] is None
     assert found.best == {**alone.best, "tikhonov": None}
     assert tuple(e for e in found.entries if e[1].method != "tikhonov") == alone.entries
-
-
-def test_methods_must_be_a_list_of_names(monkeypatch):
-    # a string is an iterable of one-letter names, none of them a method
-    monkeypatch.setattr(harness, "_run_cells", no_cell)
-    with pytest.raises(ValueError, match="^methods takes a list of method names, "
-                                         "got 'knn_baseline'$"):
-        gf.grid_search(small_dataset(), 0.5, [], [], [], methods="knn_baseline")
 
 
 def test_worker_pool_matches_in_process_scoring(monkeypatch):
@@ -641,6 +628,8 @@ def test_experiment_config_validation(monkeypatch):
                                  r"\('sobolev', 'tikhonov', 'knn_baseline'\), got 'magic'$"),
         ({"methods": ["sobolev", "sobolev"]}, "^methods must be distinct and nonempty"),
         ({"methods": []}, r"^methods must be distinct and nonempty, got \[\]$"),
+        ({"methods": "knn_baseline"}, "^methods takes a list of method names, "
+                                      "got 'knn_baseline'$"),
         ({"repetitions": 0}, "^repetitions must be positive$"),
         ({"k_graph": 0}, "^k_graph must be positive$"),
     ]:
