@@ -16,11 +16,14 @@ Fields are stripped of surrounding whitespace, blank lines are skipped, and
 every fault is reported as ``file:line``, the line on which the row starts;
 of several faults, field counts included, the first in file order is raised.
 
-A readings file without a quote character is parsed by numpy's C parser in
-one np.loadtxt call. Anything it refuses or finds wrong sends the file to the
-row checker, which raises the first fault, so both paths load the same
-Dataset and raise the same errors. Only the checker applies
-csv.field_size_limit().
+numpy's C parser reads a readings file itself, in one np.loadtxt call, and
+ids map to nodes by np.searchsorted over the sorted node ids. That path skips
+a file with a quote character or NUL, with a line break other than CR, LF or
+CRLF (str.splitlines also breaks at VT, FF, U+001C-U+001E, NEL, U+2028 and
+U+2029), or when a node id holds a NUL, which numpy drops. Anything it
+refuses or finds wrong sends the file to the row checker, which raises the
+first fault, so both paths load the same Dataset and raise the same errors.
+Only the checker applies csv.field_size_limit().
 """
 
 from __future__ import annotations
@@ -44,6 +47,9 @@ _READINGS_HEADER = ["node_id", "time_index", "value"]
 # longest node id. Past this length that outweighs the row checker's
 # Python strings, so such files take the checker.
 _FAST_ID_CHARS = 64
+
+# Line breaks of str.splitlines that numpy's file reader does not break at.
+_OTHER_LINE_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,21 +144,24 @@ def load_positions(path) -> NodePositions:
     return NodePositions(coords=np.array(list(coords.values())), node_ids=tuple(coords))
 
 
-def _parse_readings_fast(text: str, node_index: dict[str, int]):
-    """Parse quote-free readings with numpy's C parser, or return None.
+def _parse_readings_fast(path: Path, text: str, node_index: dict[str, int]):
+    """Parse a quote-free readings file with numpy's C parser, or return None.
 
-    Returns (rows, time_order, cols, values) only when the text has no fault
-    of any kind; anything else, from a quote character to a duplicate reading,
-    returns None and leaves the file to _parse_readings_checked. Where loadtxt
-    accepts a token it agrees with Python's int() and float(); the tokens it
-    refuses (padded ids, empty values, ``1_0``, ``5.0`` as a time, int64
-    overflow, whitespace-only lines) fall back, as do node ids of
+    numpy reads the file at path itself, and text, the file as _read_text
+    decoded it, decides whether it may; a file rewritten in between is out of
+    scope. Returns (rows, time_order, cols, values) only when the file has no
+    fault of any kind; anything else, from a quote character to a duplicate
+    reading, returns None and leaves the file to _parse_readings_checked.
+    Where loadtxt accepts a token it agrees with Python's int() and float();
+    the tokens it refuses (padded ids, empty values, ``1_0``, ``5.0`` as a
+    time, int64 overflow, whitespace-only lines) fall back, as do node ids of
     _FAST_ID_CHARS characters or more.
     """
-    if '"' in text or "\x00" in text:  # numpy strings drop trailing NULs
+    if ('"' in text or "\x00" in text or any(brk in text for brk in _OTHER_LINE_BREAKS)
+            or any("\x00" in nid for nid in node_index)):  # numpy reads "a\x00" as "a"
         return None
-    lines = text.splitlines()  # the lines the checker sees, \x85 and \u2028 included
-    if not lines or [field.strip() for field in lines[0].split(",")] != _READINGS_HEADER:
+    header = text[: text.find("\n")]  # what skiprows=1 skips; one line has no rows
+    if [field.strip() for field in header.split(",")] != _READINGS_HEADER:
         return None
     width = max(map(len, node_index)) + 1  # a longer id loads truncated, so unknown
     if width > _FAST_ID_CHARS:
@@ -162,14 +171,16 @@ def _parse_readings_fast(text: str, node_index: dict[str, int]):
         with warnings.catch_warnings():
             # numpy 1.2x only warns when it reads "5.0" as an int; no rows warns too
             warnings.simplefilter("error")
-            table = np.loadtxt(
-                lines, dtype=dtype, delimiter=",", comments=None, skiprows=1, ndmin=1
-            )
+            table = np.loadtxt(path, dtype=dtype, delimiter=",", comments=None, skiprows=1,
+                               ndmin=1, encoding="utf-8-sig")
     except (ValueError, Warning):  # a token or row loadtxt refuses, or no rows
         return None
-    rows = np.array([node_index.get(nid, -1) for nid in table["id"].tolist()], dtype=np.int64)
-    if rows.min() < 0 or table["time"].min() < 0:
+    known = np.array(list(node_index), dtype=dtype["id"])
+    order = np.argsort(known)
+    at = order[np.searchsorted(known, table["id"], sorter=order).clip(max=len(known) - 1)]
+    if (known[at] != table["id"]).any() or table["time"].min() < 0:
         return None
+    rows = np.fromiter(node_index.values(), np.int64, len(known))[at]
     time_order, cols = np.unique(table["time"], return_inverse=True)
     keys = np.sort(rows * len(time_order) + cols)
     if (keys[1:] == keys[:-1]).any():  # a repeated (node, time) cell
@@ -230,7 +241,7 @@ def load_dataset(positions_path, readings_path) -> Dataset:
     positions = load_positions(positions_path)
     node_index = {nid: i for i, nid in enumerate(positions.node_ids)}
     text = _read_text(readings_path)
-    parsed = _parse_readings_fast(text, node_index)
+    parsed = _parse_readings_fast(readings_path, text, node_index)
     if parsed is None:
         parsed = _parse_readings_checked(readings_path, text, node_index)
     rows, time_order, cols, values = parsed

@@ -347,7 +347,9 @@ def load_outcome(positions, readings, checker_only=False):
     checker_only turns numpy's parser off, so every file goes through the
     row checker.
     """
-    no_fast_path = mock.patch.object(ingest, "_parse_readings_fast", lambda text, index: None)
+    no_fast_path = mock.patch.object(
+        ingest, "_parse_readings_fast", lambda path, text, index: None
+    )
     with warnings.catch_warnings(record=True) as caught, (
         no_fast_path if checker_only else contextlib.nullcontext()
     ):
@@ -369,7 +371,8 @@ def load_outcome(positions, readings, checker_only=False):
 
 def fast_parse(readings, node_ids):
     text = Path(readings).read_text(encoding="utf-8-sig")
-    return ingest._parse_readings_fast(text, {nid: i for i, nid in enumerate(node_ids)})
+    index = {nid: i for i, nid in enumerate(node_ids)}
+    return ingest._parse_readings_fast(Path(readings), text, index)
 
 
 quote_free_ids = st.lists(
@@ -464,8 +467,19 @@ FALLBACKS = {
     "id longer than every node id": ("a,0,1\nbbbb,0,1\n", True),
     "id with a node id as prefix": ("a,0,1\nab,0,1\n", True),
     "padded id": (" a ,0,1\nb,0,1\n", True),
-    "NEL inside a line": ("a,0,1\x85b,0,2\nc,0,3\n", False),
-    "LINE SEPARATOR inside a line": ("a,0,1\u2028b,0,2\nc,0,3\n", False),
+    "id after every node id": ("a,0,1\nz,0,1\n", True),
+    # str.splitlines breaks lines at these, and numpy's file reader does not
+    "NEL inside a line": ("a,0,1\x85b,0,2\nc,0,3\n", True),
+    "LINE SEPARATOR inside a line": ("a,0,1\u2028b,0,2\nc,0,3\n", True),
+    # numpy reads "a,0<break>,1" as one row; the checker finds two short lines
+    "vertical tab after a time": ("a,0\v,1\nb,0,2\n", True),
+    "form feed after a time": ("a,0\f,1\nb,0,2\n", True),
+    "x1c after a time": ("a,0\x1c,1\nb,0,2\n", True),
+    "x1d after a time": ("a,0\x1d,1\nb,0,2\n", True),
+    "x1e after a time": ("a,0\x1e,1\nb,0,2\n", True),
+    "NEL after a time": ("a,0\x85,1\nb,0,2\n", True),
+    "LINE SEPARATOR after a time": ("a,0\u2028,1\nb,0,2\n", True),
+    "PARAGRAPH SEPARATOR after a time": ("a,0\u2029,1\nb,0,2\n", True),
     "whitespace-only line": ("a,0,1\n \t \nb,0,2\n", True),
     "empty value": ("a,0,\nb,0,2\n", True),
     "underscore in time": ("a,1_0,1\nb,0,2\n", True),
@@ -483,6 +497,45 @@ def test_fallback_loads_as_checker(tmp_path, positions_csv, case):
     readings = write(tmp_path / "r.csv", "node_id,time_index,value\n" + body)
     assert (fast_parse(readings, ("a", "b", "c")) is None) == refused
     assert load_outcome(positions_csv, readings) == load_outcome(positions_csv, readings, True)
+
+
+FAST_CASES = {
+    # case: (node ids in positions order, readings file bytes)
+    "CRLF": ("abc", b"node_id,time_index,value\r\na,0,1\r\nb,0,2\r\nc,1,3\r\n"),
+    "lone CR": ("abc", b"node_id,time_index,value\ra,0,1\rb,0,2\rc,1,3\r"),
+    "BOM and CRLF": ("abc", b"\xef\xbb\xbfnode_id,time_index,value\r\na,0,1\r\nb,1,2\r\n"),
+    "non-ASCII ids": (
+        ("é", "ß", "東京", "e"),
+        "node_id,time_index,value\né,0,1\n東京,0,2\nß,1,3\ne,1,4\n".encode("utf-8"),
+    ),
+    "ids that sort between known ids": (
+        ("b", "ab", "ba", "a", "bb"),
+        b"node_id,time_index,value\nba,0,1\nab,0,2\nbb,1,3\na,1,4\nb,0,5\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAST_CASES))
+def test_fast_path_cases_load_as_checker(tmp_path, case):
+    ids, body = FAST_CASES[case]
+    rows = "".join(f"{n},{k},0\n" for k, n in enumerate(ids))
+    positions = write(tmp_path / "p.csv", "node_id,x,y\n" + rows)
+    readings = tmp_path / "r.csv"
+    readings.write_bytes(body)
+    assert fast_parse(readings, tuple(ids)) is not None
+    outcome = load_outcome(positions, readings)
+    assert outcome == load_outcome(positions, readings, True)
+    assert not isinstance(outcome[0], type)  # a Dataset, not an error
+
+
+def test_node_id_with_trailing_nul_takes_the_checker(tmp_path):
+    # numpy would read the node id "a\x00" as "a" and take a's readings
+    readings = write(tmp_path / "r.csv", readings_text([("a", 0, "1"), ("b", 0, "2")]))
+    assert fast_parse(readings, ("a\x00", "b")) is None
+    nodes = gf.NodePositions(coords=np.array([[0.0, 0.0], [1.0, 0.0]]), node_ids=("a\x00", "b"))
+    with mock.patch.object(ingest, "load_positions", lambda path: nodes):
+        with pytest.raises(InvalidInput, match=r"r\.csv:2: node 'a' not in positions file"):
+            gf.load_dataset(tmp_path / "p.csv", readings)
 
 
 @pytest.mark.parametrize("length", [ingest._FAST_ID_CHARS - 1, ingest._FAST_ID_CHARS])
