@@ -52,10 +52,12 @@ def random_mask(n: int, m: int, density: float, seed: int, native=None) -> np.nd
     if native is not None:
         native = check_mask(native, (n, m))
     rng = np.random.default_rng(seed)
+    picks = np.empty((m, count), dtype=np.intp)  # row t: the nodes column t observes
     for _ in range(_MAX_REDRAWS):
-        mask = np.zeros((n, m), dtype=bool)
         for t in range(m):
-            mask[rng.choice(n, size=count, replace=False), t] = True
+            picks[t] = rng.choice(n, size=count, replace=False)
+        mask = np.zeros((n, m), dtype=bool)
+        mask[picks, np.arange(m)[:, None]] = True
         if (mask if native is None else mask & native).any(axis=1).all():
             mask.setflags(write=False)
             return mask

@@ -109,3 +109,33 @@ def test_hopeless_native_mask_runs_out_of_redraws():
     native[:2, 1:] = False
     with pytest.raises(InvalidInput, match="^1000 draws never observed every one of 5 nodes"):
         gf.random_mask(5, 10, 0.2, seed=0, native=native)
+
+
+def column_by_column_mask(n, m, density, seed, native=None):
+    """The draw one column at a time, with a scatter per column: the oracle."""
+    count = samples_per_column(n, density)
+    rng = np.random.default_rng(seed)
+    for _ in range(1000):
+        mask = np.zeros((n, m), dtype=bool)
+        for t in range(m):
+            mask[rng.choice(n, size=count, replace=False), t] = True
+        if (mask if native is None else mask & native).any(axis=1).all():
+            return mask
+    raise AssertionError("the oracle ran out of redraws")
+
+
+def test_mask_equals_column_by_column_oracle():
+    shapes = ((8, 12, 0.25), (50, 100, 0.1), (20, 50, 0.3), (5, 7, 1.0), (30, 4, 0.5), (2, 1, 1.0))
+    for n, m, density in shapes:
+        for seed in range(5):
+            assert np.array_equal(gf.random_mask(n, m, density, seed),
+                                  column_by_column_mask(n, m, density, seed))
+    # node 0 exists at three snapshots only, which forces redraws
+    native = np.ones((8, 12), dtype=bool)
+    native[0, 3:] = False
+    redrawn = 0
+    for seed in range(10):
+        mask = gf.random_mask(8, 12, 0.25, seed, native)
+        assert np.array_equal(mask, column_by_column_mask(8, 12, 0.25, seed, native))
+        redrawn += not np.array_equal(mask, column_by_column_mask(8, 12, 0.25, seed))
+    assert redrawn
