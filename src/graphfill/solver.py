@@ -207,32 +207,32 @@ def _block_solve(b: np.ndarray, gamma: float, j: np.ndarray, y: np.ndarray) -> n
 
     n, m = y.shape
     gb = np.asfortranarray(gamma * b)
+    gb2 = 2.0 * gb  # T_tt * gamma B off the two end steps
     t_diag = np.full(m, 2.0)
     t_diag[[0, -1]] = 1.0
-    diagonal = j + np.outer(np.diagonal(gb), t_diag)
+    diagonal = np.ascontiguousarray(j.T + np.outer(t_diag, np.diagonal(gb)))  # row t: diag(A_t)
     # Packed position of L[i, k], i >= k, is the row-major position of
     # L^T[k, i] in the upper triangle; L^T of a Fortran-order L is C-order.
     packed = np.flatnonzero(np.triu(np.ones((n, n), dtype=bool)))
     on_diagonal = np.flatnonzero(packed % (n + 1) == 0)
     factors = np.empty((m, packed.size))
     h = np.array(y.T, order="C")  # a copy even of a read-only Fortran-order y
-    wt = np.empty((n, n), order="F")
-    buffers = [np.empty((n, n), order="F") for _ in range(2)]
+    # two Fortran-order buffers, with flat and diagonal views, swapped each step
+    s, previous = [(a, a.T.reshape(-1), a.T.reshape(-1)[:: n + 1])
+                   for a in np.empty((2, n, n)).transpose(0, 2, 1)]
     for t in range(m):
-        s, previous = buffers[t % 2], buffers[1 - t % 2]
-        flat = s.T.reshape(-1)
-        np.multiply(gb, t_diag[t], out=s)
-        flat[:: n + 1] = diagonal[:, t]
+        np.copyto(s[0], gb2 if 0 < t < m - 1 else gb)
+        s[2][:] = diagonal[t]
         if t:
-            np.copyto(wt, gb)
-            dtrsm(1.0, previous, wt, side=1, lower=1, trans_a=1, overwrite_b=1)
-            dsyrk(-1.0, wt, beta=1.0, c=s, lower=1, overwrite_c=1)
+            wt = dtrsm(1.0, previous[0], gb, side=1, lower=1, trans_a=1)
+            dsyrk(-1.0, wt, beta=1.0, c=s[0], lower=1, overwrite_c=1)
             dgemv(1.0, wt, h[t - 1], beta=1.0, y=h[t], overwrite_y=1)
-        _, info = dpotrf(s, lower=1, clean=0, overwrite_a=1)
-        np.take(flat, packed, out=factors[t], mode="clip")
+        _, info = dpotrf(s[0], lower=1, clean=0, overwrite_a=1)
+        s[1].take(packed, out=factors[t], mode="clip")
         if info:
             _check_pivots(factors[: t + 1], on_diagonal, diagonal, info - 1)
         dtpsv(n, factors[t], h[t], lower=1, overwrite_x=1)
+        s, previous = previous, s
     _check_pivots(factors, on_diagonal, diagonal)
 
     dtpsv(n, factors[-1], h[-1], lower=1, trans=1, overwrite_x=1)
@@ -273,7 +273,7 @@ def _check_pivots(factors, on_diagonal, diagonal, failed_at=None) -> None:
     if failed_at is not None:
         pivots[-1, failed_at] = -np.inf
         pivots[-1, failed_at + 1 :] = np.inf
-    bound = _PIVOT_FACTOR * np.finfo(float).eps * diagonal[:, : len(factors)].max(axis=0)
+    bound = _PIVOT_FACTOR * np.finfo(float).eps * diagonal[: len(factors)].max(axis=1)
     bad = np.flatnonzero(~(pivots > bound[:, None]))
     if bad.size:
         t, node = divmod(int(bad[0]), pivots.shape[1])
