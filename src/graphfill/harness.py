@@ -247,7 +247,7 @@ def grid_search(
     cells in METHODS order. Each method's winner minimizes rmse_mean; ties
     break toward smaller (gamma, epsilon, beta). A configuration with any
     failed repetition stays in entries but cannot win, and a method without
-    a complete configuration raises GraphfillError.
+    a complete configuration maps to None in best.
     """
     # every argument is validated before the first cell runs
     density = float(_check_number("density", density))

@@ -337,8 +337,8 @@ def affine_base_errors(method):
     with mock.patch.object(harness, "_WORKERS", 1), \
             mock.patch.object(solver, "_takes_direct_path", spy):
         errors = affine_errors(affine_dataset(), method)
-    # every solve was direct, and only the kNN baseline makes none; grid_search
-    # raises unless the method has a complete configuration
+    # every solve was direct, and only the kNN baseline makes none; a failed
+    # repetition would drop its row from per_rep, which the seed check catches
     assert all(direct) and bool(direct) == (method != "knn_baseline")
     return errors
 
