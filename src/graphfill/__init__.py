@@ -16,7 +16,6 @@ from .graph import (
     SensorGraph,
     build_knn_graph,
     sobolev_operator,
-    write_edge_list,
 )
 from .harness import (
     ExperimentResult,
@@ -64,5 +63,4 @@ __all__ = [
     "sobolev_operator",
     "synthetic_dataset",
     "temporal_difference_operator",
-    "write_edge_list",
 ]

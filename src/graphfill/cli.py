@@ -1,9 +1,9 @@
 """Command-line interface.
 
-Three subcommands: ``reconstruct`` (one solve over a masked dataset),
+Two subcommands: ``reconstruct`` (one solve over a masked dataset) and
 ``gridsearch`` (the Monte-Carlo comparison of the named methods, each tuned
-over its grid at one density, from a JSON config) and ``graph-info``
-(inspect the kNN graph built from a positions file).
+over its grid at one density, from a JSON config). Each records the sensor
+graph it solved on in the ``graph`` block of its JSON (_graph_block).
 
 Exit codes are a stable contract: 0 success; 2 usage or validation problems
 (errors.InvalidInput or ValueError), alike in every command; 3 a failed
@@ -28,7 +28,7 @@ import numpy as np
 
 from . import ingest
 from .errors import GraphfillError, InvalidInput
-from .graph import _reachable, build_knn_graph, write_edge_list
+from .graph import SensorGraph, _reachable, build_knn_graph
 from .harness import SEARCHES, grid_search, masked_problem
 from .metrics import error_report
 from .solver import SobolevConfig, reconstruct_sobolev
@@ -62,11 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--config", required=True, help="grid config JSON")
     grid.add_argument("--out", required=True, help="output base path (.csv and .json)")
 
-    info = sub.add_parser("graph-info", help="inspect the kNN sensor graph")
-    info.add_argument("--positions", required=True)
-    info.add_argument("--k", required=True, type=int)
-    info.add_argument("--out", help="optional edge-list CSV path")
-
     return parser
 
 
@@ -81,6 +76,8 @@ def _add_dataset_flags(sub: argparse.ArgumentParser) -> None:
 
 def _load_experiment_dataset(args) -> "ingest.Dataset":
     csvs = (args.positions, args.readings)
+    if (args.synthetic_seed or 0) < 0:
+        raise ValueError(f"--synthetic-seed must be >= 0, got {args.synthetic_seed}")
     if args.synthetic and not any(csvs):
         return synthetic_dataset(seed=args.synthetic_seed or 0)
     if args.synthetic or args.synthetic_seed is not None or not all(csvs):
@@ -117,6 +114,7 @@ def _cmd_reconstruct(args) -> int:
         "seed": args.seed,
         "config": asdict(config),
         "k": args.k,
+        "graph": _graph_block(graph),
         "iterations": result.iterations,
         "final_relative_residual": result.final_relative_residual,
         "objective_value": result.objective_value,
@@ -177,6 +175,15 @@ def _write_table(header, rows):
     return lambda fh: csv.writer(fh, lineterminator="\n").writerows([header, *rows])
 
 
+def _graph_block(graph: SensorGraph) -> dict:
+    """The JSON ``graph`` block. Components are counted over the support of W,
+    by the eps = 0 check's reachability: a node's first reachable node names its one."""
+    roots = _reachable(graph.weights > 0).argmax(axis=1)
+    return {"nodes": graph.n_nodes, "edges": graph.n_edges, "sigma": graph.sigma,
+            "lambda_2": float(graph.eigenvalues[1]),
+            "lambda_max": float(graph.eigenvalues[-1]), "components": len(set(roots.tolist()))}
+
+
 def _finite_or_none(value: float):
     return float(value) if math.isfinite(value) else None
 
@@ -228,6 +235,7 @@ def _cmd_gridsearch(args) -> int:
     report = {
         "config_echo": doc,
         "dataset": dataset.name,
+        "graph": _graph_block(search.graph),
         "best": {method: None if entry is None else summary(*entry)
                  for method, entry in search.best.items()},
         "entries": [
@@ -257,30 +265,7 @@ def _cmd_gridsearch(args) -> int:
     return 0
 
 
-def _cmd_graph_info(args) -> int:
-    positions = ingest.load_positions(args.positions)
-    graph = build_knn_graph(positions, args.k)
-    # one distinct row of the reachability matrix per connected component
-    n_components = len(np.unique(_reachable(graph.weights > 0), axis=0))
-    print(f"nodes:             {graph.n_nodes}")
-    print(f"edges:             {graph.n_edges}")
-    print(f"sigma:             {graph.sigma:.6g}")
-    print(f"mean degree:       {2 * graph.n_edges / graph.n_nodes:.3f}")
-    print(f"lambda_2:          {graph.eigenvalues[1]:.6g}")
-    print(f"lambda_max:        {graph.eigenvalues[-1]:.6g}")
-    print(f"components:        {n_components}")
-    print(f"connected:         {n_components == 1}")
-    if args.out:
-        write_edge_list(graph, positions.node_ids, args.out)
-        print(f"wrote {args.out}")
-    return 0
-
-
-_HANDLERS = {
-    "reconstruct": _cmd_reconstruct,
-    "gridsearch": _cmd_gridsearch,
-    "graph-info": _cmd_graph_info,
-}
+_HANDLERS = {"reconstruct": _cmd_reconstruct, "gridsearch": _cmd_gridsearch}
 
 
 def main(argv=None) -> int:

@@ -10,10 +10,8 @@ operator for reconstruction are computed from those on each call.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -212,20 +210,3 @@ def sobolev_operator(graph: SensorGraph, epsilon: float, beta: float) -> np.ndar
     u = graph.eigenvectors
     matrix = (u * np.clip(graph.eigenvalues + epsilon, 0.0, None) ** beta) @ u.T
     return _frozen((matrix + matrix.T) / 2.0)
-
-
-def write_edge_list(graph: SensorGraph, node_ids: tuple[str, ...], path) -> None:
-    """Export the undirected edge list as `src_id,dst_id,weight` CSV.
-
-    Debug format: one row per undirected edge in (i, j) index order, weights
-    with 12 significant digits. A missing parent directory is created.
-    """
-    if len(node_ids) != graph.n_nodes:
-        raise ValueError("node_ids length does not match the graph")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["src_id", "dst_id", "weight"])
-        for i, j in graph.edges:
-            writer.writerow([node_ids[i], node_ids[j], format(graph.weights[i, j], ".12g")])

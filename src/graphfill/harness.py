@@ -32,7 +32,7 @@ import itertools
 import math
 import numbers
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -86,10 +86,12 @@ class GridSearchResult:
 
     A cell's config is its SobolevConfig, or None for the kNN baseline. best
     maps a method whose every configuration has a failed repetition to None.
+    graph is the kNN graph every cell solved on; results compare without it.
     """
 
     best: dict[str, tuple[SobolevConfig | None, ExperimentResult] | None]
     entries: tuple[tuple[SobolevConfig | None, ExperimentResult], ...]
+    graph: SensorGraph = field(compare=False, repr=False)
 
 
 def knn_baseline_impute(y: np.ndarray, mask: np.ndarray, graph: SensorGraph) -> np.ndarray:
@@ -136,7 +138,7 @@ def masked_problem(dataset: Dataset, density: float, seed: int):
     the signal min-max scaled by the observed entries alone,
     (value - low) / (high - low) there and 0 elsewhere; no other entry of
     the dataset is read. unscale(x) maps a reconstruction of y back to data
-    units, x * (high - low) + low.
+    units, x * (high - low) + low, and raises InvalidInput if that overflows.
 
     Raises InvalidInput when the mask cannot be drawn or observes readings
     that are all equal or too wide to scale.
@@ -157,7 +159,16 @@ def masked_problem(dataset: Dataset, density: float, seed: int):
     y = np.zeros((n, m))
     y[observed] = (readings - low) / span
     y.setflags(write=False)
-    return observed, hidden, y, lambda x: check_signal(x * span + low)
+
+    def unscale(x):
+        with np.errstate(over="ignore"):
+            values = check_signal(x) * span + low
+        if not np.isfinite(values).all():
+            raise InvalidInput("mapping the reconstruction back to data units overflows: the "
+                               f"observed readings range from {low} to {high}; scale them down")
+        return check_signal(values)
+
+    return observed, hidden, y, unscale
 
 
 def _score_seeds(dataset: Dataset, graph, density, seeds, cells) -> list[list[tuple]]:
@@ -297,4 +308,4 @@ def grid_search(
     best = {method: min(((c, r) for c, r in entries if r.method == method and not r.failed),
                         key=_rank, default=None)
             for method in methods}
-    return GridSearchResult(best=best, entries=tuple(entries))
+    return GridSearchResult(best=best, entries=tuple(entries), graph=graph)

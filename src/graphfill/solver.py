@@ -38,8 +38,8 @@ systems, with SingularSystem; the dense oracle has an eigenvalue bound.
 scipy.linalg is imported inside _block_solve and dense_oracle_solve, the
 only functions that use it, not at module level. It is most of the cost of
 importing graphfill (about 0.3 s of 0.5 s on a 2-core Xeon), and a process
-that never factors a matrix (--help, graph-info, input errors, the kNN
-baseline, CG-only cells) then loads numpy alone. The first direct solve in
+that never factors a matrix (--help, input errors, the kNN baseline,
+CG-only cells) then loads numpy alone. The first direct solve in
 a process pays the import once.
 """
 
@@ -130,16 +130,16 @@ class ReconstructionResult:
 def _apply_second_difference(x: np.ndarray, diff: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write x @ (D D^T) into out, using the tridiagonal structure of D D^T.
 
-    It serves the CG loop alone and goes with it: objective_gradient, which
-    tests use to verify solves, forms X T by its own np.diff. diff is an
-    N*M + 1 work vector. It receives the row-major differences
-    x.flat[i + 1] - x.flat[i] at diff[1 + i], framed by zeros at every row
-    end, so that out.flat[i] = (0 - diff[1 + i]) + diff[i] runs on
-    contiguous arrays. These are the operations of subtracting the column
-    differences from zeros and adding them shifted by one column: in the
-    first column the added +0 leaves 0 - z unchanged, and in the last
-    0 - 0 is the zero it starts from, so the bits are those of
-    objective_gradient's X T.
+    It serves apply_a, the operator of the CG loop and of the final residual
+    on either path; objective_gradient, which tests use to verify solves,
+    forms X T by its own np.diff. diff is an N*M + 1 work vector. It
+    receives the row-major differences x.flat[i + 1] - x.flat[i] at
+    diff[1 + i], framed by zeros at every row end, so that
+    out.flat[i] = (0 - diff[1 + i]) + diff[i] runs on contiguous arrays.
+    These are the operations of subtracting the column differences from
+    zeros and adding them shifted by one column: in the first column the
+    added +0 leaves 0 - z unchanged, and in the last 0 - 0 is the zero it
+    starts from, so the bits are those of objective_gradient's X T.
     """
     m = x.shape[1]
     flat = x.reshape(-1)

@@ -47,6 +47,26 @@ def outlier_positions() -> gf.NodePositions:
     return gf.NodePositions(coords=coords, node_ids=tuple(f"n{i}" for i in range(60)))
 
 
+def bfs_reachable(adjacency) -> np.ndarray:
+    """Reachability over a bool adjacency, by a breadth-first search from each
+    node: the oracle for graph._reachable."""
+    n = len(adjacency)
+    reach = np.eye(n, dtype=bool)
+    for start in range(n):
+        queue = [start]
+        for node in queue:  # the list grows as the search reaches new nodes
+            for neighbour in np.flatnonzero(adjacency[node]).tolist():
+                if not reach[start, neighbour]:
+                    reach[start, neighbour] = True
+                    queue.append(neighbour)
+    return reach
+
+
+def bfs_components(weights) -> int:
+    """The number of connected components over the support of W, by BFS."""
+    return len({tuple(row) for row in bfs_reachable(np.asarray(weights) > 0).tolist()})
+
+
 def random_geometric_graph(n: int, k: int, seed: int) -> gf.SensorGraph:
     return gf.build_knn_graph(random_positions(n, seed), k)
 

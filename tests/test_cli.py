@@ -17,7 +17,7 @@ from graphfill import cli, errors, harness, solver
 from graphfill.cli import main
 from graphfill.harness import masked_problem
 
-from conftest import outlier_positions
+from conftest import bfs_components, outlier_positions
 
 
 @pytest.fixture
@@ -439,21 +439,26 @@ def test_experiment_requires_dataset_flags(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
-@pytest.mark.parametrize("flags", [
-    ["--synthetic", "--positions", "{positions}", "--readings", "{readings}"],
-    ["--synthetic-seed", "5", "--positions", "{positions}", "--readings", "{readings}"],
-], ids=["synthetic-and-csvs", "seed-without-synthetic"])
+ONE_DATASET = ("name one dataset: --synthetic, with an optional --synthetic-seed, "
+               "or --positions and --readings")
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--synthetic", "--positions", "{positions}", "--readings", "{readings}"], ONE_DATASET),
+    (["--synthetic-seed", "5", "--positions", "{positions}", "--readings", "{readings}"],
+     ONE_DATASET),
+    (["--synthetic", "--synthetic-seed", "-1"], "--synthetic-seed must be >= 0, got -1"),
+], ids=["synthetic-and-csvs", "seed-without-synthetic", "negative-synthetic-seed"])
 @pytest.mark.parametrize("command", ["experiment", "gridsearch"])
 def test_conflicting_dataset_flags_exit_2_writing_nothing(tmp_path, fixture_files, capfd,
-                                                          command, flags):
+                                                          command, flags, message):
     positions, readings = fixture_files
     config = (experiment_config if command == "experiment" else gridsearch_config)(tmp_path)
     out = tmp_path / "out" / "result"
     argv = ["gridsearch", *(f.format(positions=positions, readings=readings) for f in flags),
             "--config", str(config), "--out", str(out)]
     assert main(argv) == 2
-    assert capfd.readouterr() == ("", "graphfill: name one dataset: --synthetic, with an "
-                                      "optional --synthetic-seed, or --positions and --readings\n")
+    assert capfd.readouterr() == ("", f"graphfill: {message}\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -600,12 +605,18 @@ def test_gridsearch_method_without_winner_writes_the_others(tmp_path, capsys):
     (np.ones((8, 12)), 0.5, "max_value 1.0 must exceed min_value 1.0"),
     (np.random.default_rng(2).normal(size=(8, 3)), 0.1,
      "1 samples x 3 snapshots = 3 observations cannot cover 8 nodes"),
-], ids=["constant", "too-few-observations"])
+    # +-8e307 spans 1.6e308, which scales, but a reconstruction above about
+    # 1.12 of that span overflows once mapped back, as each command's does here
+    (np.random.default_rng(1).choice([-8e307, 8e307], size=(8, 12)), 0.5,
+     "mapping the reconstruction back to data units overflows: the observed readings "
+     "range from -8e+307 to 8e+307; scale them down"),
+], ids=["constant", "too-few-observations", "overflowing-reconstruction"])
 @pytest.mark.parametrize("command", ["reconstruct", "experiment", "gridsearch"])
 def test_input_fault_exits_2_from_every_command(tmp_path, fixture_files, capfd, command,
                                                 values, density, message):
-    # a seed whose problem cannot be posed ends gridsearch, with one method or
-    # three, as it ends reconstruct, also when a worker process meets it
+    # a seed whose problem cannot be posed, or whose reconstruction cannot be
+    # mapped back to data units, ends gridsearch, with one method or three, as
+    # it ends reconstruct, also when a worker process meets it
     positions, readings = fixture_files
     _write_readings(readings, values)
     out = tmp_path / "out" / "result"
@@ -746,56 +757,77 @@ def test_removed_solver_keys_exit_2(tmp_path, capsys, key):
     assert f"unknown config fields: {key}" in capsys.readouterr().err
 
 
-def test_graph_info(tmp_path, fixture_files, capsys):
-    positions, _ = fixture_files
-    edge_out = tmp_path / "edges.csv"
-    assert main(["graph-info", "--positions", str(positions), "--k", "2", "--out", str(edge_out)]) == 0
-    out = capsys.readouterr().out
-    assert "nodes:" in out and "sigma:" in out and "lambda_2:" in out
-    assert edge_out.read_text().splitlines()[0] == "src_id,dst_id,weight"
-
-
-def test_graph_info_isolates_far_outlier(tmp_path, capsys):
-    pos = outlier_positions()
-    positions = tmp_path / "positions.csv"
+def _write_dataset(tmp_path, pos, n_steps=6):
+    """positions.csv and readings.csv for pos, with a random reading at every entry."""
+    positions, readings = tmp_path / "positions.csv", tmp_path / "readings.csv"
     positions.write_text("node_id,x,y\n" + "".join(
         f"{node_id},{x!r},{y!r}\n" for node_id, (x, y) in zip(pos.node_ids, pos.coords.tolist())
     ))
-    assert main(["graph-info", "--positions", str(positions), "--k", "5"]) == 0
-    out = capsys.readouterr().out
-    assert "components:        2\n" in out and "connected:         False\n" in out
+    values = np.random.default_rng(0).normal(size=(pos.n_nodes, n_steps)).tolist()
+    readings.write_text("node_id,time_index,value\n" + "".join(
+        f"{node_id},{t},{v!r}\n" for node_id, row in zip(pos.node_ids, values)
+        for t, v in enumerate(row)
+    ))
+    return positions, readings
 
 
-def test_graph_info_counts_components_from_edges(tmp_path, capsys):
+def _graph_doc(argv, out):
+    assert main(argv) == 0
+    text = out.with_suffix(".json").read_text()
+    assert text.count('"graph":') == 1
+    return json.loads(text)["graph"]
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "gridsearch"])
+def test_json_records_the_solved_graph(tmp_path, fixture_files, capsys, command):
+    positions, readings = fixture_files
+    out = tmp_path / "out"
+    if command == "reconstruct":
+        argv, k = reconstruct_args(positions, readings, out), 2
+    else:
+        argv, k = ["gridsearch", "--positions", str(positions), "--readings", str(readings),
+                   "--config", str(gridsearch_config(tmp_path)), "--out", str(out)], 3
+    graph = gf.build_knn_graph(gf.load_positions(positions), k)
+    assert _graph_doc(argv, out) == {
+        "nodes": graph.n_nodes, "edges": graph.n_edges, "sigma": graph.sigma,
+        "lambda_2": graph.eigenvalues[1], "lambda_max": graph.eigenvalues[-1],
+        "components": bfs_components(graph.weights),
+    }
+
+
+def test_graph_block_isolates_far_outlier(tmp_path, capsys):
+    positions, readings = _write_dataset(tmp_path, outlier_positions())
+    argv = reconstruct_args(positions, readings, tmp_path / "r", **{"--k": "5"})
+    assert _graph_doc(argv, tmp_path / "r")["components"] == 2
+
+
+def test_graph_block_counts_components_from_edges(tmp_path, capsys):
     # the far node's edges weigh about 1e-25: tiny, but in W, so it is linked,
     # although the Laplacian has two eigenvalues below 1e-10
     coords = np.random.default_rng(0).uniform(0.0, 1.0, size=(11, 2))
     coords[-1] = (30.0, 30.0)
-    positions = tmp_path / "positions.csv"
-    positions.write_text("node_id,x,y\n" + "".join(
-        f"n{i},{x!r},{y!r}\n" for i, (x, y) in enumerate(coords.tolist())
-    ))
-    edges = tmp_path / "edges.csv"
-    assert main(["graph-info", "--positions", str(positions), "--k", "2", "--out", str(edges)]) == 0
-    out = capsys.readouterr().out
-    assert "components:        1\n" in out and "connected:         True\n" in out
-    far = [row for row in csv.reader(edges.read_text().splitlines()) if "n10" in row[:2]]
-    assert far and all(0 < float(weight) < 1e-20 for _, _, weight in far)
+    pos = gf.NodePositions(coords, tuple(f"n{i}" for i in range(11)))
+    positions, readings = _write_dataset(tmp_path, pos)
+    config = gridsearch_config(tmp_path, k_graph=2)
+    argv = ["gridsearch", "--positions", str(positions), "--readings", str(readings),
+            "--config", str(config), "--out", str(tmp_path / "g")]
+    assert _graph_doc(argv, tmp_path / "g")["components"] == 1
+    far = gf.build_knn_graph(gf.load_positions(positions), 2).weights[-1]
+    assert far.any() and all(0 < weight < 1e-20 for weight in far[far > 0])
 
 
-def test_graph_info_overflowing_distance_exits_2(tmp_path, capsys):
-    positions = tmp_path / "positions.csv"
-    positions.write_text("node_id,x,y\na,0,0\nb,1e160,0\nc,0,2e160\n")
-    assert main(["graph-info", "--positions", str(positions), "--k", "1"]) == 2
+def test_reconstruct_overflowing_distance_exits_2(tmp_path, capsys):
+    pos = gf.NodePositions([[0.0, 0.0], [1e160, 0.0], [0.0, 2e160]], ("a", "b", "c"))
+    positions, readings = _write_dataset(tmp_path, pos)
+    assert main(reconstruct_args(positions, readings, tmp_path / "r", **{"--k": "1"})) == 2
     err = capsys.readouterr().err
     assert "nodes 'a' and 'b' overflows; scale the coordinates down" in err
 
 
-def test_graph_info_creates_missing_out_directory(tmp_path, fixture_files, capsys):
-    positions, _ = fixture_files
-    edge_out = tmp_path / "missing" / "edges.csv"
-    assert main(["graph-info", "--positions", str(positions), "--k", "2", "--out", str(edge_out)]) == 0
-    assert edge_out.read_text().splitlines()[0] == "src_id,dst_id,weight"
+def test_removed_graph_info_command_exits_2(capsys):
+    assert main(["graph-info", "--positions", "p.csv", "--k", "1"]) == 2
+    assert "invalid choice: 'graph-info'" in capsys.readouterr().err
+    assert not hasattr(gf, "write_edge_list") and not hasattr(gf.graph, "write_edge_list")
 
 
 def checkout_env():
@@ -813,7 +845,7 @@ def run_python(*args):
 def test_python_dash_m_runs_the_cli():
     done = run_python("-m", "graphfill", "--help")
     assert done.returncode == 0, done.stderr
-    assert "reconstruct" in done.stdout and "graph-info" in done.stdout
+    assert "reconstruct" in done.stdout and "gridsearch" in done.stdout
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -860,12 +892,11 @@ sys.exit(code)
     [
         ((), 0),
         (("--help",), 0),
-        (("graph-info", "--positions", "{positions}", "--k", "2"), 0),
         (reconstruct_args("{positions}", "{readings}", "{out}", **{"--density": "1.5"}), 2),
         (reconstruct_args("{positions}", "{readings}", "{out}", **CG_GAMMA), 0),
         (("gridsearch", "--synthetic", "--config", "{config}", "--out", "{out}"), 0),
     ],
-    ids=["import", "help", "graph-info", "reconstruct-exit-2", "reconstruct", "gridsearch-knn"],
+    ids=["import", "help", "reconstruct-exit-2", "reconstruct", "gridsearch-knn"],
 )
 def test_start_up_loads_no_scipy(tmp_path, fixture_files, command, code):
     # scipy.linalg is most of a cold start and only a direct solve needs it
@@ -936,9 +967,10 @@ def test_reconstruct_oversized_quoted_field_exits_2(tmp_path, fixture_files, cap
     assert huge not in err
 
 
-def test_graph_info_k_too_large_exits_2(tmp_path, fixture_files, capsys):
-    positions, _ = fixture_files
-    assert main(["graph-info", "--positions", str(positions), "--k", "8"]) == 2
+def test_reconstruct_k_too_large_exits_2(tmp_path, fixture_files, capsys):
+    positions, readings = fixture_files
+    assert main(reconstruct_args(positions, readings, tmp_path / "r", **{"--k": "8"})) == 2
+    assert capsys.readouterr().err == "graphfill: k=8 but the graph has only 8 nodes\n"
 
 
 def test_exit_code_of_every_error_class(monkeypatch, capsys):
@@ -961,9 +993,9 @@ def test_exit_code_of_every_error_class(monkeypatch, capsys):
         def handler(args, exc=exc):
             raise exc
 
-        monkeypatch.setitem(cli._HANDLERS, "graph-info", handler)
+        monkeypatch.setitem(cli._HANDLERS, "gridsearch", handler)
         name = type(exc).__name__
-        got[name] = main(["graph-info", "--positions", "p.csv", "--k", "1"])
+        got[name] = main(["gridsearch", "--config", "c.json", "--out", "o"])
         want[name] = 2 if name in {"InvalidInput", "ValueError"} else 3
         assert capsys.readouterr().err == "graphfill: boom\n"
     assert got == want

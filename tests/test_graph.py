@@ -7,7 +7,12 @@ import pytest
 import graphfill as gf
 from graphfill.errors import InvalidInput
 
+from graphfill.cli import _graph_block
+from graphfill.graph import _reachable
+
 from conftest import (
+    bfs_components,
+    bfs_reachable,
     outlier_positions,
     random_geometric_graph,
     random_positions,
@@ -380,15 +385,29 @@ def test_edges_are_support_of_w_in_row_major_order():
     assert np.array_equal(g.laplacian, np.diag(w.sum(axis=1)) - w)
 
 
-def test_edge_list_export(tmp_path):
-    pos = gf.NodePositions(
-        coords=np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]), node_ids=("a", "b", "c")
-    )
-    g = gf.build_knn_graph(pos, 1)
-    out = tmp_path / "edges.csv"
-    gf.write_edge_list(g, pos.node_ids, out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "src_id,dst_id,weight"
-    assert lines[1].startswith("a,b,")
-    assert lines[2].startswith("b,c,")
-    assert float(lines[1].split(",")[2]) == pytest.approx(math.exp(-1), rel=1e-11)
+@pytest.mark.parametrize("n", range(2, 71))
+def test_reachable_spans_a_path(n):
+    # a path is the longest chain on n nodes, so it needs every one of the
+    # ceil(log2 n) squarings, at n = 2**k and 2**k + 1 as anywhere
+    adjacency = unit_path_graph(n).weights > 0
+    reach = _reachable(adjacency)
+    assert reach.all() and np.array_equal(reach, bfs_reachable(adjacency))
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("n, far, k, outlier_linked", [
+    (11, (30.0, 30.0), 2, True),  # its weights are at most 1e-20: tiny, but in W
+    (60, (1000.0, 1000.0), 5, False),  # its weights underflow to 0: no edge
+], ids=["tiny-weight", "underflowed"])
+def test_reachable_matches_bfs_on_knn_graphs_with_a_far_outlier(seed, n, far, k,
+                                                                 outlier_linked):
+    coords = np.random.default_rng(seed).uniform(0.0, 1.0, size=(n + seed, 2))
+    coords[-1] = far
+    g = gf.build_knn_graph(gf.NodePositions(coords, tuple(map(str, range(len(coords))))), k)
+    adjacency = g.weights > 0
+    reach = _reachable(adjacency)
+    assert np.array_equal(reach, bfs_reachable(adjacency))
+    assert reach[-1, :-1].any() == outlier_linked
+    if outlier_linked:
+        assert 0 < g.weights[-1].max() < 1e-20
+    assert _graph_block(g)["components"] == bfs_components(g.weights)

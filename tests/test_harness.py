@@ -163,6 +163,17 @@ def test_run_experiment_deterministic():
     assert all(not r.failed and len(r.per_rep) == 3 for _, r in first.entries)
 
 
+def test_grid_search_keeps_the_one_graph_it_solved_on(monkeypatch):
+    built = []
+    monkeypatch.setattr(harness, "build_knn_graph",
+                        lambda *args: built.append(gf.build_knn_graph(*args)) or built[-1])
+    ds = small_dataset()
+    found = search(ds, 0.3, ["knn_baseline"], repetitions=1)
+    assert [found.graph] == built
+    assert np.array_equal(found.graph.weights, gf.build_knn_graph(ds.positions, 3).weights)
+    assert "graph=" not in repr(found)
+
+
 def test_run_experiment_methods_labelled():
     # cells come in METHODS order, whatever the order of the names
     found = gf.grid_search(small_dataset(), 0.5, [0.5], [1.0], [0.5, 1.0], repetitions=3,
