@@ -138,7 +138,9 @@ def masked_problem(dataset: Dataset, density: float, seed: int):
     the signal min-max scaled by the observed entries alone,
     (value - low) / (high - low) there and 0 elsewhere; no other entry of
     the dataset is read. unscale(x) maps a reconstruction of y back to data
-    units, x * (high - low) + low, and raises InvalidInput if that overflows.
+    units, x * (high - low) + low, and raises InvalidInput if that value is
+    beyond the float range; where the product alone overflows, it is computed
+    from the halved terms.
 
     Raises InvalidInput when the mask cannot be drawn or observes readings
     that are all equal or too wide to scale.
@@ -161,8 +163,14 @@ def masked_problem(dataset: Dataset, density: float, seed: int):
     y.setflags(write=False)
 
     def unscale(x):
+        x = check_signal(x)
         with np.errstate(over="ignore"):
-            values = check_signal(x) * span + low
+            values = x * span + low
+            if not np.isfinite(values).all():
+                # x * span can overflow where x * span + low fits; halving
+                # both terms first maps those entries back, and only those
+                wide = ~np.isfinite(values)
+                values[wide] = (x[wide] * (span / 2) + low / 2) * 2
         if not np.isfinite(values).all():
             raise InvalidInput("mapping the reconstruction back to data units overflows: the "
                                f"observed readings range from {low} to {high}; scale them down")

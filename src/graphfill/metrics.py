@@ -38,14 +38,23 @@ def _stat_without_overflow(stat, values: np.ndarray) -> float:
 
 
 def error_report(truth: np.ndarray, recon: np.ndarray, hidden: np.ndarray) -> MetricReport:
-    """RMSE and MAE of recon against truth over the True entries of hidden."""
+    """RMSE and MAE of recon against truth over the True entries of hidden.
+
+    A deviation too large for floating point is measured on the halved
+    values, and the metrics doubled back; a metric beyond the float range
+    reads inf.
+    """
     truth, recon = check_signal(truth), check_signal(recon)
     if truth.shape != recon.shape:
         raise InvalidInput(f"truth {truth.shape} vs recon {recon.shape}")
     check_mask(hidden, truth.shape)
-    dev = truth[hidden] - recon[hidden]
+    with np.errstate(over="ignore"):
+        dev = truth[hidden] - recon[hidden]
     if dev.size == 0:
         raise InvalidInput("no entries to evaluate")
-    rmse = _stat_without_overflow(lambda d: np.sqrt(np.mean(d**2)), dev)
-    mae = _stat_without_overflow(lambda d: np.mean(np.abs(d)), dev)
+    scale = 1.0
+    if not np.isfinite(dev).all():  # a deviation beyond the float range: halve both first
+        dev, scale = truth[hidden] / 2 - recon[hidden] / 2, 2.0
+    rmse = scale * _stat_without_overflow(lambda d: np.sqrt(np.mean(d**2)), dev)
+    mae = scale * _stat_without_overflow(lambda d: np.mean(np.abs(d)), dev)
     return MetricReport(rmse=rmse, mae=mae, n_evaluated=dev.size)

@@ -29,17 +29,24 @@ metrics by more than the reference allows. dense_oracle_solve builds the
 full system explicitly with a Kronecker product and factorizes it, serving
 as an independent check.
 
+_block_solve eliminates a system of _SPLIT_STEPS time steps or more from
+both ends at once, and the two halves meet in the middle block. The bottom
+half runs in a forked helper process where _may_fork allows (two usable
+CPUs, one Python thread, a process that multiprocessing did not start), and
+in process otherwise, to the same bits. Shorter systems, every grid-search
+repetition of the criterion-4 grid among them, are swept from one end.
+
 With eps = 0 the operator B = L**beta is itself singular, and some
 observation patterns make the normal equations singular even though every
 node is covered. reconstruct_sobolev rejects them before either path (see
 _check_linked), and the direct path's pivot test guards near-singular
 systems, with SingularSystem; the dense oracle has an eigenvalue bound.
 
-scipy.linalg is imported inside _block_solve and dense_oracle_solve, the
-only functions that use it, not at module level. It is most of the cost of
-importing graphfill (about 0.3 s of 0.5 s on a 2-core Xeon), and a process
-that never factors a matrix (--help, input errors, the kNN baseline,
-CG-only cells) then loads numpy alone. The first direct solve in
+scipy.linalg is imported inside the functions that use it, those of the
+block solve and dense_oracle_solve, not at module level. It is most of the
+cost of importing graphfill (about 0.3 s of 0.5 s on a 2-core Xeon), and a
+process that never factors a matrix (--help, input errors, the kNN
+baseline, CG-only cells) then loads numpy alone. The first direct solve in
 a process pays the import once.
 """
 
@@ -47,6 +54,10 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
+import signal
+import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,6 +185,16 @@ _DIRECT_RATIO = 2.0
 # pivot is above 1e12 * eps * s.
 _PIVOT_FACTOR = 1e4
 
+# _block_solve eliminates a system of this many time steps or more from both
+# ends at once, with the bottom half in a forked helper where _may_fork
+# allows; it must be at least 3, so that both halves have a step. At N = 50
+# on a 2-core Xeon VM (one BLAS thread, medians of 7-9 solves), the forked
+# solve breaks even near M = 500-1000 with the second CPU free, and reads
+# 80 -> 60-77 ms at M = 2000 and 410-470 -> 245-280 ms at 10^4. With the
+# second CPU busy it loses up to M = 2000 (82 -> 105 ms) and breaks even
+# near 5000. The constant is twice the free-CPU break-even.
+_SPLIT_STEPS = 2000
+
 
 def _takes_direct_path(graph: SensorGraph, config: SobolevConfig, j: np.ndarray) -> bool:
     """Whether reconstruct_sobolev solves by _block_solve rather than CG."""
@@ -189,18 +210,37 @@ def _block_solve(b: np.ndarray, gamma: float, j: np.ndarray, y: np.ndarray) -> n
 
     Ordered by time step, the system is block tridiagonal: diagonal blocks
     A_t = diag(j_t) + gamma * T_tt * B, and -gamma * B between consecutive
-    steps (B symmetric). The forward sweep factors each Schur complement
-    S_t = A_t - W^T W, with W = L_{t-1}^{-1} gamma B, as L_t L_t^T (BLAS
-    dtrsm and dsyrk, LAPACK dpotrf) and eliminates the right-hand side,
+    steps (B symmetric). The forward sweep (_forward) factors each Schur
+    complement S_t = A_t - W^T W, with W = L_{t-1}^{-1} gamma B, as L_t L_t^T
+    (BLAS dtrsm and dsyrk, LAPACK dpotrf) and eliminates the right-hand side,
     h_t = L_t^{-1} (y_t + W^T h_{t-1}). It forms W^T = gamma B L_{t-1}^{-T},
     with the triangle on the right: at N = 50 on one core, OpenBLAS takes
-    15 us for that against 33-45 us for W itself. Back-substitution gives
-    x_t = L_t^{-T} (h_t + L_t^{-1} gamma B x_{t+1}). Each factor is kept as
-    its packed lower triangle, N(N+1)/2 doubles per time step.
+    15 us for that against 33-45 us for W itself. Back-substitution
+    (_back_substitute) gives x_t = L_t^{-T} (h_t + L_t^{-1} gamma B x_{t+1}).
+    Each factor is kept as its packed lower triangle, N(N+1)/2 doubles per
+    time step.
+
+    A system of M < _SPLIT_STEPS steps is swept from step 0 to step M - 1.
+    A longer one is eliminated from both ends at once and meets at step
+    k = M // 2: the top half sweeps steps 0..k-1, and the bottom half runs
+    the same sweep on the time-reversed steps M-1..k+1 (T's diagonal is
+    symmetric under reversal). Each half's last factor couples into step k by
+    W^T W and W^T h, and the meeting block C_k = A_k - W^T W (top) - W^T W
+    (bottom), with right-hand side y_k + W^T h (top) + W^T h (bottom), is
+    factored and gives x_k. Both halves then back-substitute outward from it.
+    The bottom half runs in a forked helper (see _Helper) where _may_fork
+    allows, and in process otherwise; both run the same operations on the
+    same data, so the result depends on the inputs and M alone. A helper
+    that dies without its result is replaced by the same computation in
+    process, and none outlives the call.
 
     Raises:
         SingularSystem: a pivot is non-positive or negligible (see
-            _PIVOT_FACTOR); the message names the first such time block.
+            _PIVOT_FACTOR). The message names the first such time block of
+            the one-sided sweep; of a split system it names the first of the
+            top half, in order from step 0, else the first of the bottom
+            half, in order from step M - 1, else the meeting block, wherever
+            the bottom half ran.
     """
     from scipy.linalg.blas import dgemv, dsyrk, dtpsv, dtrsm
     from scipy.linalg.lapack import dpotrf
@@ -215,13 +255,88 @@ def _block_solve(b: np.ndarray, gamma: float, j: np.ndarray, y: np.ndarray) -> n
     # L^T[k, i] in the upper triangle; L^T of a Fortran-order L is C-order.
     packed = np.flatnonzero(np.triu(np.ones((n, n), dtype=bool)))
     on_diagonal = np.flatnonzero(packed % (n + 1) == 0)
-    factors = np.empty((m, packed.size))
     h = np.array(y.T, order="C")  # a copy even of a read-only Fortran-order y
+
+    def forward(rows):
+        """_forward over the steps rows selects, in its order."""
+        return _forward(gb, gb2, t_diag[rows], diagonal[rows], h[rows], packed, on_diagonal,
+                        range(m)[rows])
+
+    if m < _SPLIT_STEPS:
+        factors, _ = forward(slice(None))
+        dtpsv(n, factors[-1], h[-1], lower=1, trans=1, overwrite_x=1)
+        _back_substitute(gb, factors[:-1], h[:-1], h[-1])
+        return np.ascontiguousarray(h.T)
+
+    k = m // 2
+    top, bottom = slice(0, k), slice(m - 1, k, -1)
+
+    def half(rows):
+        """The sweep over h[rows], then its coupling (W^T W, W^T h) into step k."""
+        factors, last = forward(rows)
+        wt = dtrsm(1.0, last, gb, side=1, lower=1, trans_a=1)
+        return factors, dsyrk(1.0, wt, lower=1), dgemv(1.0, wt, h[rows][-1])
+
+    def serve(send, receive):
+        """The forked helper's part: the bottom half, around the parent's x_k."""
+        factors, ww, wh = half(bottom)
+        send(ww.T, wh)
+        x_k = np.empty(n)
+        if not receive(x_k):
+            raise EOFError("the solving process closed its pipe")
+        _back_substitute(gb, factors, h[bottom], x_k)
+        send(h[k + 1 :])
+
+    helper = _Helper.fork(serve) if _may_fork() else None
+    try:
+        top_factors, top_ww, top_wh = half(top)
+        bottom_factors, ww, wh = None, np.empty((n, n), order="F"), np.empty(n)
+        if not (helper and helper.receive(ww.T, wh)):
+            bottom_factors, ww, wh = half(bottom)
+        s = np.array(gb2, order="F")  # the meeting block C_k, then its factor
+        np.fill_diagonal(s, diagonal[k])
+        s -= top_ww
+        s -= ww
+        h[k] += top_wh
+        h[k] += wh
+        _, info = dpotrf(s, lower=1, clean=0, overwrite_a=1)
+        factor = s.T.reshape(-1).take(packed)
+        _check_pivots(factor[None], on_diagonal, diagonal[k : k + 1], range(k, k + 1),
+                      info - 1 if info else None)
+        dtpsv(n, factor, h[k], lower=1, overwrite_x=1)
+        dtpsv(n, factor, h[k], lower=1, trans=1, overwrite_x=1)
+        if helper:
+            helper.send(h[k])
+        _back_substitute(gb, top_factors, h[top], h[k])
+        if bottom_factors is None and not helper.receive(h[k + 1 :]):
+            np.copyto(h[k + 1 :], y.T[k + 1 :])  # a partial read may have written there
+            bottom_factors, _, _ = half(bottom)
+        if bottom_factors is not None:
+            _back_substitute(gb, bottom_factors, h[bottom], h[k])
+    finally:
+        if helper:
+            helper.close()
+    return np.ascontiguousarray(h.T)
+
+
+def _forward(gb, gb2, t_diag, diagonal, h, packed, on_diagonal, steps):
+    """The forward sweep of _block_solve over the rows of h, in their order.
+
+    Row i is time step steps[i], with T_tt = t_diag[i], diag(A_t) =
+    diagonal[i] and right-hand side h[i], which it overwrites with the
+    eliminated h_t. Returns the packed factors L_t, a row each, and the
+    last one as a Fortran-order N x N array whose lower triangle holds it.
+    """
+    from scipy.linalg.blas import dgemv, dsyrk, dtpsv, dtrsm
+    from scipy.linalg.lapack import dpotrf
+
+    n = len(gb)
+    factors = np.empty((len(h), packed.size))
     # two Fortran-order buffers, with flat and diagonal views, swapped each step
     s, previous = [(a, a.T.reshape(-1), a.T.reshape(-1)[:: n + 1])
                    for a in np.empty((2, n, n)).transpose(0, 2, 1)]
-    for t in range(m):
-        np.copyto(s[0], gb2 if 0 < t < m - 1 else gb)
+    for t in range(len(h)):
+        np.copyto(s[0], gb2 if t_diag[t] > 1.0 else gb)
         s[2][:] = diagonal[t]
         if t:
             wt = dtrsm(1.0, previous[0], gb, side=1, lower=1, trans_a=1)
@@ -230,17 +345,144 @@ def _block_solve(b: np.ndarray, gamma: float, j: np.ndarray, y: np.ndarray) -> n
         _, info = dpotrf(s[0], lower=1, clean=0, overwrite_a=1)
         s[1].take(packed, out=factors[t], mode="clip")
         if info:
-            _check_pivots(factors[: t + 1], on_diagonal, diagonal, info - 1)
+            _check_pivots(factors[: t + 1], on_diagonal, diagonal, steps, info - 1)
         dtpsv(n, factors[t], h[t], lower=1, overwrite_x=1)
         s, previous = previous, s
-    _check_pivots(factors, on_diagonal, diagonal)
+    _check_pivots(factors, on_diagonal, diagonal, steps)
+    return factors, previous[0]
 
-    dtpsv(n, factors[-1], h[-1], lower=1, trans=1, overwrite_x=1)
-    for t in range(m - 2, -1, -1):
-        coupled = dtpsv(n, factors[t], dgemv(1.0, gb, h[t + 1]), lower=1, overwrite_x=1)
+
+def _back_substitute(gb, factors, h, x_next) -> None:
+    """Overwrite the rows of h, from the last to the first, with x_t.
+
+    x_t = L_t^{-T} (h_t + L_t^{-1} gamma B x_next), each x_t the x_next of
+    the row before it; x_next starts as the solution at the step beyond
+    the last row.
+    """
+    from scipy.linalg.blas import dgemv, dtpsv
+
+    n = len(gb)
+    for t in range(len(h) - 1, -1, -1):
+        coupled = dtpsv(n, factors[t], dgemv(1.0, gb, x_next), lower=1, overwrite_x=1)
         np.add(h[t], coupled, out=h[t])
         dtpsv(n, factors[t], h[t], lower=1, trans=1, overwrite_x=1)
-    return np.ascontiguousarray(h.T)
+        x_next = h[t]
+
+
+def _may_fork() -> bool:
+    """Whether _block_solve may fork a helper for the bottom half of a system.
+
+    It needs os.fork, two or more usable CPUs, no other Python thread (a
+    fork copies the calling thread alone) and a process that multiprocessing
+    did not start, such as a grid-search worker. That last test imports
+    nothing: a process that never imported multiprocessing was not started
+    by it.
+    """
+    mp = sys.modules.get("multiprocessing")
+    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1
+            and (mp is None or mp.parent_process() is None))
+
+
+class _Helper:
+    """The solving process's end of the pipes to a forked helper.
+
+    The two talk in raw bytes: the helper sends its half's coupling, N^2 + N
+    doubles, receives x_k, N doubles, and sends its half of X. Every message
+    from the helper starts with a status byte: 0, then the doubles; 1, then
+    the message of a SingularSystem; 2, then the repr of any other
+    exception. After a non-zero status the helper exits. A helper that
+    failed otherwise than singular, or died, reads as no longer alive.
+    """
+
+    def __init__(self, pid, read_fd, write_fd):
+        self.pid, self.read_fd, self.write_fd = pid, read_fd, write_fd
+        self.alive = True
+
+    @classmethod
+    def fork(cls, serve):
+        """Fork a helper that runs serve(send, receive) and exits; None if fork fails.
+
+        In the helper, send(*arrays) writes one message of status 0 and
+        receive(*arrays) fills arrays from the solving process, False at
+        the end of its pipe.
+        """
+        down, up = os.pipe(), os.pipe()  # (read, write) each: to the helper, from it
+        try:
+            pid = os.fork()
+        except OSError:
+            for fd in (*down, *up):
+                os.close(fd)
+            return None
+        if pid:
+            os.close(down[0])
+            os.close(up[1])
+            return cls(pid, up[0], down[1])
+        code = 0
+        try:
+            os.close(down[1])
+            os.close(up[0])
+            try:
+                serve(lambda *arrays: _write(up[1], b"\0", *arrays),
+                      lambda *arrays: _read_into(down[0], *arrays))
+            # the helper ends in os._exit whatever it meets, interrupts too:
+            # its status byte is all the solving process needs of them
+            except SingularSystem as exc:
+                code = 1
+                _write(up[1], b"\1", str(exc).encode())
+            except BaseException as exc:
+                code = 2
+                _write(up[1], b"\2", repr(exc).encode())
+        finally:
+            os._exit(code)
+
+    def send(self, *arrays) -> None:
+        """Write arrays to the helper if it is alive."""
+        if self.alive:
+            try:
+                _write(self.write_fd, *arrays)
+            except BrokenPipeError:
+                self.alive = False
+
+    def receive(self, *arrays) -> bool:
+        """Fill arrays with the helper's next message; False if it is not alive.
+
+        Raises:
+            SingularSystem: the helper's half of the system is singular.
+        """
+        status = os.read(self.read_fd, 1) if self.alive else b""
+        if status == b"\1":
+            raise SingularSystem(b"".join(iter(lambda: os.read(self.read_fd, 65536), b""))
+                                 .decode())
+        self.alive = status == b"\0" and _read_into(self.read_fd, *arrays)
+        return self.alive
+
+    def close(self) -> None:
+        """Close the pipes, then kill and reap the helper, which has exited
+        if it sent its last message."""
+        os.close(self.read_fd)
+        os.close(self.write_fd)
+        os.kill(self.pid, signal.SIGKILL)
+        os.waitpid(self.pid, 0)
+
+
+def _write(fd, *chunks) -> None:
+    for chunk in chunks:
+        view = memoryview(chunk).cast("B")
+        while view:
+            view = view[os.write(fd, view):]
+
+
+def _read_into(fd, *arrays) -> bool:
+    for array in arrays:
+        view = memoryview(array).cast("B")
+        while view:
+            got = os.readv(fd, [view])
+            if not got:
+                return False
+            view = view[got:]
+    return True
+
 
 
 def _check_linked(graph: SensorGraph, j: np.ndarray) -> None:
@@ -262,12 +504,13 @@ def _check_linked(graph: SensorGraph, j: np.ndarray) -> None:
         )
 
 
-def _check_pivots(factors, on_diagonal, diagonal, failed_at=None) -> None:
+def _check_pivots(factors, on_diagonal, diagonal, steps, failed_at=None) -> None:
     """Raise SingularSystem at the first negligible pivot of factors, if any.
 
-    failed_at is the pivot at which dpotrf stopped in the last factor; the
-    pivots after it are not computed, and it counts as bad itself, however
-    large the non-positive value dpotrf found there.
+    Row i of factors and of diagonal is time step steps[i], which the
+    message names. failed_at is the pivot at which dpotrf stopped in the
+    last factor; the pivots after it are not computed, and it counts as bad
+    itself, however large the non-positive value dpotrf found there.
     """
     pivots = factors[:, on_diagonal] ** 2
     if failed_at is not None:
@@ -276,9 +519,9 @@ def _check_pivots(factors, on_diagonal, diagonal, failed_at=None) -> None:
     bound = _PIVOT_FACTOR * np.finfo(float).eps * diagonal[: len(factors)].max(axis=1)
     bad = np.flatnonzero(~(pivots > bound[:, None]))
     if bad.size:
-        t, node = divmod(int(bad[0]), pivots.shape[1])
+        row, node = divmod(int(bad[0]), pivots.shape[1])
         raise SingularSystem(
-            f"singular system: time block {t} has a non-positive or negligible "
+            f"singular system: time block {steps[row]} has a non-positive or negligible "
             f"pivot at node {node}"
         )
 

@@ -605,11 +605,11 @@ def test_gridsearch_method_without_winner_writes_the_others(tmp_path, capsys):
     (np.ones((8, 12)), 0.5, "max_value 1.0 must exceed min_value 1.0"),
     (np.random.default_rng(2).normal(size=(8, 3)), 0.1,
      "1 samples x 3 snapshots = 3 observations cannot cover 8 nodes"),
-    # +-8e307 spans 1.6e308, which scales, but a reconstruction above about
-    # 1.12 of that span overflows once mapped back, as each command's does here
-    (np.random.default_rng(1).choice([-8e307, 8e307], size=(8, 12)), 0.5,
+    # 0 to 1.7e308 scales, but a reconstruction above about 1.057 of that span
+    # is beyond the float range in data units, as each command's is here
+    (np.random.default_rng(1).choice([0.0, 1.7e308], size=(8, 12)), 0.5,
      "mapping the reconstruction back to data units overflows: the observed readings "
-     "range from -8e+307 to 8e+307; scale them down"),
+     "range from 0.0 to 1.7e+308; scale them down"),
 ], ids=["constant", "too-few-observations", "overflowing-reconstruction"])
 @pytest.mark.parametrize("command", ["reconstruct", "experiment", "gridsearch"])
 def test_input_fault_exits_2_from_every_command(tmp_path, fixture_files, capfd, command,
@@ -665,7 +665,9 @@ def _write_readings(path, values):
     np.random.default_rng(1).uniform(-1e200, 1e200, size=(8, 12)),
     # each repetition's RMSE is near 6e307, so the sum over four overflows as well
     np.random.default_rng(1).choice([-5e307, 5e307], size=(8, 12)),
-], ids=["std", "mean"])
+    # some reconstructions lie more than the float range from their hidden readings
+    np.random.default_rng(1).choice([-8e307, 8e307], size=(8, 12)),
+], ids=["std", "mean", "deviation"])
 def test_gridsearch_statistics_of_huge_readings_are_finite(tmp_path, fixture_files, capfd,
                                                             values):
     positions, readings = fixture_files
@@ -680,6 +682,25 @@ def test_gridsearch_statistics_of_huge_readings_are_finite(tmp_path, fixture_fil
     assert all(math.isfinite(float(cell)) and float(cell) > 1e198 for cell in stats)
     report = json.loads(out.with_suffix(".json").read_text(), parse_constant=_reject_constant)
     assert format(report["best"]["sobolev"]["rmse_mean"], ".6g") == stats[0]
+
+
+def test_reconstruct_maps_back_values_whose_scaled_product_overflows(tmp_path, fixture_files,
+                                                                    capfd):
+    # with readings of +-8e307 the span is 1.6e308, and the largest scaled
+    # entry, about 1.19, overflows as x * span; its data-unit value, about
+    # 1.1e308, is a double
+    positions, readings = fixture_files
+    _write_readings(readings, np.random.default_rng(0).choice([-8e307, 8e307], size=(8, 12)))
+    out = tmp_path / "recon"
+    argv = reconstruct_args(positions, readings, out, **{
+        "--k": "3", "--gamma": "5", "--seed": "1"})
+    assert main(argv) == 0
+    assert capfd.readouterr().err == ""
+    values = [float(row["value"]) for row in csv.DictReader(io.StringIO(
+        out.with_suffix(".csv").read_text()))]
+    assert all(math.isfinite(v) for v in values) and max(values) > 1e308
+    report = json.loads(out.with_suffix(".json").read_text(), parse_constant=_reject_constant)
+    assert math.isfinite(report["rmse"]) and math.isfinite(report["mae"])
 
 
 def test_gridsearch_non_finite_gamma_exits_2_before_solving(tmp_path, capsys, monkeypatch):

@@ -166,6 +166,31 @@ def test_rmse_of_huge_deviations_is_finite():
     assert (report.rmse, report.mae) == (pytest.approx(5e307), pytest.approx(5e307))
 
 
+def test_deviation_beyond_the_float_range_is_measured():
+    # -9e307 against 9e307 lies 1.8e308 apart, beyond the float range, while
+    # the RMSE and MAE over four entries are doubles
+    truth, recon = np.zeros((2, 2)), np.zeros((2, 2))
+    truth[0, 0], recon[0, 0] = -9e307, 9e307
+    report = gf.error_report(truth, recon, np.ones((2, 2), dtype=bool))
+    assert report.rmse == pytest.approx(9e307, rel=1e-15)
+    assert report.mae == pytest.approx(4.5e307, rel=1e-15)
+    # a metric that is itself beyond the float range reads inf
+    truth[:], recon[:] = -9e307, 9e307
+    assert gf.error_report(truth, recon, np.ones((2, 2), dtype=bool)).rmse == np.inf
+
+
+def test_unscale_maps_back_values_whose_product_overflows():
+    # x * span overflows for 1.2 * 1.6e308, but x * span + low = 1.12e308
+    # fits; entries whose plain form is finite keep its bytes
+    _, unscale = _scaled(np.array([[-8e307, 8e307], [8e307, -8e307]]))
+    x = np.array([[1.2, 0.3], [0.999, 1e-17]])
+    got = unscale(x)
+    assert got[0, 0] == pytest.approx(1.12e308, rel=1e-15)
+    assert np.array_equal(got.flat[1:], (x.flat[1:] * 1.6e308 - 8e307))
+    with pytest.raises(InvalidInput, match="mapping the reconstruction back"):
+        unscale(np.full((2, 2), 1.7))  # 1.7 * 1.6e308 - 8e307 = 1.92e308
+
+
 def test_finite_metrics_keep_their_bits(rng):
     truth, recon = rng.normal(size=(5, 6)), rng.normal(size=(5, 6))
     hidden = rng.random((5, 6)) < 0.5

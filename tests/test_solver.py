@@ -2,6 +2,8 @@ import dataclasses
 import importlib.util
 import itertools
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -388,6 +390,154 @@ def test_block_solve_raises_where_cholesky_stops():
     # negligible once squared, and that alone must raise.
     with pytest.raises(SingularSystem, match="time block 0 has .* pivot at node 0"):
         solver._block_solve(-np.eye(3), 1.0, np.full((3, 4), 0.5), np.ones((3, 4)))
+
+
+def _one_sided_block_solve(b, gamma, j, y):
+    """_block_solve as it was before long systems split, its pivot checks left
+    out: one forward sweep from step 0, then back-substitution from step M - 1."""
+    from scipy.linalg.blas import dgemv, dsyrk, dtpsv, dtrsm
+    from scipy.linalg.lapack import dpotrf
+
+    n, m = y.shape
+    gb = np.asfortranarray(gamma * b)
+    gb2 = 2.0 * gb
+    t_diag = np.full(m, 2.0)
+    t_diag[[0, -1]] = 1.0
+    diagonal = np.ascontiguousarray(j.T + np.outer(t_diag, np.diagonal(gb)))
+    packed = np.flatnonzero(np.triu(np.ones((n, n), dtype=bool)))
+    factors = np.empty((m, packed.size))
+    h = np.array(y.T, order="C")
+    s, previous = [(a, a.T.reshape(-1), a.T.reshape(-1)[:: n + 1])
+                   for a in np.empty((2, n, n)).transpose(0, 2, 1)]
+    for t in range(m):
+        np.copyto(s[0], gb2 if 0 < t < m - 1 else gb)
+        s[2][:] = diagonal[t]
+        if t:
+            wt = dtrsm(1.0, previous[0], gb, side=1, lower=1, trans_a=1)
+            dsyrk(-1.0, wt, beta=1.0, c=s[0], lower=1, overwrite_c=1)
+            dgemv(1.0, wt, h[t - 1], beta=1.0, y=h[t], overwrite_y=1)
+        dpotrf(s[0], lower=1, clean=0, overwrite_a=1)
+        s[1].take(packed, out=factors[t], mode="clip")
+        dtpsv(n, factors[t], h[t], lower=1, overwrite_x=1)
+        s, previous = previous, s
+    dtpsv(n, factors[-1], h[-1], lower=1, trans=1, overwrite_x=1)
+    for t in range(m - 2, -1, -1):
+        coupled = dtpsv(n, factors[t], dgemv(1.0, gb, h[t + 1]), lower=1, overwrite_x=1)
+        np.add(h[t], coupled, out=h[t])
+        dtpsv(n, factors[t], h[t], lower=1, trans=1, overwrite_x=1)
+    return np.ascontiguousarray(h.T)
+
+
+def _block_system(n, m, seed, density=0.3):
+    """(b, gamma, j, y) of a Sobolev system on a kNN graph, every node observed."""
+    rng = np.random.default_rng(seed)
+    positions = gf.NodePositions(coords=rng.random((n, 2)), node_ids=tuple(map(str, range(n))))
+    b = gf.sobolev_operator(gf.build_knn_graph(positions, min(5, n - 1)), 0.5, 1.0)
+    j = (rng.random((n, m)) < density).astype(float)
+    j[:, rng.integers(m)] = 1.0
+    return b, 0.5, j, np.where(j > 0, rng.normal(size=(n, m)), 0.0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000), n=st.integers(min_value=2, max_value=9),
+       m=st.integers(min_value=2, max_value=40))
+def test_short_block_solve_is_the_one_sided_sweep_bit_for_bit(seed, n, m):
+    system = _block_system(n, m, seed)
+    assert np.array_equal(solver._block_solve(*system), _one_sided_block_solve(*system))
+
+
+@pytest.mark.parametrize("m", [100, 300, solver._SPLIT_STEPS - 1])
+def test_short_block_solve_keeps_its_bits_at_benchmark_sizes(m):
+    # grid-sparse's 50 x 100 solves, a 50 x 300 reconstruct and the longest
+    # system that does not split
+    system = _block_system(50, m, seed=m)
+    assert np.array_equal(solver._block_solve(*system), _one_sided_block_solve(*system))
+
+
+@pytest.mark.parametrize("n, m", [(6, 3), (6, 4), (5, 9), (20, 50), (40, 50), (3, 600)])
+def test_split_block_solve_matches_dense_oracle(monkeypatch, n, m):
+    monkeypatch.setattr(solver, "_SPLIT_STEPS", 3)
+    monkeypatch.setattr(solver, "_may_fork", lambda: False)
+    back_substitutions = []
+    back_substitute = solver._back_substitute
+    monkeypatch.setattr(solver, "_back_substitute",
+                        lambda *args: back_substitutions.append(1) or back_substitute(*args))
+    graph, _, mask, y = random_instance(seed=n * m, n=n, m=m, density=0.6)
+    cfg = gf.SobolevConfig(epsilon=0.3, beta=1.5, gamma=50.0)
+    assert solver._takes_direct_path(graph, cfg, mask.astype(float))
+    direct = gf.reconstruct_sobolev(y, mask, graph, cfg)
+    assert len(back_substitutions) == 2  # one per half
+    oracle = gf.dense_oracle_solve(y, mask, graph, cfg)
+    rel = np.linalg.norm(direct.xbar - oracle.xbar) / np.linalg.norm(oracle.xbar)
+    assert rel <= 1e-10
+
+
+def test_split_block_solve_matches_the_one_sided_sweep_at_benchmark_size():
+    # reconstruct-large's 50 x 10^4 system at density 0.3
+    system = _block_system(50, 10_000, seed=0)
+    assert 10_000 >= solver._SPLIT_STEPS
+    x, one_sided = solver._block_solve(*system), _one_sided_block_solve(*system)
+    assert np.abs(x - one_sided).max() <= 1e-12 * np.abs(one_sided).max()
+
+
+@pytest.fixture(scope="module")
+def split_probe():
+    """What tests/split_probe.py saw of split solves in a fresh interpreter."""
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("a forked helper needs two usable CPUs")
+    src = Path(gf.__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-X", "dev", "-W", "error",
+                           str(Path(__file__).with_name("split_probe.py"))],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_split_solve_is_the_same_forked_in_process_and_on_one_cpu(split_probe):
+    runs = split_probe["placements"]
+    assert split_probe["may_fork"]
+    assert len({run["outcome"] for run in runs.values()}) == 1
+    assert [(run["forks"], run["receipts"]) for run in runs.values()] == [
+        (1, [True, True]), (0, []), (0, [])]
+    assert all(run["no_child_left"] for run in runs.values())
+
+
+def test_killed_helper_gives_the_same_bits(split_probe):
+    # the bottom half is recomputed in process wherever the helper died
+    want = split_probe["placements"]["in process"]["outcome"]
+    runs = split_probe["killed"]
+    assert {name: (run["outcome"], run["forks"], run["receipts"], run["no_child_left"])
+            for name, run in runs.items()} == {
+        "in its sweep": (want, 1, [False], True),
+        "in its back-substitution": (want, 1, [True, False], True),
+        "sending its half of X": (want, 1, [True, False], True),
+    }
+
+
+def test_split_singular_system_names_the_real_time_block(split_probe):
+    # steps 0-19 are the top half, 40-21 the bottom half and 20 the meeting
+    # block: the top half reports first, each half in the order of its sweep
+    named = {"5": 5, "35": 35, "20": 20, "5,35": 5, "35,20": 35, "20,5": 5, "33,37": 37}
+    runs = split_probe["singular"]
+    assert sorted(runs) == sorted(named)
+    for bad, block in named.items():
+        forked, in_process = runs[bad]["forked"], runs[bad]["in process"]
+        assert forked["outcome"] == in_process["outcome"], bad
+        assert in_process["outcome"].startswith(
+            f"SingularSystem: singular system: time block {block} has"), bad
+        assert (forked["forks"], in_process["forks"]) == (1, 0)
+        assert forked["no_child_left"] and in_process["no_child_left"]
+
+
+def test_helper_is_forked_only_where_it_is_safe(split_probe, monkeypatch):
+    # not beside another thread, in a process multiprocessing started, or on
+    # one CPU
+    assert split_probe["may_fork"]
+    assert not split_probe["may_fork_with_a_thread"]
+    assert not split_probe["may_fork_in_a_pool_worker"]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert not solver._may_fork()
 
 
 def test_dense_oracle_rejects_exactly_singular_system():
